@@ -14,17 +14,26 @@
 //! * **incremental (2-bit KV)** — same, with aged cache tokens stored at
 //!   2 bits (KIVI-style, group 32, residual 32).
 //!
+//! A second section times what a pass spends *outside* the engine — the
+//! blocked attention kernel, plus KV append and norms — on the deep
+//! serving shape (d 64, 4 heads, 4 layers) at context 64 and 512, for a
+//! 64-token prefill chunk (8-wide query blocks) and a single-token decode
+//! step (the 1-wide instantiation), as ns per attention score, so a
+//! regression of either path is visible on its own row.
+//!
 //! Emits `results/BENCH_decode_latency.json`. Acceptance: incremental
 //! beats full recompute by ≥3× per-step at prefix ≥256, batch 8.
 
 use microscopiq_bench::{f2, median, Table};
+use microscopiq_core::packed::PackedLayer;
 use microscopiq_core::{MicroScopiQ, QuantConfig};
 use microscopiq_fm::{
-    DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, TinyFmConfig,
+    DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedGemm, PackedTinyFm, TinyFm, TinyFmConfig,
 };
-use microscopiq_linalg::SeededRng;
+use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::RuntimeEngine;
-use std::time::Instant;
+use std::cell::Cell;
+use std::time::{Duration, Instant};
 
 const BATCH: usize = 8;
 const STEPS: usize = 3;
@@ -133,19 +142,11 @@ fn run_incremental(
     (prefill_time, rec)
 }
 
-fn main() {
-    let cfg = TinyFmConfig {
-        d_model: 128,
-        n_heads: 4,
-        d_ff: 256,
-        n_layers: 2,
-        vocab: 128,
-    };
-    let teacher = TinyFm::teacher(cfg, 2026);
-    let mut rng = SeededRng::new(17);
-    let calib: Vec<Vec<usize>> = (0..2)
-        .map(|_| teacher.generate(10, 1.0, &mut rng))
-        .collect();
+/// A w4 packed model of the given shape: teacher from `seed`, calibrated
+/// on two short samples the teacher draws from `rng`.
+fn packed_model(cfg: TinyFmConfig, seed: u64, rng: &mut SeededRng) -> PackedTinyFm {
+    let teacher = TinyFm::teacher(cfg, seed);
+    let calib: Vec<Vec<usize>> = (0..2).map(|_| teacher.generate(10, 1.0, rng)).collect();
     let q = MicroScopiQ::new(
         QuantConfig::w4()
             .macro_block(64)
@@ -154,7 +155,116 @@ fn main() {
             .build()
             .expect("valid"),
     );
-    let model = PackedTinyFm::quantize_from(&teacher, &q, &calib).expect("quantizes");
+    PackedTinyFm::quantize_from(&teacher, &q, &calib).expect("quantizes")
+}
+
+/// An engine that clocks the time spent inside its calls, so a pass's
+/// self time (attention, KV append, norms) is its wall time minus this.
+struct TimedGemm<'a> {
+    engine: &'a RuntimeEngine,
+    busy: Cell<Duration>,
+}
+
+impl PackedGemm for TimedGemm<'_> {
+    fn matmul(&self, layer: &PackedLayer, acts: &Matrix) -> Matrix {
+        let t0 = Instant::now();
+        let out = self.engine.matmul(layer, acts);
+        self.busy.set(self.busy.get() + t0.elapsed());
+        out
+    }
+
+    fn gemv(&self, layer: &PackedLayer, x: &[f64]) -> Vec<f64> {
+        let t0 = Instant::now();
+        let out = PackedGemm::gemv(self.engine, layer, x);
+        self.busy.set(self.busy.get() + t0.elapsed());
+        out
+    }
+}
+
+/// Attention cost on the deep serving shape: ns of pass self time per
+/// attention score, for a 64-token prefill chunk and a single-token
+/// decode step ending at context 64 and 512. Returns the table rows'
+/// metrics.
+fn attention_ns_per_score(engine: &RuntimeEngine) -> Vec<(String, f64)> {
+    const REPS: usize = 15;
+    let cfg = TinyFmConfig {
+        d_model: 64,
+        n_heads: 4,
+        d_ff: 128,
+        n_layers: 4,
+        vocab: 64,
+    };
+    let mut rng = SeededRng::new(29);
+    let model = packed_model(cfg, 2027, &mut rng);
+    let timed = TimedGemm {
+        engine,
+        busy: Cell::new(Duration::ZERO),
+    };
+    let mut table = Table::new(
+        "Attention self time, deep shape (d=64, 4 heads, 4 layers, exact KV)",
+        &["ctx", "pass", "new tokens", "self µs/pass", "ns/score"],
+    );
+    let mut metrics = Vec::new();
+    for ctx in [64usize, 512] {
+        let prompt: Vec<usize> = (0..ctx).map(|_| rng.below(cfg.vocab)).collect();
+        for (pass, new) in [("prefill", 64usize), ("decode", 1)] {
+            let hist = ctx - new;
+            let mut base = DecodeState::exact(cfg);
+            if hist > 0 {
+                model.advance_batch(
+                    &mut [DecodeJob {
+                        state: &mut base,
+                        tokens: &prompt[..hist],
+                    }],
+                    engine,
+                );
+            }
+            let self_s: Vec<f64> = (0..=REPS)
+                .map(|_| {
+                    let mut state = base.clone();
+                    timed.busy.set(Duration::ZERO);
+                    let t0 = Instant::now();
+                    let out = model.advance_batch(
+                        &mut [DecodeJob {
+                            state: &mut state,
+                            tokens: &prompt[hist..],
+                        }],
+                        &timed,
+                    );
+                    let wall = t0.elapsed();
+                    std::hint::black_box(out);
+                    wall.saturating_sub(timed.busy.get()).as_secs_f64()
+                })
+                .skip(1) // warm-up
+                .collect();
+            // Token t of the pass scores hist + t + 1 rows per head and layer.
+            let scores = cfg.n_layers * cfg.n_heads * (new * hist + new * (new + 1) / 2);
+            let t_self = median(&self_s);
+            let ns_per_score = t_self * 1e9 / scores as f64;
+            table.row(vec![
+                ctx.to_string(),
+                pass.to_string(),
+                new.to_string(),
+                format!("{:.1}", t_self * 1e6),
+                f2(ns_per_score),
+            ]);
+            metrics.push((format!("attn_ns_per_score_{pass}_ctx{ctx}"), ns_per_score));
+        }
+    }
+    table.print();
+    metrics
+}
+
+fn main() {
+    let cfg = TinyFmConfig {
+        d_model: 128,
+        n_heads: 4,
+        d_ff: 256,
+        n_layers: 2,
+        vocab: 128,
+    };
+    let mut rng = SeededRng::new(17);
+    let model = packed_model(cfg, 2026, &mut rng);
     let engine = RuntimeEngine::parallel();
     let quant_kv = KvMode::Quantized(KvCacheConfig {
         bits: 2,
@@ -262,6 +372,7 @@ fn main() {
         );
     }
     metrics.push(("exact_kv_bit_identical".to_string(), 1.0));
+    metrics.extend(attention_ns_per_score(&engine));
 
     let metric_refs: Vec<(&str, f64)> = metrics.iter().map(|(k, v)| (k.as_str(), *v)).collect();
     table.write_json("decode_latency", &metric_refs);

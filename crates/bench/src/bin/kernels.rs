@@ -12,6 +12,13 @@
 //! 2. **GEMV 512×2048** (m = 1) — the per-step decode shape, comparing
 //!    the shape-specialized GEMV entries.
 //!
+//! 3. **Serial vs split** — the wide (256-wide) and deep (64-wide) model
+//!    layer shapes at m ∈ {1, 8, 16, 96} through `RuntimeEngine` on both
+//!    serving tiers, once with the `thread::scope` split forced off and
+//!    once forced on, and the break-even MAC count that follows — the
+//!    measurement `EngineConfig::default().parallel_threshold` is read
+//!    off.
+//!
 //! Every timed kernel is conformance-gated against the scalar oracle at
 //! its pinned tolerance — on the GEMM shape *and* the GEMV entry —
 //! before any clock starts, and the parallel GEMV splitter is checked
@@ -42,6 +49,117 @@ fn time_median<F: FnMut()>(iters: usize, mut f: F) -> f64 {
         })
         .collect();
     median(&samples)
+}
+
+/// Section 3: times every (tier, layer shape, m) call serially and split
+/// over the pool, prints the table, and returns the headline metrics:
+/// per tier, the largest problem (log2 MACs) the serial path still wins
+/// and the smallest from which the split wins on every larger one.
+fn split_break_even() -> Vec<(String, f64)> {
+    let default_threshold = EngineConfig::default().parallel_threshold;
+    let tiers = [
+        ("default", EngineConfig::default()),
+        ("fast", RuntimeEngine::fast().config()),
+    ];
+    // d_row × d_col of the benchmark models' linears: attention
+    // projections and the FFN up-projection, wide then deep.
+    let shapes = [(256usize, 256usize), (512, 256), (64, 64), (128, 64)];
+    let ms = [1usize, 8, 16, 96];
+    let threads = RuntimeEngine::parallel().threads();
+    let mut table = Table::new(
+        &format!("Serial vs split GEMM/GEMV ({threads} threads)"),
+        &[
+            "tier",
+            "shape",
+            "m",
+            "log2 MACs",
+            "serial µs",
+            "split µs",
+            "faster",
+        ],
+    );
+    let mut metrics = vec![(
+        "parallel_threshold_log2_default".to_string(),
+        (default_threshold as f64).log2(),
+    )];
+    let mut break_even = Vec::new();
+    let mut rng = SeededRng::new(23);
+    for (tier, cfg) in tiers {
+        let engine = |parallel_threshold| {
+            RuntimeEngine::new(EngineConfig {
+                parallel_threshold,
+                ..cfg
+            })
+        };
+        let (serial, split) = (engine(usize::MAX), engine(0));
+        // (MACs, split wins) per measured call.
+        let mut points: Vec<(usize, bool)> = Vec::new();
+        for (d_row, d_col) in shapes {
+            let layer = synth_packed(&SynthSpec {
+                d_row,
+                d_col,
+                bits: 4,
+                ..SynthSpec::default()
+            });
+            for m in ms {
+                let acts = Matrix::from_fn(d_col, m, |_, _| rng.normal(0.0, 1.0));
+                // m = 1 goes through the GEMV entry, as the decode loop does.
+                let run = |engine: &RuntimeEngine| {
+                    if m == 1 {
+                        std::hint::black_box(engine.gemv(&layer, acts.as_slice()));
+                    } else {
+                        std::hint::black_box(engine.gemm(&layer, &acts));
+                    }
+                };
+                let t_serial = time_median(51, || run(&serial));
+                let t_split = time_median(51, || run(&split));
+                let macs = d_row * d_col * m;
+                let split_wins = t_split < t_serial;
+                points.push((macs, split_wins));
+                table.row(vec![
+                    tier.to_string(),
+                    format!("{d_row}x{d_col}"),
+                    m.to_string(),
+                    format!("{:.1}", (macs as f64).log2()),
+                    format!("{:.0}", t_serial * 1e6),
+                    format!("{:.0}", t_split * 1e6),
+                    if split_wins { "split" } else { "serial" }.to_string(),
+                ]);
+                metrics.push((
+                    format!("serial_us_{tier}_{d_row}x{d_col}_m{m}"),
+                    t_serial * 1e6,
+                ));
+                metrics.push((
+                    format!("split_us_{tier}_{d_row}x{d_col}_m{m}"),
+                    t_split * 1e6,
+                ));
+            }
+        }
+        points.sort_unstable();
+        let serial_up_to = points.iter().rev().find(|p| !p.1).map_or(0, |p| p.0);
+        let split_from = points
+            .iter()
+            .find(|p| p.0 > serial_up_to)
+            .map_or(usize::MAX, |p| p.0);
+        break_even.push(format!(
+            "break-even ({tier} tier): serial wins up to 2^{:.1} MACs, split wins from 2^{:.1}; \
+             default parallel_threshold = 2^{:.0}",
+            (serial_up_to as f64).log2(),
+            (split_from as f64).log2(),
+            (default_threshold as f64).log2(),
+        ));
+        metrics.push((
+            format!("serial_wins_up_to_log2_macs_{tier}"),
+            (serial_up_to as f64).log2(),
+        ));
+        metrics.push((
+            format!("split_wins_from_log2_macs_{tier}"),
+            (split_from as f64).log2(),
+        ));
+    }
+    table.print();
+    println!("{}", break_even.join("\n"));
+    metrics
 }
 
 fn main() {
@@ -360,5 +478,7 @@ fn main() {
     ] {
         metrics.push((key, f64::from(u8::from(registry.names().contains(&kernel)))));
     }
+    let split_metrics = split_break_even();
+    metrics.extend(split_metrics.iter().map(|(k, v)| (k.as_str(), *v)));
     gemm_table.write_json("kernels", &metrics);
 }

@@ -139,13 +139,31 @@ pub enum KvMode {
     Quantized(KvCacheConfig),
 }
 
-/// One contiguous run of serving rows inside a [`KvView`].
+/// One contiguous run of serving rows inside a [`KvView`]: a shared
+/// prefix segment or the cache's private tail.
 #[derive(Debug, Clone, Copy)]
-struct KvSpan<'a> {
+pub struct KvSpan<'a> {
     /// Global token index of the span's first row.
     start: usize,
     keys: &'a [f64],
     values: &'a [f64],
+}
+
+impl<'a> KvSpan<'a> {
+    /// Global token index of the span's first row.
+    pub fn start(&self) -> usize {
+        self.start
+    }
+
+    /// The span's key rows, `rows × channels` row-major by token.
+    pub fn keys(&self) -> &'a [f64] {
+        self.keys
+    }
+
+    /// The span's value rows, same layout.
+    pub fn values(&self) -> &'a [f64] {
+        self.values
+    }
 }
 
 /// A read-only view of a cache's serving values (`tokens × channels`).
@@ -191,6 +209,14 @@ impl<'a> KvView<'a> {
         let span = self.span_for(t);
         let o = (t - span.start) * self.channels;
         &span.values[o..o + self.channels]
+    }
+
+    /// The view's storage runs in token order. A reader that walks many
+    /// rows (attention) iterates spans and slices rows out of each one
+    /// directly, instead of paying [`Self::key_row`]'s span search per
+    /// row.
+    pub fn spans(&self) -> impl Iterator<Item = KvSpan<'a>> + '_ {
+        self.spans.iter().copied()
     }
 
     fn span_for(&self, t: usize) -> &KvSpan<'a> {

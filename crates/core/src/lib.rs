@@ -58,6 +58,6 @@ pub mod traits;
 
 pub use config::{GroupAxis, OutlierMode, QuantConfig, QuantConfigBuilder};
 pub use error::QuantError;
-pub use kv_cache::{KvCacheConfig, KvMode, KvSegment, KvView, LayerKvCache};
+pub use kv_cache::{KvCacheConfig, KvMode, KvSegment, KvSpan, KvView, LayerKvCache};
 pub use quantizer::MicroScopiQ;
 pub use traits::{LayerTensors, QuantStats, QuantizedLayer, WeightQuantizer};

@@ -28,12 +28,42 @@
 //! and attention reads the quantized serving values — trading bounded
 //! attention error (see `microscopiq_core::kv_cache` and the
 //! `attention_output_error` bound tests) for 2/4-bit cache storage.
+//!
+//! # Attention accumulation order
+//!
+//! Attention is blocked, not reordered. Per (job, head) the kernel takes
+//! `B ∈ {8, 4, 2, 1}` consecutive queries (largest width that still fits
+//! the segment, so nothing is padded and a decode step is the `B = 1`
+//! instantiation) and walks the job's [`KvView`] span by span. What is
+//! vectorised is always an axis along which the results are independent
+//! of each other; every reduction keeps one fixed sequential order:
+//!
+//! * **Q·K** — the `B` queries of a block run in lock-step (the vector
+//!   axis is the query lane `b`); each lane's dot product adds its
+//!   `q[i] · k[i]` terms with the head dimension `i` ascending, from the
+//!   same `-0.0` identity `Iterator::sum` starts from.
+//! * **softmax** — per query, the running max, the exponentials and
+//!   their sum all take cache rows `s` ascending over exactly the rows
+//!   that query may see (`hist + t + 1`); a later query of the block
+//!   never contributes to an earlier one.
+//! * **P·V** — each query accumulates `(p[s] / sum) · v[s][i]` into a
+//!   contiguous `dh`-wide local with `s` ascending (the vector axis is
+//!   the output dimension `i`), starting from `+0.0`.
+//!
+//! So every output element sees the rounding sequence the scalar
+//! per-(head, token) loop produced, whatever `B` its query landed in.
+//! Chunk and batch boundaries only move a query between block widths and
+//! lanes — they change neither the rows it attends to nor the order it
+//! visits them in — which is why chunking and batching still cannot
+//! change a bit. A `#[cfg(test)]` copy of the scalar loop is the oracle
+//! (`blocked_attention_is_bitwise_naive`).
 
 use crate::packed::{PackedGemm, PackedTinyFm};
 use crate::tinyfm::{rmsnorm_col, silu, LinearId, TinyFm, TinyFmConfig};
 use microscopiq_core::error::QuantError;
-use microscopiq_core::kv_cache::{KvMode, KvSegment, LayerKvCache};
+use microscopiq_core::kv_cache::{KvMode, KvSegment, KvView, LayerKvCache};
 use microscopiq_linalg::Matrix;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// How a model executes the shared forward math: configuration access
@@ -375,6 +405,156 @@ pub struct DecodeJob<'a> {
     pub tokens: &'a [usize],
 }
 
+/// Where one job's new tokens sit in a segment-packed pass: columns
+/// `[start, start + len)`, on top of `hist` rows already cached — token
+/// `t` of the segment attends to `hist + t + 1` rows once its own K/V
+/// row is appended.
+#[derive(Debug, Clone, Copy)]
+struct Segment {
+    start: usize,
+    len: usize,
+    hist: usize,
+}
+
+/// Widest query block of the attention kernel.
+const MAX_BLOCK: usize = 8;
+
+/// Buffers of the blocked attention kernel, allocated once per
+/// [`advance_batch`] call and reused by every (layer, job, head, block):
+/// `O(MAX_BLOCK × context)`, never `O(segment × context)`.
+struct AttnScratch {
+    /// Transposed Q head panel, `dh × B`: row `i` holds dimension `i` of
+    /// the block's `B` queries.
+    qt: Vec<f64>,
+    /// Scaled scores, then softmax numerators, `rows × B`.
+    scores: Vec<f64>,
+    /// P·V accumulators, `B × dh`.
+    out: Vec<f64>,
+}
+
+impl AttnScratch {
+    /// Scratch for heads `dh` wide attending to at most `max_ctx` rows.
+    fn new(dh: usize, max_ctx: usize) -> Self {
+        Self {
+            qt: vec![0.0; dh * MAX_BLOCK],
+            scores: vec![0.0; max_ctx * MAX_BLOCK],
+            out: vec![0.0; MAX_BLOCK * dh],
+        }
+    }
+}
+
+/// How [`advance_batch_with`] runs one segment's causal attention: reads
+/// `q` columns of the segment, writes the matching `attn` columns.
+type AttendFn = fn(&KvView<'_>, &Matrix, &mut Matrix, Segment, usize, &mut AttnScratch);
+
+/// Blocked causal attention for one segment, all heads (see the module
+/// docs for the accumulation-order contract).
+fn attend_segment(
+    view: &KvView<'_>,
+    q: &Matrix,
+    attn: &mut Matrix,
+    seg: Segment,
+    n_heads: usize,
+    scratch: &mut AttnScratch,
+) {
+    let dh = q.rows() / n_heads;
+    for head in 0..n_heads {
+        let dims = head * dh..(head + 1) * dh;
+        let mut t = 0;
+        while t < seg.len {
+            let (col, ctx) = (seg.start + t, seg.hist + t + 1);
+            t += match seg.len - t {
+                8.. => attend_block::<8>(view, q, attn, dims.clone(), col, ctx, scratch),
+                4.. => attend_block::<4>(view, q, attn, dims.clone(), col, ctx, scratch),
+                2.. => attend_block::<2>(view, q, attn, dims.clone(), col, ctx, scratch),
+                _ => attend_block::<1>(view, q, attn, dims.clone(), col, ctx, scratch),
+            };
+        }
+    }
+}
+
+/// One head's attention for the `B` consecutive queries in columns
+/// `[col, col + B)`; query `b` sees cache rows `[0, ctx + b)`. Returns
+/// `B`.
+fn attend_block<const B: usize>(
+    view: &KvView<'_>,
+    q: &Matrix,
+    attn: &mut Matrix,
+    dims: Range<usize>,
+    col: usize,
+    ctx: usize,
+    scratch: &mut AttnScratch,
+) -> usize {
+    let d = view.channels();
+    let dh = dims.len();
+    let scale = 1.0 / (dh as f64).sqrt();
+    // Rows the block touches; row `s` is visible to queries `first(s)..B`.
+    let rows = ctx + B - 1;
+    debug_assert!(rows <= view.len(), "block's K/V rows are appended first");
+    let first = |s: usize| (s + 1).saturating_sub(ctx);
+    let (qt, _) = scratch.qt[..dh * B].as_chunks_mut::<B>();
+    let (scores, _) = scratch.scores[..rows * B].as_chunks_mut::<B>();
+    let out = &mut scratch.out[..B * dh];
+
+    for (i, lanes) in qt.iter_mut().enumerate() {
+        for (b, lane) in lanes.iter_mut().enumerate() {
+            *lane = q[(dims.start + i, col + b)];
+        }
+    }
+
+    // Scores: one pass over the key rows, B dot products in lock-step.
+    // The last B − 1 rows also fill lanes that may not see them; the
+    // softmax below never reads those.
+    for span in view.spans().take_while(|sp| sp.start() < rows) {
+        let keys = span.keys().chunks_exact(d);
+        for (key, sc) in keys.zip(&mut scores[span.start()..]) {
+            let mut acc = [-0.0_f64; B];
+            for (lanes, &k) in qt.iter().zip(&key[dims.clone()]) {
+                for (a, &l) in acc.iter_mut().zip(lanes) {
+                    *a += l * k;
+                }
+            }
+            for (s, a) in sc.iter_mut().zip(acc) {
+                *s = a * scale;
+            }
+        }
+    }
+
+    let mut max = [f64::NEG_INFINITY; B];
+    for (s, sc) in scores.iter().enumerate() {
+        for b in first(s)..B {
+            max[b] = max[b].max(sc[b]);
+        }
+    }
+    let mut sum = [0.0_f64; B];
+    for (s, sc) in scores.iter_mut().enumerate() {
+        for b in first(s)..B {
+            sc[b] = (sc[b] - max[b]).exp();
+            sum[b] += sc[b];
+        }
+    }
+
+    out.fill(0.0);
+    for span in view.spans().take_while(|sp| sp.start() < rows) {
+        let values = span.values().chunks_exact(d);
+        for ((s, val), sc) in (span.start()..).zip(values).zip(&scores[span.start()..]) {
+            let val = &val[dims.clone()];
+            for (b, acc) in out.chunks_exact_mut(dh).enumerate().skip(first(s)) {
+                let alpha = sc[b] / sum[b];
+                for (o, &v) in acc.iter_mut().zip(val) {
+                    *o += alpha * v;
+                }
+            }
+        }
+    }
+    for (b, acc) in out.chunks_exact(dh).enumerate() {
+        for (i, &o) in acc.iter().enumerate() {
+            attn[(dims.start + i, col + b)] = o;
+        }
+    }
+    B
+}
+
 /// Advances every job's state by its new tokens in one segment-packed
 /// pass, returning per-job logits (`vocab × new_len`).
 ///
@@ -391,36 +571,46 @@ pub struct DecodeJob<'a> {
 pub(crate) fn advance_batch(
     ops: &dyn ModelOps,
     jobs: &mut [DecodeJob<'_>],
+    trace: Option<&mut Vec<Matrix>>,
+) -> Vec<Matrix> {
+    advance_batch_with(ops, jobs, trace, attend_segment)
+}
+
+/// [`advance_batch`] over a given attention routine — the seam the
+/// oracle test swaps the scalar reference loop in through.
+fn advance_batch_with(
+    ops: &dyn ModelOps,
+    jobs: &mut [DecodeJob<'_>],
     mut trace: Option<&mut Vec<Matrix>>,
+    attend: AttendFn,
 ) -> Vec<Matrix> {
     assert!(!jobs.is_empty(), "advance_batch needs at least one job");
     let cfg = ops.cfg();
     let d = cfg.d_model;
     let nh = cfg.n_heads;
-    let dh = d / nh;
 
     let mut segments = Vec::with_capacity(jobs.len());
     let mut start = 0usize;
     for job in jobs.iter() {
         assert!(!job.tokens.is_empty(), "cannot run an empty sequence");
         assert_eq!(job.state.d_model, d, "decode state width mismatch");
-        segments.push((start, job.tokens.len()));
+        segments.push(Segment {
+            start,
+            len: job.tokens.len(),
+            hist: job.state.caches.first().map_or(0, |c| c.len()),
+        });
         start += job.tokens.len();
     }
     let total = start;
-    // Cache lengths before this pass: token t of a segment attends to
-    // `hist + t + 1` cached rows once its own K/V row is appended.
-    let hist: Vec<usize> = jobs
-        .iter()
-        .map(|j| j.state.caches.first().map_or(0, |c| c.len()))
-        .collect();
+    let max_ctx = segments.iter().map(|s| s.hist + s.len).max().unwrap_or(0);
+    let mut scratch = AttnScratch::new(d / nh, max_ctx);
 
     let mut h = Matrix::zeros(d, total);
     for (seg, job) in segments.iter().zip(jobs.iter()) {
         for (t, &tok) in job.tokens.iter().enumerate() {
             assert!(tok < cfg.vocab, "token out of vocabulary");
             for i in 0..d {
-                h[(i, seg.0 + t)] = ops.embed()[(tok, i)];
+                h[(i, seg.start + t)] = ops.embed()[(tok, i)];
             }
         }
     }
@@ -450,46 +640,19 @@ pub(crate) fn advance_batch(
         let mut krow = vec![0.0_f64; d];
         let mut vrow = vec![0.0_f64; d];
         for (seg, job) in segments.iter().zip(jobs.iter_mut()) {
-            for t in 0..seg.1 {
+            for t in 0..seg.len {
                 for i in 0..d {
-                    krow[i] = k[(i, seg.0 + t)];
-                    vrow[i] = v[(i, seg.0 + t)];
+                    krow[i] = k[(i, seg.start + t)];
+                    vrow[i] = v[(i, seg.start + t)];
                 }
                 job.state.caches[layer].append(&krow, &vrow);
             }
         }
 
         let mut attn = Matrix::zeros(d, total);
-        let scale = 1.0 / (dh as f64).sqrt();
-        for (j, &(seg_start, seg_len)) in segments.iter().enumerate() {
-            let view = jobs[j].state.caches[layer].view();
-            for head in 0..nh {
-                let off = head * dh;
-                for t in 0..seg_len {
-                    let tc = seg_start + t;
-                    let ctx = hist[j] + t + 1;
-                    // Causal scores over the cached history plus self.
-                    let mut scores = Vec::with_capacity(ctx);
-                    for s in 0..ctx {
-                        let key = view.key_row(s);
-                        let dot: f64 = (0..dh).map(|i| q[(off + i, tc)] * key[off + i]).sum();
-                        scores.push(dot * scale);
-                    }
-                    let max = scores.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-                    let mut sum = 0.0;
-                    for s in scores.iter_mut() {
-                        *s = (*s - max).exp();
-                        sum += *s;
-                    }
-                    for (s, &score) in scores.iter().enumerate() {
-                        let alpha = score / sum;
-                        let val = view.value_row(s);
-                        for i in 0..dh {
-                            attn[(off + i, tc)] += alpha * val[off + i];
-                        }
-                    }
-                }
-            }
+        for (&seg, job) in segments.iter().zip(jobs.iter()) {
+            let view = job.state.caches[layer].view();
+            attend(&view, &q, &mut attn, seg, nh, &mut scratch);
         }
         if let Some(tr) = trace.as_deref_mut() {
             tr.push(attn.clone()); // wo input
@@ -541,8 +704,162 @@ pub(crate) fn advance_batch(
     }
     segments
         .iter()
-        .map(|&(seg_start, seg_len)| {
-            Matrix::from_fn(cfg.vocab, seg_len, |v, t| logits[(v, seg_start + t)])
-        })
+        .map(|seg| Matrix::from_fn(cfg.vocab, seg.len, |v, t| logits[(v, seg.start + t)]))
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use microscopiq_core::kv_cache::KvCacheConfig;
+    use microscopiq_linalg::SeededRng;
+    use proptest::prelude::*;
+
+    /// The scalar per-(head, token) attention loop `advance_batch` ran
+    /// before the blocked kernel, kept verbatim as the bitwise oracle.
+    fn attend_naive(
+        view: &KvView<'_>,
+        q: &Matrix,
+        attn: &mut Matrix,
+        seg: Segment,
+        n_heads: usize,
+        _scratch: &mut AttnScratch,
+    ) {
+        let dh = q.rows() / n_heads;
+        let scale = 1.0 / (dh as f64).sqrt();
+        for head in 0..n_heads {
+            let off = head * dh;
+            for t in 0..seg.len {
+                let tc = seg.start + t;
+                let ctx = seg.hist + t + 1;
+                let mut scores = Vec::with_capacity(ctx);
+                for s in 0..ctx {
+                    let key = view.key_row(s);
+                    let dot: f64 = (0..dh).map(|i| q[(off + i, tc)] * key[off + i]).sum();
+                    scores.push(dot * scale);
+                }
+                let max = scores.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+                let mut sum = 0.0;
+                for s in scores.iter_mut() {
+                    *s = (*s - max).exp();
+                    sum += *s;
+                }
+                for (s, &score) in scores.iter().enumerate() {
+                    let alpha = score / sum;
+                    let val = view.value_row(s);
+                    for i in 0..dh {
+                        attn[(off + i, tc)] += alpha * val[off + i];
+                    }
+                }
+            }
+        }
+    }
+
+    fn advance_one(model: &TinyFm, state: &mut DecodeState, tokens: &[usize], attend: AttendFn) {
+        if !tokens.is_empty() {
+            advance_batch_with(model, &mut [DecodeJob { state, tokens }], None, attend);
+        }
+    }
+
+    /// A state holding `hist` tokens whose view is up to `shared` attached
+    /// segments (cut at random legal boundaries) plus a private tail,
+    /// built entirely through the naive loop.
+    fn state_with_history(
+        model: &TinyFm,
+        mode: KvMode,
+        hist: usize,
+        shared: usize,
+        rng: &mut SeededRng,
+    ) -> DecodeState {
+        let cfg = model.config();
+        let tokens: Vec<usize> = (0..hist).map(|_| rng.below(cfg.vocab)).collect();
+        let mut donor = DecodeState::new(cfg, mode).unwrap();
+        advance_one(model, &mut donor, &tokens, attend_naive);
+        let align = match mode {
+            KvMode::Exact => 1,
+            KvMode::Quantized(kv) => kv.group,
+        };
+        let limit = donor.shareable_len();
+        let mut cuts: Vec<usize> = (0..shared)
+            .map(|_| rng.below(limit + 1) / align * align)
+            .filter(|&c| c > 0)
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let bundles: Vec<_> = cuts
+            .iter()
+            .map(|&c| donor.share_prefix(c).expect("fresh cut"))
+            .collect();
+        let covered = cuts.last().copied().unwrap_or(0);
+        let mut state = DecodeState::with_prefix(cfg, mode, &tokens[..covered], &bundles).unwrap();
+        advance_one(model, &mut state, &tokens[covered..], attend_naive);
+        assert_eq!(state.len(), hist);
+        state
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `advance_batch` through the blocked kernel equals the naive
+        /// loop bit for bit: every block-width remainder (segment lengths
+        /// 1..=19), histories around the chunk size, multi-span views,
+        /// mixed prefill + decode batches, both KV modes, an odd and a
+        /// power-of-two head width.
+        #[test]
+        fn blocked_attention_is_bitwise_naive(
+            seed in any::<u64>(),
+            len in 1usize..=19,
+            hist_idx in 0usize..5,
+            quantized in any::<bool>(),
+            wide_heads in any::<bool>(),
+        ) {
+            const HISTORIES: [usize; 5] = [0, 1, 63, 64, 200];
+            let (d_model, n_heads) = if wide_heads { (32, 2) } else { (20, 4) };
+            let cfg = TinyFmConfig { d_model, n_heads, d_ff: 24, n_layers: 2, vocab: 24 };
+            let model = TinyFm::teacher(cfg, seed);
+            let mode = if quantized {
+                KvMode::Quantized(KvCacheConfig { bits: 4, group: 4, residual: 3 })
+            } else {
+                KvMode::Exact
+            };
+            let mut rng = SeededRng::new(seed ^ 0xa77e);
+            // The drawn job first, then 0..=2 riders: single-token decode
+            // steps or further prefill chunks over their own histories.
+            let mut shapes = vec![(HISTORIES[hist_idx], len)];
+            for _ in 0..rng.below(3) {
+                let rider_len = if rng.below(2) == 0 { 1 } else { 1 + rng.below(19) };
+                shapes.push((HISTORIES[rng.below(5)], rider_len));
+            }
+            let mut blocked: Vec<DecodeState> = shapes
+                .iter()
+                .map(|&(hist, _)| {
+                    let shared = rng.below(4);
+                    state_with_history(&model, mode, hist, shared, &mut rng)
+                })
+                .collect();
+            let mut naive = blocked.clone();
+            let tokens: Vec<Vec<usize>> = shapes
+                .iter()
+                .map(|&(_, n)| (0..n).map(|_| rng.below(cfg.vocab)).collect())
+                .collect();
+            let run = |states: &mut [DecodeState], attend: AttendFn| {
+                let mut jobs: Vec<DecodeJob<'_>> = states
+                    .iter_mut()
+                    .zip(&tokens)
+                    .map(|(state, tokens)| DecodeJob { state, tokens })
+                    .collect();
+                advance_batch_with(&model, &mut jobs, None, attend)
+            };
+            let got = run(&mut blocked, attend_segment);
+            let want = run(&mut naive, attend_naive);
+            for (job, (g, w)) in got.iter().zip(&want).enumerate() {
+                let same = g
+                    .as_slice()
+                    .iter()
+                    .zip(w.as_slice())
+                    .all(|(a, b)| a.to_bits() == b.to_bits());
+                prop_assert!(same, "job {job} of {shapes:?} diverged from the naive loop");
+            }
+        }
+    }
 }

@@ -37,7 +37,14 @@ pub struct EngineConfig {
     /// Output rows per tile; 0 picks a size from the thread count.
     pub tile_rows: usize,
     /// Problems below this many multiply-accumulates run without
-    /// spawning worker threads (spawn cost would dominate).
+    /// spawning worker threads (spawn cost would dominate). The default,
+    /// 2^19, is read off the serial-vs-split table the `kernels` bench
+    /// bin prints: on a 2-vCPU host a `thread::scope` split costs
+    /// ~70–120 µs per call, so a 64×64·m=96 prefill GEMM (2^18.6) or a
+    /// 256×256·m=1 decode GEMV (2^16) is ~2× faster serial, and the
+    /// split wins clearly from ≈2^21. In between the two are within
+    /// noise; the default stays at the low end so a 256-wide model's
+    /// m ≥ 8 steps keep splitting (the f32 tier's prefill step needs it).
     pub parallel_threshold: usize,
     /// How the engine picks a kernel per call (see
     /// [`crate::kernels::dispatch`] for the policy table). The default
@@ -58,7 +65,7 @@ impl Default for EngineConfig {
             threads: 0,
             cache_bytes: 64 << 20,
             tile_rows: 0,
-            parallel_threshold: 1 << 16,
+            parallel_threshold: 1 << 19,
             policy: KernelPolicy::Default,
             prefetch: false,
         }

@@ -277,7 +277,14 @@ fn accept_loop(listener: TcpListener, inner: Arc<Inner>) {
                 let _ = serve_connection(stream, &conn_inner);
             })
             .expect("spawn connection thread");
-        inner.conns.lock().expect("conn registry").push(handle);
+        let mut conns = inner.conns.lock().expect("conn registry");
+        // Reap connections that have ended, so the registry tracks live
+        // connections rather than every connection ever accepted (an
+        // exited thread keeps its stack resident until it is joined).
+        for done in conns.extract_if(.., |conn| conn.is_finished()) {
+            let _ = done.join();
+        }
+        conns.push(handle);
     }
 }
 
@@ -581,5 +588,49 @@ fn status_text(status: u16) -> &'static str {
         501 => "Not Implemented",
         503 => "Service Unavailable",
         _ => "Error",
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use microscopiq_core::{MicroScopiQ, QuantConfig};
+    use microscopiq_fm::{DequantGemm, TinyFm, TinyFmConfig};
+
+    #[test]
+    fn closed_connections_are_reaped_from_the_registry() {
+        let cfg = TinyFmConfig {
+            d_model: 32,
+            n_heads: 2,
+            d_ff: 64,
+            n_layers: 1,
+            vocab: 32,
+        };
+        let fm = TinyFm::teacher(cfg, 5);
+        let q = MicroScopiQ::new(
+            QuantConfig::w4()
+                .macro_block(32)
+                .row_block(32)
+                .build()
+                .unwrap(),
+        );
+        let model = PackedTinyFm::quantize_from(&fm, &q, &[vec![1, 2, 3, 4]]).unwrap();
+        let server =
+            HttpServer::bind("127.0.0.1:0", model, |_| DequantGemm, HttpConfig::default()).unwrap();
+        for _ in 0..200 {
+            let mut conn = TcpStream::connect(server.addr()).unwrap();
+            conn.write_all(b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n")
+                .unwrap();
+            // The server closes its end when the connection thread
+            // returns, so EOF here means that thread is on its way out.
+            let mut reply = Vec::new();
+            conn.read_to_end(&mut reply).unwrap();
+            assert!(reply.starts_with(b"HTTP/1.1 200"));
+        }
+        // A handle is reaped by the first accept after its thread ends; a
+        // few may still be between closing the socket and finishing.
+        let tracked = server.inner.conns.lock().unwrap().len();
+        assert!(tracked <= 16, "{tracked} of 200 closed connections kept");
+        server.shutdown();
     }
 }
