@@ -14,10 +14,11 @@
 //!
 //! 3. **Serial vs split** — the wide (256-wide) and deep (64-wide) model
 //!    layer shapes at m ∈ {1, 8, 16, 96} through `RuntimeEngine` on both
-//!    serving tiers, once with the `thread::scope` split forced off and
-//!    once forced on, and the break-even MAC count that follows — the
-//!    measurement `EngineConfig::default().parallel_threshold` is read
-//!    off.
+//!    serving tiers, once with the split over the engine's persistent
+//!    pool forced off and once forced on (the pool is already running:
+//!    the warm-up call creates it), and the break-even MAC count that
+//!    follows — the measurement
+//!    `EngineConfig::default().parallel_threshold` is read off.
 //!
 //! Every timed kernel is conformance-gated against the scalar oracle at
 //! its pinned tolerance — on the GEMM shape *and* the GEMV entry —

@@ -1,13 +1,32 @@
 //! The parallel tiled executor: a [`RuntimeEngine`] that runs the fused
-//! dequant-GEMM over row-block tiles on a std-thread pool with
+//! dequant-GEMM over row-block tiles on a persistent thread pool with
 //! work-stealing tile claims, executing every tile through the kernel the
 //! [`KernelRegistry`] dispatches for the call (see [`crate::kernels`]).
 //!
-//! Tiling is over *output rows*: each tile owns a disjoint row range, so
-//! workers never write the same output element. Tile claims come from one
-//! shared atomic counter — an idle worker steals the next unclaimed tile
-//! regardless of which worker "should" have taken it, which balances load
-//! when outlier-heavy blocks make some tiles slower than others.
+//! **The pool.** A call of at least `parallel_threshold` MACs is one job
+//! on the engine's pool (`pool.rs`): `threads − 1` long-lived workers,
+//! created by the first such call and joined when the engine drops, plus
+//! the calling thread. Between jobs the workers are parked on a condvar;
+//! a split costs one wake-up and one wait, not a thread spawn and join
+//! per worker. An engine that never crosses the threshold never owns a
+//! thread. The pool runs one job at a time: a second thread calling the
+//! same engine meanwhile runs its call serially, which the accumulation
+//! contract below makes bitwise equal.
+//!
+//! **Tiles.** Tiling is over *output rows*: the output buffer is cut at
+//! the tile edges into disjoint sub-slices and each claimed tile is
+//! computed straight into its own, so workers never write the same
+//! element and nothing is copied afterwards. Tile claims come from one
+//! shared atomic counter — whoever is idle, worker or caller, takes the
+//! next unclaimed tile, which balances load when outlier-heavy blocks
+//! make some tiles slower than others.
+//!
+//! **Determinism.** Tile edges are a pure function of the layer shape and
+//! engine config (`RuntimeEngine::tile_edges`), and every kernel's
+//! restricted-range `gemm_rows` / `gemv_rows` accumulates each output
+//! element in full-range order (the [`MicroKernel`] contract) — so a
+//! call's result is bitwise the same whichever thread computed which
+//! tile, whether it split at all, and run to run.
 //!
 //! Numerics are the dispatched kernel's pinned tolerance: under the
 //! default policy the uncached path runs the scalar oracle (bit-identical
@@ -18,33 +37,40 @@
 
 use crate::cache::{CacheStats, DecodedCache};
 use crate::kernels::{DispatchKey, KernelCtx, KernelOp, KernelPolicy, KernelRegistry, MicroKernel};
+use crate::pool::Pool;
+use crate::telemetry::metrics::Counter;
 use crate::telemetry::{
     collector_fn, EngineTelemetry, MetricKind, MetricsRegistry, Sample, SampleValue,
 };
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_fm::PackedGemm;
 use microscopiq_linalg::Matrix;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EngineConfig {
-    /// Worker threads; 0 means all available cores.
+    /// Threads a split call runs on — the caller plus `threads − 1` pool
+    /// workers; 0 means all available cores.
     pub threads: usize,
     /// Decoded-tile cache residency cap in bytes; 0 disables caching.
     pub cache_bytes: usize,
     /// Output rows per tile; 0 picks a size from the thread count.
     pub tile_rows: usize,
-    /// Problems below this many multiply-accumulates run without
-    /// spawning worker threads (spawn cost would dominate). The default,
+    /// Calls of fewer multiply-accumulates than this run on the calling
+    /// thread; larger ones are one job on the engine's pool. The default,
     /// 2^19, is read off the serial-vs-split table the `kernels` bench
-    /// bin prints: on a 2-vCPU host a `thread::scope` split costs
-    /// ~70–120 µs per call, so a 64×64·m=96 prefill GEMM (2^18.6) or a
-    /// 256×256·m=1 decode GEMV (2^16) is ~2× faster serial, and the
-    /// split wins clearly from ≈2^21. In between the two are within
-    /// noise; the default stays at the low end so a 256-wide model's
-    /// m ≥ 8 steps keep splitting (the f32 tier's prefill step needs it).
+    /// bin prints. On a 2-vCPU host a split costs a fixed ≈15–30 µs —
+    /// waking the parked worker, and sleeping until it is off its last
+    /// tile (it was ~70–120 µs while every call spawned and joined its
+    /// threads): a 64×64·m=1 GEMV goes 15 → 47 µs on the exact tier and
+    /// 2 → 17 µs on the f32 tier. The two paths cross near 2^19 on both
+    /// tiers: the exact tier ties at 256×256·m=8 (2^19) and the split
+    /// wins from 2^19.6; the f32 tier still loses at 64×64·m=96 (2^18.6)
+    /// and wins from 2^19. The f32 tier is 3–4× faster per MAC against
+    /// the same fixed cost, so one MAC count cannot sit at both tiers'
+    /// optimum; 2^19 keeps a 256-wide model's m ≥ 8 steps splitting on
+    /// both and every m ≤ 16 call of the 32- and 64-wide models serial.
     pub parallel_threshold: usize,
     /// How the engine picks a kernel per call (see
     /// [`crate::kernels::dispatch`] for the policy table). The default
@@ -181,6 +207,14 @@ impl Drop for Prefetcher {
     }
 }
 
+/// How the calls that crossed `parallel_threshold` ran: as a job on the
+/// pool, or serially because another thread's job held it.
+#[derive(Debug, Default)]
+struct PoolJobs {
+    split: Counter,
+    busy_serial: Counter,
+}
+
 /// A packed-weight GEMM engine: kernel dispatch + decoded-block cache +
 /// parallel tiled execution. Implements [`PackedGemm`], so it plugs
 /// straight into [`microscopiq_fm::PackedTinyFm`].
@@ -193,6 +227,10 @@ pub struct RuntimeEngine {
     cache: Option<Arc<DecodedCache>>,
     registry: KernelRegistry,
     prefetcher: Option<Prefetcher>,
+    // `None` until the first call crosses `parallel_threshold`. Holding
+    // the lock is holding the pool: one job at a time (`claim_pool`).
+    pool: Mutex<Option<Pool>>,
+    pool_jobs: Arc<PoolJobs>,
 }
 
 impl RuntimeEngine {
@@ -224,6 +262,8 @@ impl RuntimeEngine {
             cache,
             registry,
             prefetcher,
+            pool: Mutex::new(None),
+            pool_jobs: Arc::default(),
         }
     }
 
@@ -268,7 +308,7 @@ impl RuntimeEngine {
         self.cfg
     }
 
-    /// Worker threads this engine uses.
+    /// Threads a split call runs on: the caller plus the pool's workers.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -347,7 +387,7 @@ impl RuntimeEngine {
             // kernel's GEMV entry (no tile bookkeeping, no Matrix output
             // staging). Large m = 1 problems still honor
             // `parallel_threshold` above, so decode on a big layer can
-            // use the row-tiled workers.
+            // use the pool.
             if n == 1 {
                 let mut out = vec![0.0_f64; layer.d_row()];
                 kernel.gemv(&ctx, layer, acts.as_slice(), &mut out);
@@ -363,11 +403,11 @@ impl RuntimeEngine {
     /// Computes `W · x` for a single activation column through the
     /// dispatched GEMV kernel — the decode fast path `PackedGemm::gemv`
     /// routes into. Problems above `parallel_threshold` split the
-    /// reduction over the work-stealing pool ([`Self::gemv_parallel`]):
-    /// single-stream decode no longer pins one core. Tile edges depend
-    /// only on the layer shape and engine config, and tiles stitch in
-    /// index order, so the parallel result is bitwise identical to the
-    /// serial one for every kernel, run to run.
+    /// reduction over the pool ([`Self::gemv_parallel`]): single-stream
+    /// decode no longer pins one core. Tile edges depend only on the
+    /// layer shape and engine config, and each tile owns its output rows,
+    /// so the parallel result is bitwise identical to the serial one for
+    /// every kernel, run to run.
     ///
     /// # Panics
     ///
@@ -421,10 +461,58 @@ impl RuntimeEngine {
         edges
     }
 
-    /// Parallel tiled execution: workers steal tiles off a shared counter
-    /// and each runs the dispatched kernel into a private buffer; the
-    /// main thread stitches tiles into the output (tiles are disjoint row
-    /// ranges).
+    /// The pool (created by the first caller), or `None` while another
+    /// thread's job is running on it.
+    fn claim_pool(&self) -> Option<MutexGuard<'_, Option<Pool>>> {
+        match self.pool.try_lock() {
+            Ok(guard) => Some(guard),
+            // A kernel panic unwound through an earlier job's guard.
+            // `Pool::run` re-raises only once every worker has left the
+            // job, so the pool behind the poison is idle and whole.
+            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Err(TryLockError::WouldBlock) => None,
+        }
+    }
+
+    /// Fills the `d_row × n` output `out` by calling
+    /// `tile(row_lo, row_hi, rows)`: as one pool job over the row tiles,
+    /// each claimed tile writing its own sub-slice of `out` — or, while
+    /// another thread's job holds the pool, as a single full-range tile
+    /// on this thread.
+    fn run_tiled(
+        &self,
+        layer: &PackedLayer,
+        n: usize,
+        out: &mut [f64],
+        tile: &(dyn Fn(usize, usize, &mut [f64]) + Sync),
+    ) {
+        let Some(mut pool) = self.claim_pool() else {
+            self.pool_jobs.busy_serial.inc();
+            return tile(0, layer.d_row(), out);
+        };
+        self.pool_jobs.split.inc();
+        let pool = pool.get_or_insert_with(|| Pool::new(self.threads - 1));
+        let edges = self.tile_edges(layer);
+        // One never-contended lock per tile: it hands whoever claims the
+        // tile the `&mut` to its rows, which a shared closure cannot hold.
+        let mut rest = out;
+        let tiles: Vec<Mutex<&mut [f64]>> = edges
+            .windows(2)
+            .map(|e| {
+                let (rows, tail) = std::mem::take(&mut rest).split_at_mut((e[1] - e[0]) * n);
+                rest = tail;
+                Mutex::new(rows)
+            })
+            .collect();
+        pool.run_tiles(tiles.len(), &|t| {
+            let mut rows = tiles[t].lock().expect("a tile is claimed once");
+            tile(edges[t], edges[t + 1], &mut rows);
+        });
+    }
+
+    /// Parallel GEMM: one pool job in which workers and the caller steal
+    /// row tiles off a shared counter ([`Self::run_tiled`]) and run the
+    /// dispatched kernel straight into the tile's rows of the output.
     fn gemm_parallel(
         &self,
         kernel: &dyn MicroKernel,
@@ -442,61 +530,24 @@ impl RuntimeEngine {
             Some(a) => ctx.with_acts32(a),
             None => *ctx,
         };
-        let ctx = &ctx;
-        let edges = self.tile_edges(layer);
-        let n_tiles = edges.len() - 1;
-        let next = AtomicUsize::new(0);
         let n = acts.cols();
-        let workers = self.threads.min(n_tiles);
-        let mut tiles: Vec<Option<Vec<f64>>> = (0..n_tiles).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let edges = &edges;
-                handles.push(scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<f64>)> = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= n_tiles {
-                            break;
-                        }
-                        let (lo, hi) = (edges[t], edges[t + 1]);
-                        let mut tile = vec![0.0_f64; (hi - lo) * n];
-                        kernel.gemm_rows(ctx, layer, acts, lo, hi, &mut tile);
-                        done.push((t, tile));
-                    }
-                    done
-                }));
-            }
-            for h in handles {
-                for (t, tile) in h.join().expect("worker panicked") {
-                    tiles[t] = Some(tile);
-                }
-            }
-        });
-
         let mut out = Matrix::zeros(layer.d_row(), n);
-        for (t, tile) in tiles.into_iter().enumerate() {
-            let tile = tile.expect("every tile computed");
-            let (lo, hi) = (edges[t], edges[t + 1]);
-            out.as_mut_slice()[lo * n..hi * n].copy_from_slice(&tile);
-        }
+        self.run_tiled(layer, n, out.as_mut_slice(), &|lo, hi, rows| {
+            kernel.gemm_rows(&ctx, layer, acts, lo, hi, rows)
+        });
         out
     }
 
     /// Parallel GEMV: the reduction splits over the same row tiles as
-    /// [`Self::gemm_parallel`], each worker running the kernel's
-    /// `gemv_rows` into a private partial buffer.
+    /// [`Self::gemm_parallel`], each claimed tile running the kernel's
+    /// `gemv_rows` into its own range of `out`.
     ///
     /// **Determinism:** tile edges are a pure function of the layer shape
     /// and engine config ([`Self::tile_edges`]), tiles own disjoint output
-    /// ranges, every kernel's restricted-range `gemv_rows` accumulates
-    /// each element in full-range order (the trait contract), and the
-    /// stitch happens in tile-index order regardless of which worker
-    /// finished first — so the result is bitwise identical to the serial
-    /// `gemv` and reproducible run to run.
+    /// ranges, and every kernel's restricted-range `gemv_rows` accumulates
+    /// each element in full-range order (the trait contract) — so the
+    /// result is bitwise identical to the serial `gemv` whichever thread
+    /// ran which tile, and reproducible run to run.
     fn gemv_parallel(
         &self,
         kernel: &dyn MicroKernel,
@@ -512,44 +563,9 @@ impl RuntimeEngine {
             Some(a) => ctx.with_acts32(a),
             None => *ctx,
         };
-        let ctx = &ctx;
-        let edges = self.tile_edges(layer);
-        let n_tiles = edges.len() - 1;
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(n_tiles);
-        let mut tiles: Vec<Option<Vec<f64>>> = (0..n_tiles).map(|_| None).collect();
-
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                let edges = &edges;
-                handles.push(scope.spawn(move || {
-                    let mut done: Vec<(usize, Vec<f64>)> = Vec::new();
-                    loop {
-                        let t = next.fetch_add(1, Ordering::Relaxed);
-                        if t >= n_tiles {
-                            break;
-                        }
-                        let (lo, hi) = (edges[t], edges[t + 1]);
-                        let mut tile = vec![0.0_f64; hi - lo];
-                        kernel.gemv_rows(ctx, layer, x, lo, hi, &mut tile);
-                        done.push((t, tile));
-                    }
-                    done
-                }));
-            }
-            for h in handles {
-                for (t, tile) in h.join().expect("worker panicked") {
-                    tiles[t] = Some(tile);
-                }
-            }
+        self.run_tiled(layer, 1, out, &|lo, hi, rows| {
+            kernel.gemv_rows(&ctx, layer, x, lo, hi, rows)
         });
-
-        for (t, tile) in tiles.into_iter().enumerate() {
-            let tile = tile.expect("every tile computed");
-            out[edges[t]..edges[t + 1]].copy_from_slice(&tile);
-        }
     }
 }
 
@@ -644,13 +660,31 @@ impl EngineTelemetry for RuntimeEngine {
         let threads = self.threads as i64;
         registry.register_collector(
             "microscopiq_engine_threads",
-            "Worker threads the engine tiles GEMM/GEMV calls over.",
+            "Threads a split GEMM/GEMV call runs on (caller + pool workers).",
             MetricKind::Gauge,
             collector_fn(move || {
                 vec![Sample {
                     labels: Vec::new(),
                     value: SampleValue::Gauge(threads),
                 }]
+            }),
+        );
+        let jobs = self.pool_jobs.clone();
+        registry.register_collector(
+            "microscopiq_pool_jobs_total",
+            "Calls above parallel_threshold by how they ran (split over the pool / serially while it was busy).",
+            MetricKind::Counter,
+            collector_fn(move || {
+                [
+                    ("split", jobs.split.get()),
+                    ("busy_serial", jobs.busy_serial.get()),
+                ]
+                .into_iter()
+                .map(|(outcome, n)| Sample {
+                    labels: vec![("outcome", outcome.to_string())],
+                    value: SampleValue::Counter(n),
+                })
+                .collect()
             }),
         );
         if let Some(p) = &self.prefetcher {
@@ -816,6 +850,79 @@ mod tests {
     }
 
     #[test]
+    fn two_threads_on_one_engine_both_match_scalar_bitwise() {
+        let layer = packed_layer(64, 32, GroupAxis::DotProduct, 31);
+        let mut rng = SeededRng::new(32);
+        let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
+        let x: Vec<f64> = acts.col(0);
+        let want = RuntimeEngine::scalar().gemm(&layer, &acts);
+        let want_v = RuntimeEngine::scalar().gemv(&layer, &x);
+        let engine = RuntimeEngine::new(EngineConfig {
+            threads: 3,
+            cache_bytes: 0,
+            tile_rows: 8,
+            parallel_threshold: 0,
+            ..EngineConfig::default()
+        });
+        let jobs = |e: &RuntimeEngine| (e.pool_jobs.split.get(), e.pool_jobs.busy_serial.get());
+
+        // The busy path, forced: while the pool is held a call runs as
+        // one full-range tile on its own thread.
+        let held = engine.pool.lock().unwrap();
+        assert_eq!(engine.gemm(&layer, &acts), want);
+        assert_eq!(engine.gemv(&layer, &x), want_v);
+        assert!(held.is_none(), "a busy call must not create the pool");
+        drop(held);
+        assert_eq!(jobs(&engine), (0, 2));
+
+        // And unforced: two callers racing for it.
+        const ROUNDS: u64 = 200;
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    start.wait();
+                    for _ in 0..ROUNDS {
+                        assert_eq!(engine.gemm(&layer, &acts), want);
+                        assert_eq!(engine.gemv(&layer, &x), want_v);
+                    }
+                });
+            }
+        });
+        let (split, busy) = jobs(&engine);
+        assert_eq!(split + busy, 2 + 4 * ROUNDS, "every call counted once");
+        assert!(split > 0);
+    }
+
+    #[test]
+    fn a_kernel_panic_in_a_split_call_leaves_the_engine_usable() {
+        let layer = packed_layer(64, 32, GroupAxis::DotProduct, 33);
+        let mut rng = SeededRng::new(34);
+        let acts = Matrix::from_fn(32, 4, |_, _| rng.normal(0.0, 1.0));
+        let engine = RuntimeEngine::new(EngineConfig {
+            threads: 2,
+            cache_bytes: 0,
+            tile_rows: 8,
+            parallel_threshold: 0,
+            ..EngineConfig::default()
+        });
+        let want = engine.gemm(&layer, &acts);
+        let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.run_tiled(&layer, 4, &mut [0.0; 256], &|lo, _, _| {
+                assert!(lo < 32, "tile failed");
+            })
+        }));
+        assert!(failed.is_err());
+        assert!(engine.pool.is_poisoned());
+        assert_eq!(
+            engine.gemm(&layer, &acts),
+            want,
+            "split again after the panic"
+        );
+        assert_eq!(engine.pool_jobs.busy_serial.get(), 0);
+    }
+
+    #[test]
     fn tiny_problems_skip_thread_spawn() {
         let layer = packed_layer(16, 16, GroupAxis::DotProduct, 5);
         let mut rng = SeededRng::new(6);
@@ -828,6 +935,10 @@ mod tests {
             ..EngineConfig::default()
         });
         assert_eq!(engine.gemm(&layer, &acts), layer.dequantize().matmul(&acts));
+        assert!(
+            engine.pool.lock().unwrap().is_none(),
+            "an engine that never splits never owns a thread"
+        );
     }
 
     #[test]
@@ -1119,6 +1230,9 @@ mod tests {
         assert!(text.contains("microscopiq_cpu_feature"));
         assert!(text.contains("feature=\"avx2\""));
         assert!(text.contains("microscopiq_engine_threads 3"));
+        assert!(text.contains("caller + pool workers"));
+        assert!(text.contains("microscopiq_pool_jobs_total{outcome=\"split\"} 0"));
+        assert!(text.contains("microscopiq_pool_jobs_total{outcome=\"busy_serial\"} 0"));
         assert!(text.contains("microscopiq_prefetch_events_total"));
     }
 }

@@ -22,8 +22,9 @@
 //!   bucketed form under an LRU residency cap, so repeated forward passes
 //!   amortize unpacking and run multiply-free inlier accumulation.
 //! * [`executor`] — [`RuntimeEngine`]: work-stealing parallel execution
-//!   over row-block tiles on std threads, with a scalar fallback; plugs
-//!   into [`microscopiq_fm::PackedTinyFm`] through the
+//!   over row-block tiles on a persistent, lazily created pool of parked
+//!   std threads, with a scalar fallback; plugs into
+//!   [`microscopiq_fm::PackedTinyFm`] through the
 //!   [`microscopiq_fm::PackedGemm`] trait.
 //! * [`session`] — [`Session`]/[`BatchScheduler`]: continuous batching of
 //!   concurrent generation requests over a packed TinyFM with
@@ -84,6 +85,7 @@ pub mod cache;
 pub mod executor;
 pub mod kernels;
 pub mod net;
+mod pool;
 pub mod prefix;
 pub mod server;
 pub mod session;

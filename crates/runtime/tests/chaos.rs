@@ -21,8 +21,8 @@ use microscopiq_fm::{DequantGemm, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::net::{HttpClient, HttpConfig, HttpServer, Json};
 use microscopiq_runtime::{
-    Fleet, FleetConfig, GenRequest, QosClass, RequestOptions, ServeError, Server, ServerConfig,
-    Session, SupervisionConfig,
+    EngineConfig, Fleet, FleetConfig, GenRequest, QosClass, RequestOptions, RuntimeEngine,
+    ServeError, Server, ServerConfig, Session, SupervisionConfig,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -479,6 +479,96 @@ fn kill_and_squeeze_churn_heals_and_drains() {
     assert_eq!(handle.kv_rows(), 0, "KV drains after the churn");
     let report = fleet.shutdown();
     assert_eq!(report.lost(), 1, "exactly one incarnation died");
+}
+
+/// This process's compute-pool threads, by name (the kernel keeps the
+/// first 15 bytes of `microscopiq-gemm-{i}`); `None` off Linux.
+fn pool_threads() -> Option<usize> {
+    let tasks = std::fs::read_dir("/proc/self/task").ok()?;
+    Some(
+        tasks
+            .flatten()
+            .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
+            .filter(|comm| comm.starts_with("microscopiq-gem"))
+            .count(),
+    )
+}
+
+#[test]
+fn respawn_rounds_do_not_leak_pool_threads() {
+    // Every other scenario in this binary serves through `DequantGemm`,
+    // so each `microscopiq-gemm-*` thread alive here belongs to this
+    // fleet — which is why the leak check counts those by name rather
+    // than reading the process-wide `Threads:` line, which the scenarios
+    // running beside this one move.
+    let Some(before) = pool_threads() else {
+        return;
+    };
+    assert_eq!(before, 0, "no pooled engine outside this scenario");
+    let fleet = Fleet::spawn(
+        packed_model().clone(),
+        // Uncached default dispatch is the bit-exact oracle kernel, split
+        // over the pool on every call.
+        |_| {
+            RuntimeEngine::new(EngineConfig {
+                threads: 2,
+                cache_bytes: 0,
+                parallel_threshold: 0,
+                ..EngineConfig::default()
+            })
+        },
+        FleetConfig {
+            workers: 2,
+            server: ServerConfig {
+                max_batch: 4,
+                ..ServerConfig::default()
+            },
+            supervision: Some(SupervisionConfig {
+                max_restarts: 3,
+                backoff: Duration::from_millis(5),
+                max_backoff: Duration::from_millis(50),
+                interval: Duration::from_millis(10),
+            }),
+        },
+    )
+    .expect("spawn fleet");
+    let handle = fleet.handle();
+    for round in 0..3u64 {
+        // Traffic first, so the incarnation about to die owns a pool.
+        for i in 0..6 {
+            let req = chaos_request(i, 0x9001 + round, 4, QosClass::Interactive);
+            let (_, stream) = handle
+                .submit_with(req.clone(), failover_opts())
+                .expect("submit");
+            let got = stream.collect().expect("stream completes").tokens;
+            assert_eq!(got, offline_tokens(&req), "round {round} stream {i}");
+        }
+        let live = pool_threads().expect("linux");
+        assert!(
+            (1..=2).contains(&live),
+            "one pool worker per engine: {live}"
+        );
+        handle.worker((round % 2) as usize).inject_worker_panic();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while handle.respawns() <= round || handle.alive_workers() < 2 {
+            handle.supervise();
+            assert!(Instant::now() < deadline, "fleet failed to heal");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+    let report = fleet.shutdown();
+    assert_eq!(report.lost(), 3, "three incarnations died");
+    // Engines drop with their server threads, and `Drop` joins the pool;
+    // the kernel unlinks a joined task a moment after the join returns.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while pool_threads() != Some(before) {
+        assert!(
+            Instant::now() < deadline,
+            "pool threads outlived their engines: {:?}",
+            pool_threads()
+        );
+        std::thread::yield_now();
+    }
 }
 
 proptest! {
