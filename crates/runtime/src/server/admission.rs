@@ -57,8 +57,9 @@ pub struct ServerConfig {
     pub pace: Duration,
     /// Server-side lifecycle recording (queue-wait/TTFT/inter-token
     /// histograms, outcome counters, per-token timestamping). On by
-    /// default; turning it off exists so the `serving_load` bench can
-    /// measure an uninstrumented baseline for the overhead gate.
+    /// default; turning it off gives the uninstrumented baseline the
+    /// telemetry-overhead timing gate in `tests/telemetry.rs` measures
+    /// against.
     /// Scheduler and kernel counters are always on regardless (their
     /// cost is a few relaxed atomic ops per *step*, not per token), and
     /// [`ServerHandle`](super::ServerHandle) gauges keep working either

@@ -25,6 +25,7 @@ use microscopiq_fm::{DequantGemm, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, T
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::{
     GenRequest, GenResult, PrefixCacheConfig, SchedulerConfig, Server, ServerConfig, Session,
+    StreamEvent,
 };
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -478,7 +479,7 @@ fn server_prefix_cache_and_n_way_end_to_end() {
 
     // Warm the trie, then probe it.
     let warmer = GenRequest {
-        prompt: shared,
+        prompt: shared.clone(),
         max_new_tokens: 2,
         temperature: 0.9,
         seed: 9_100,
@@ -488,9 +489,38 @@ fn server_prefix_cache_and_n_way_end_to_end() {
     let got = handle.submit(probe).unwrap().collect().unwrap();
     assert_eq!(got.tokens, probe_want.tokens, "warm serving diverged");
 
+    // A wave of shared-prefix requests submitted back to back, the last
+    // (with a budget it cannot reach meanwhile) hanging up after its
+    // first token: every admission — the probe's and the wave's — hits
+    // and reuses the whole shared prefix.
+    let wave: Vec<_> = (0..4u64)
+        .map(|i| {
+            let mut p = shared.clone();
+            p.extend(prompt(&mut rng, 6, vocab));
+            let req = GenRequest {
+                prompt: p,
+                max_new_tokens: if i == 3 { 1_000 } else { 4 },
+                temperature: 0.9,
+                seed: 9_400 + i,
+                ..Default::default()
+            };
+            handle.submit(req).unwrap()
+        })
+        .collect();
+    for (i, mut s) in wave.into_iter().enumerate() {
+        if i == 3 {
+            assert!(matches!(s.next_event(), Some(StreamEvent::Token(_))));
+        } else {
+            s.collect().expect("wave stream completes");
+        }
+    }
     let stats = handle.prefix_cache_stats().expect("cache enabled");
-    assert!(stats.hits >= 1);
-    assert!(stats.tokens_reused > 0);
+    assert_eq!(stats.hits, 5, "every shared-prefix admission hits");
+    assert!(
+        stats.tokens_reused >= 5 * shared.len() as u64,
+        "each hit reuses the full shared prefix (reused {})",
+        stats.tokens_reused
+    );
     let text = handle.render_metrics();
     for family in [
         "microscopiq_prefix_cache_hits",
@@ -524,6 +554,7 @@ fn server_prefix_cache_and_n_way_end_to_end() {
 
     drop(handle);
     let report = server.shutdown();
-    assert_eq!(report.served, 3, "three streams (the fork is one)");
+    assert_eq!(report.served, 6, "six streams (the fork is one)");
+    assert_eq!(report.cancelled, 1, "the hung-up wave stream");
     assert_eq!(report.final_kv_rows, 0);
 }

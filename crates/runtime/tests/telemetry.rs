@@ -11,13 +11,16 @@
 //! * **Trace schema** — the exported trace is valid Chrome trace-event
 //!   JSON (checked with a hand-rolled parser, no serde) carrying the
 //!   expected per-request and per-step events.
+//! * **Overhead** — instrumented flood throughput stays within 5% of the
+//!   uninstrumented baseline. A wall-clock ratio, so it is `#[ignore]`d:
+//!   run it alone, in release, with `--ignored` and one test thread.
 
 use microscopiq_core::{MicroScopiQ, QuantConfig};
 use microscopiq_fm::{DequantGemm, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::{
-    Deadline, GenRequest, GenResult, RequestOptions, RuntimeEngine, ServeError, Server,
-    ServerConfig, ServerHandle, Session, StreamEvent,
+    Deadline, EngineConfig, GenRequest, GenResult, RequestOptions, RuntimeEngine, ServeError,
+    Server, ServerConfig, ServerHandle, Session, StreamEvent,
 };
 use std::time::{Duration, Instant};
 
@@ -129,6 +132,100 @@ fn streams_bitwise_identical_with_telemetry_off_on_and_traced() {
         assert_eq!(b.tokens, want.tokens, "telemetry on diverged from offline");
         assert_eq!(c.tokens, want.tokens, "tracing diverged from offline");
     }
+}
+
+// ---------------------------------------------------------------------
+// Overhead: instrumented throughput within 5% of uninstrumented.
+// ---------------------------------------------------------------------
+
+/// Tokens/s of one flood — 64 requests of 16 new tokens submitted back
+/// to back — on a fresh default-tier server with server-side telemetry
+/// on or off. The engine runs on one thread: a GEMM split across both
+/// cores of a small shared box swings with its neighbours' load by more
+/// than the 5% under test.
+fn flood_tokens_per_s(model: &PackedTinyFm, telemetry: bool) -> f64 {
+    let engine = RuntimeEngine::new(EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    });
+    let server = Server::spawn(
+        model.clone(),
+        engine,
+        ServerConfig {
+            max_batch: 32,
+            queue_capacity: 128,
+            max_in_flight: 64,
+            telemetry,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+    let handle = server.handle();
+    let vocab = model.config().vocab;
+    let mut rng = SeededRng::new(900);
+    let t0 = Instant::now();
+    let streams: Vec<_> = (0..64u64)
+        .map(|i| {
+            let req = GenRequest {
+                prompt: (0..8).map(|_| rng.below(vocab)).collect(),
+                max_new_tokens: 16,
+                temperature: 0.8,
+                seed: 3_000 + i,
+                ..Default::default()
+            };
+            handle.submit(req).expect("submit")
+        })
+        .collect();
+    let tokens: usize = streams
+        .into_iter()
+        .map(|s| s.collect().expect("stream completes").new_tokens)
+        .sum();
+    tokens as f64 / t0.elapsed().as_secs_f64()
+}
+
+/// Timing gate: server-side telemetry costs at most 5% of flood
+/// throughput. Best-of-3 floods per setting, on a d_model 256 / d_ff 512
+/// model where tokens are compute-bound — the shape the 5% budget is
+/// specified against. After one untimed warm-up flood the settings
+/// alternate on, off, off, on, on, off, so a drift in machine speed
+/// favours neither.
+#[test]
+#[ignore = "timing gate: run alone on the chaos CI leg"]
+fn telemetry_costs_at_most_five_percent_of_flood_throughput() {
+    let cfg = TinyFmConfig {
+        d_model: 256,
+        n_heads: 4,
+        d_ff: 512,
+        n_layers: 2,
+        vocab: 96,
+    };
+    let fm = TinyFm::teacher(cfg, 33);
+    let mut rng = SeededRng::new(34);
+    let calib: Vec<Vec<usize>> = (0..3).map(|_| fm.generate(10, 0.9, &mut rng)).collect();
+    let q = MicroScopiQ::new(
+        QuantConfig::w4()
+            .macro_block(64)
+            .row_block(64)
+            .build()
+            .unwrap(),
+    );
+    let wide = PackedTinyFm::quantize_from(&fm, &q, &calib).unwrap();
+
+    flood_tokens_per_s(&wide, true);
+    let (mut on, mut off) = (0.0_f64, 0.0_f64);
+    for round in 0..3 {
+        for telemetry in [round % 2 == 0, round % 2 == 1] {
+            let tok_s = flood_tokens_per_s(&wide, telemetry);
+            let best = if telemetry { &mut on } else { &mut off };
+            *best = best.max(tok_s);
+        }
+    }
+    let ratio = on / off;
+    println!("telemetry overhead: on {on:.0} tok/s, off {off:.0} tok/s, ratio {ratio:.3}");
+    assert!(
+        ratio >= 0.95,
+        "telemetry must cost <= 5% of flood throughput (got ratio {ratio:.3})"
+    );
 }
 
 // ---------------------------------------------------------------------
@@ -346,17 +443,25 @@ fn metrics_identity_holds_under_submit_cancel_deadline_churn() {
 // Queue-depth visibility.
 // ---------------------------------------------------------------------
 
-#[test]
-fn queue_depth_surfaces_backpressure_and_drains_to_zero() {
+/// A server pacing 20 ms per step, so submissions back to back outrun
+/// the worker deterministically; returns it with `n` streams submitted.
+fn paced_flood(
+    max_batch: usize,
+    max_in_flight: usize,
+    n: usize,
+) -> (
+    Server,
+    ServerHandle,
+    Vec<microscopiq_runtime::ResponseStream>,
+) {
     let model = packed_model(53, 4);
     let vocab = model.config().vocab;
     let server = Server::spawn(
         model,
         DequantGemm,
         ServerConfig {
-            max_batch: 1,
-            max_in_flight: 1,
-            queue_capacity: 16,
+            max_batch,
+            max_in_flight,
             pace: Duration::from_millis(20),
             ..ServerConfig::default()
         },
@@ -364,8 +469,7 @@ fn queue_depth_surfaces_backpressure_and_drains_to_zero() {
     .unwrap();
     let handle = server.handle();
     assert_eq!(handle.queue_depth(), 0, "idle server has an empty queue");
-
-    let streams: Vec<_> = (0..4)
+    let streams = (0..n)
         .map(|i| {
             handle
                 .submit(GenRequest {
@@ -378,8 +482,14 @@ fn queue_depth_surfaces_backpressure_and_drains_to_zero() {
                 .unwrap()
         })
         .collect();
+    (server, handle, streams)
+}
+
+#[test]
+fn queue_depth_surfaces_backpressure_and_drains_to_zero() {
+    let (_server, handle, streams) = paced_flood(1, 1, 4);
     // With max_in_flight = 1 the worker holds one request live and paces
-    // 10 ms per step, so at least the last two submissions are still
+    // 20 ms per step, so at least the last two submissions are still
     // queued (or being pulled) right now.
     assert!(
         handle.queue_depth() >= 2,
@@ -391,6 +501,26 @@ fn queue_depth_surfaces_backpressure_and_drains_to_zero() {
         s.collect().expect("stream completes");
     }
     wait_until("queue drain", || {
+        handle.queue_depth() == 0 && handle.live_streams() == 0
+    });
+}
+
+/// The flood case of the test above: 64 submissions against
+/// `max_in_flight: 64` must be seen live together — a request needs four
+/// 20 ms steps, and the whole flood is submitted in far less — so
+/// `peak_live_streams` reaches at least 32, then everything drains.
+#[test]
+fn peak_live_streams_surfaces_a_flood_and_drains_to_zero() {
+    let (_server, handle, streams) = paced_flood(32, 64, 64);
+    for s in streams {
+        s.collect().expect("stream completes");
+    }
+    assert!(
+        handle.peak_live_streams() >= 32,
+        "a flood must sustain >= 32 concurrent streams, got {}",
+        handle.peak_live_streams()
+    );
+    wait_until("flood drain", || {
         handle.queue_depth() == 0 && handle.live_streams() == 0
     });
 }

@@ -219,6 +219,22 @@ fn dropped_stream_frees_slot_and_leaves_other_streams_unaffected() {
         })
         .unwrap();
     let bystander = handle.submit(bystander_request()).unwrap();
+    // Churn on the same server: an expiry beside the hang-up.
+    let doomed = handle
+        .submit_with(
+            GenRequest {
+                prompt: vec![7, 8, 9],
+                max_new_tokens: 50,
+                temperature: 0.8,
+                seed: 16,
+                ..Default::default()
+            },
+            RequestOptions {
+                deadline: Some(Deadline::Steps(0)),
+                ..RequestOptions::default()
+            },
+        )
+        .unwrap();
     // Wait for generation to actually start, then hang up mid-stream.
     assert!(
         matches!(victim.next_event(), Some(StreamEvent::Token(_))),
@@ -230,9 +246,11 @@ fn dropped_stream_frees_slot_and_leaves_other_streams_unaffected() {
         result.tokens, expected,
         "a dropped neighbour must not perturb another stream's output"
     );
+    assert_eq!(doomed.collect(), Err(ServeError::DeadlineExceeded));
     drop(handle);
     let report = server.shutdown();
     assert_eq!(report.cancelled, 1, "victim retired via cancellation");
+    assert_eq!(report.expired, 1, "the doomed request expired");
     assert_eq!(report.served, 1);
     assert_eq!(
         report.final_kv_rows, 0,
