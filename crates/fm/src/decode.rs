@@ -122,11 +122,6 @@ impl ModelOps for PackedOps<'_> {
         &self.model.ln_f
     }
     fn linear(&self, id: LinearId, acts: &Matrix) -> Matrix {
-        // Hint the engine at the next linear in the pass before running
-        // this one, so a prefetching engine can decode it concurrently.
-        if let Some(next) = id.next(self.model.cfg.n_layers) {
-            self.engine.prefetch(self.model.layer_arc(next));
-        }
         let layer = self.model.layer(id);
         if acts.cols() == 1 {
             // Single-token decode: route through the engine's GEMV entry

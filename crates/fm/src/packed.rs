@@ -45,11 +45,7 @@ pub trait PackedGemm {
         self.matmul(layer, &acts).as_slice().to_vec()
     }
 
-    /// Hints that `layer` will be executed soon — the forward pass calls
-    /// this with the *next* linear layer before running the current one,
-    /// so an engine with a decode cache can warm it from a background
-    /// worker. The default is a no-op; the hint must never change
-    /// results, only timing.
+    /// Never called; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
     fn prefetch(&self, layer: &Arc<PackedLayer>) {
         let _ = layer;
     }
@@ -74,8 +70,7 @@ impl PackedGemm for DequantGemm {
 #[derive(Debug, Clone)]
 pub(crate) struct PackedBlock {
     pub(crate) ln1: Vec<f64>,
-    // Arc'd so prefetch hints can hand a layer to a background decode
-    // worker without copying the packed bytes.
+    // Arc'd so model clones (one per fleet worker) share the packed bytes.
     wq: Arc<PackedLayer>,
     wk: Arc<PackedLayer>,
     wv: Arc<PackedLayer>,
@@ -152,12 +147,6 @@ impl PackedTinyFm {
 
     /// Borrows a packed linear layer.
     pub fn layer(&self, id: LinearId) -> &PackedLayer {
-        self.layer_arc(id)
-    }
-
-    /// Borrows the shared handle of a packed linear layer — what
-    /// [`PackedGemm::prefetch`] hints hand to a background worker.
-    pub fn layer_arc(&self, id: LinearId) -> &Arc<PackedLayer> {
         match id {
             LinearId::Wq(n) => &self.blocks[n].wq,
             LinearId::Wk(n) => &self.blocks[n].wk,

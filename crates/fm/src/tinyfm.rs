@@ -71,23 +71,6 @@ pub enum LinearId {
     WDown(usize),
 }
 
-impl LinearId {
-    /// The linear that executes after this one in the forward pass —
-    /// the prefetch target. `None` after the last block's down
-    /// projection (the pass ends at the LM head, which is dense).
-    pub fn next(self, n_layers: usize) -> Option<LinearId> {
-        match self {
-            LinearId::Wq(n) => Some(LinearId::Wk(n)),
-            LinearId::Wk(n) => Some(LinearId::Wv(n)),
-            LinearId::Wv(n) => Some(LinearId::Wo(n)),
-            LinearId::Wo(n) => Some(LinearId::WUp(n)),
-            LinearId::WUp(n) => Some(LinearId::WDown(n)),
-            LinearId::WDown(n) if n + 1 < n_layers => Some(LinearId::Wq(n + 1)),
-            LinearId::WDown(_) => None,
-        }
-    }
-}
-
 /// A functional tiny transformer LM.
 #[derive(Debug, Clone)]
 pub struct TinyFm {
@@ -428,17 +411,6 @@ mod tests {
             n_layers: 2,
             vocab: 64,
         }
-    }
-
-    #[test]
-    fn linear_id_next_walks_the_forward_order() {
-        let fm = TinyFm::teacher(small(), 1);
-        let expected = fm.linear_ids();
-        let mut walked = vec![LinearId::Wq(0)];
-        while let Some(id) = walked.last().unwrap().next(fm.cfg.n_layers) {
-            walked.push(id);
-        }
-        assert_eq!(walked, expected, "next() must reproduce linear_ids()");
     }
 
     #[test]

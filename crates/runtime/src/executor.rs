@@ -33,7 +33,9 @@
 //! to `dequantize().matmul(..)` for any thread count or tile size) and
 //! the cached path runs the bucketed kernel (within the runtime's 1e-9
 //! contract, ~1e-12 observed); opting into [`KernelPolicy::Fast`] adds
-//! the lane-blocked `f32` kernel at its own pinned relative tolerance.
+//! the `simd-f32` kernel (AVX2+FMA or NEON detected) or else the
+//! lane-blocked `lane-f32` kernel, each at its own pinned relative
+//! tolerance.
 
 use crate::cache::{CacheStats, DecodedCache};
 use crate::kernels::{DispatchKey, KernelCtx, KernelOp, KernelPolicy, KernelRegistry, MicroKernel};
@@ -76,13 +78,6 @@ pub struct EngineConfig {
     /// [`crate::kernels::dispatch`] for the policy table). The default
     /// reproduces the pre-dispatch engine bit for bit.
     pub policy: KernelPolicy,
-    /// Warm the decoded-tile cache for the *next* layer from a background
-    /// worker while the current layer's GEMM runs ([`PackedGemm::prefetch`]
-    /// hints arrive from the model's forward pass). Requires
-    /// `cache_bytes > 0` to have any effect. Observational only: prefetch
-    /// populates the same cache the bucketed kernel would fill on demand,
-    /// so results are unchanged with it on or off.
-    pub prefetch: bool,
 }
 
 impl Default for EngineConfig {
@@ -93,7 +88,6 @@ impl Default for EngineConfig {
             tile_rows: 0,
             parallel_threshold: 1 << 19,
             policy: KernelPolicy::Default,
-            prefetch: false,
         }
     }
 }
@@ -116,96 +110,13 @@ impl EngineConfig {
             tile_rows: 0,
             parallel_threshold: usize::MAX,
             policy: KernelPolicy::Scalar,
-            prefetch: false,
         }
     }
 }
 
-/// Counters for the next-layer prefetch worker: hints accepted into the
-/// bounded queue, layers fully decoded into the cache, and hints dropped
-/// because the queue was full (best-effort — a dropped hint only means
-/// the bucketed kernel decodes on demand as it always did).
+/// Empty; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
 #[derive(Debug, Default)]
-pub struct PrefetchStats {
-    issued: crate::telemetry::metrics::Counter,
-    completed: crate::telemetry::metrics::Counter,
-    dropped: crate::telemetry::metrics::Counter,
-}
-
-impl PrefetchStats {
-    /// Hints accepted into the prefetch queue.
-    pub fn issued(&self) -> u64 {
-        self.issued.get()
-    }
-
-    /// Layers whose groups were all decoded into the cache.
-    pub fn completed(&self) -> u64 {
-        self.completed.get()
-    }
-
-    /// Hints dropped because the queue was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-}
-
-/// The next-layer prefetch worker: one background thread draining a
-/// small bounded queue of layer hints, decoding every group of each
-/// hinted layer into the shared [`DecodedCache`]. Hints are best-effort
-/// (`try_send`); the queue stays shallow so a burst of hints cannot
-/// build up a backlog of stale decode work.
-#[derive(Debug)]
-struct Prefetcher {
-    tx: Option<std::sync::mpsc::SyncSender<Arc<PackedLayer>>>,
-    worker: Option<std::thread::JoinHandle<()>>,
-    stats: Arc<PrefetchStats>,
-}
-
-impl Prefetcher {
-    fn spawn(cache: Arc<DecodedCache>) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Arc<PackedLayer>>(2);
-        let stats = Arc::new(PrefetchStats::default());
-        let worker_stats = stats.clone();
-        let worker = std::thread::Builder::new()
-            .name("microscopiq-prefetch".into())
-            .spawn(move || {
-                while let Ok(layer) = rx.recv() {
-                    let id = layer.content_fingerprint();
-                    for g in 0..layer.num_groups() {
-                        cache.get_or_decode(id, &layer, g);
-                    }
-                    worker_stats.completed.inc();
-                }
-            })
-            .expect("spawn prefetch worker");
-        Self {
-            tx: Some(tx),
-            worker: Some(worker),
-            stats,
-        }
-    }
-
-    fn hint(&self, layer: &Arc<PackedLayer>) {
-        let Some(tx) = &self.tx else { return };
-        match tx.try_send(layer.clone()) {
-            Ok(()) => self.stats.issued.inc(),
-            Err(_) => self.stats.dropped.inc(),
-        }
-    }
-}
-
-impl Drop for Prefetcher {
-    fn drop(&mut self) {
-        // Closing the channel ends the worker's recv loop; join so no
-        // decode outlives the engine (the cache Arc would keep memory
-        // alive, but a detached thread could not be reasoned about in
-        // tests).
-        drop(self.tx.take());
-        if let Some(worker) = self.worker.take() {
-            let _ = worker.join();
-        }
-    }
-}
+pub struct PrefetchStats;
 
 /// How the calls that crossed `parallel_threshold` ran: as a job on the
 /// pool, or serially because another thread's job held it.
@@ -226,7 +137,6 @@ pub struct RuntimeEngine {
     // the engine moves onto a worker thread.
     cache: Option<Arc<DecodedCache>>,
     registry: KernelRegistry,
-    prefetcher: Option<Prefetcher>,
     // `None` until the first call crosses `parallel_threshold`. Holding
     // the lock is holding the pool: one job at a time (`claim_pool`).
     pool: Mutex<Option<Pool>>,
@@ -251,17 +161,11 @@ impl RuntimeEngine {
             cfg.threads
         };
         let cache = (cfg.cache_bytes > 0).then(|| Arc::new(DecodedCache::new(cfg.cache_bytes)));
-        // Prefetch only makes sense with a cache to warm.
-        let prefetcher = match (&cache, cfg.prefetch) {
-            (Some(cache), true) => Some(Prefetcher::spawn(cache.clone())),
-            _ => None,
-        };
         Self {
             cfg,
             threads,
             cache,
             registry,
-            prefetcher,
             pool: Mutex::new(None),
             pool_jobs: Arc::default(),
         }
@@ -274,20 +178,20 @@ impl RuntimeEngine {
     }
 
     /// The fast serving tier: [`KernelPolicy::Fast`] with the decoded
-    /// cache disabled, so dispatch resolves to the lane-blocked `f32`
-    /// kernel on every supported call — including the m = 1 GEMV shape
-    /// that dominates per-step decode (~6× over the scalar oracle on
-    /// 512×2048) — with the scalar oracle as fallback for outlier-heavy
-    /// layers or oversized groups. (With a cache, `Fast` would resolve
-    /// to the near-exact bucketed kernel, i.e. the default tier.)
-    /// Results are within the lane kernel's pinned relative tolerance of
-    /// the bit-exact default — the f32-tolerant serving conformance tier
-    /// (`tests/fast_serving.rs`) bounds per-token logit deltas and pins
-    /// argmax-token parity, which is what qualifies this engine for
-    /// [`crate::Server::spawn`]. Unlike the bit-exact tiers, this
-    /// engine's per-column results depend on batch composition (the lane
-    /// GEMV entry rounds differently from a one-column slice of its
-    /// GEMM), so serving determinism holds at the tolerance/argmax level,
+    /// cache disabled, so dispatch resolves every supported call —
+    /// including the m = 1 GEMV shape that dominates per-step decode — to
+    /// the `simd-f32` kernel when AVX2+FMA or NEON is detected and to the
+    /// lane-blocked `lane-f32` kernel otherwise, with the scalar oracle
+    /// as fallback for outlier-heavy layers or oversized groups. (With a
+    /// cache, `Fast` would resolve to the near-exact bucketed kernel,
+    /// i.e. the default tier.) Results are within the picked kernel's
+    /// pinned relative tolerance of the bit-exact default — the
+    /// f32-tolerant serving conformance tier (`tests/fast_serving.rs`)
+    /// bounds per-token logit deltas and pins argmax-token parity, which
+    /// is what qualifies this engine for [`crate::Server::spawn`]. Unlike
+    /// the bit-exact tiers, this engine's per-column results depend on
+    /// batch composition (an f32 kernel's GEMV entry rounds differently
+    /// from a one-column slice of its GEMM), so serving determinism holds at the tolerance/argmax level,
     /// not bit for bit.
     pub fn fast() -> Self {
         Self::new(EngineConfig {
@@ -318,10 +222,9 @@ impl RuntimeEngine {
         self.cache.as_ref().map(|c| c.stats())
     }
 
-    /// Prefetch-worker counters, when next-layer prefetch is enabled
-    /// (`prefetch: true` and a decoded cache configured).
+    /// Always `None`; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
     pub fn prefetch_stats(&self) -> Option<&PrefetchStats> {
-        self.prefetcher.as_ref().map(|p| p.stats.as_ref())
+        None
     }
 
     /// The kernel registry this engine dispatches over.
@@ -581,17 +484,6 @@ impl PackedGemm for RuntimeEngine {
     fn gemv(&self, layer: &PackedLayer, x: &[f64]) -> Vec<f64> {
         self.gemv(layer, x)
     }
-
-    /// Best-effort hint that `layer` executes soon: when next-layer
-    /// prefetch is enabled, the background worker decodes the layer's
-    /// groups into the shared cache while the current layer's GEMM runs.
-    /// A full queue drops the hint (counted) rather than blocking the
-    /// forward pass.
-    fn prefetch(&self, layer: &Arc<PackedLayer>) {
-        if let Some(p) = &self.prefetcher {
-            p.hint(layer);
-        }
-    }
 }
 
 impl EngineTelemetry for RuntimeEngine {
@@ -625,22 +517,14 @@ impl EngineTelemetry for RuntimeEngine {
             "Whether each known kernel is registered on this host (1/0).",
             MetricKind::Gauge,
             collector_fn(move || {
-                use crate::kernels::{
-                    BUCKETED_KERNEL, BUCKETED_LANE_KERNEL, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
-                };
-                [
-                    SCALAR_KERNEL,
-                    LANE_KERNEL,
-                    BUCKETED_KERNEL,
-                    BUCKETED_LANE_KERNEL,
-                    SIMD_KERNEL,
-                ]
-                .into_iter()
-                .map(|name| Sample {
-                    labels: vec![("kernel", name.to_string())],
-                    value: SampleValue::Gauge(i64::from(registered.contains(&name))),
-                })
-                .collect()
+                use crate::kernels::{BUCKETED_KERNEL, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL};
+                [SCALAR_KERNEL, LANE_KERNEL, BUCKETED_KERNEL, SIMD_KERNEL]
+                    .into_iter()
+                    .map(|name| Sample {
+                        labels: vec![("kernel", name.to_string())],
+                        value: SampleValue::Gauge(i64::from(registered.contains(&name))),
+                    })
+                    .collect()
             }),
         );
         registry.register_collector(
@@ -687,27 +571,6 @@ impl EngineTelemetry for RuntimeEngine {
                 .collect()
             }),
         );
-        if let Some(p) = &self.prefetcher {
-            let stats = p.stats.clone();
-            registry.register_collector(
-                "microscopiq_prefetch_events_total",
-                "Next-layer prefetch hints by outcome (issued/completed/dropped).",
-                MetricKind::Counter,
-                collector_fn(move || {
-                    [
-                        ("issued", stats.issued()),
-                        ("completed", stats.completed()),
-                        ("dropped", stats.dropped()),
-                    ]
-                    .into_iter()
-                    .map(|(event, n)| Sample {
-                        labels: vec![("event", event.to_string())],
-                        value: SampleValue::Counter(n),
-                    })
-                    .collect()
-                }),
-            );
-        }
         if let Some(cache) = &self.cache {
             let c = cache.clone();
             registry.register_collector(
@@ -1096,7 +959,6 @@ mod tests {
                     tile_rows: 0,
                     parallel_threshold: usize::MAX,
                     policy,
-                    ..EngineConfig::default()
                 })
                 .gemv(&layer, &x);
                 // Same kernel, reduction split across workers at several
@@ -1110,7 +972,6 @@ mod tests {
                             tile_rows,
                             parallel_threshold: 0,
                             policy,
-                            ..EngineConfig::default()
                         });
                         let a = engine.gemv(&layer, &x);
                         let b = engine.gemv(&layer, &x);
@@ -1150,75 +1011,10 @@ mod tests {
     }
 
     #[test]
-    fn prefetch_warms_the_cache_and_leaves_results_unchanged() {
-        let layer = Arc::new(packed_layer(64, 32, GroupAxis::DotProduct, 27));
-        let mut rng = SeededRng::new(28);
-        let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
-        let plain = RuntimeEngine::new(EngineConfig {
-            threads: 1,
-            cache_bytes: 1 << 20,
-            parallel_threshold: usize::MAX,
-            ..EngineConfig::default()
-        });
-        let prefetching = RuntimeEngine::new(EngineConfig {
-            threads: 1,
-            cache_bytes: 1 << 20,
-            parallel_threshold: usize::MAX,
-            prefetch: true,
-            ..EngineConfig::default()
-        });
-        assert!(plain.prefetch_stats().is_none());
-        let stats = || prefetching.prefetch_stats().expect("prefetcher enabled");
-
-        prefetching.prefetch(&layer);
-        // The worker decodes asynchronously; wait (bounded) for the layer
-        // to finish, then the first gemv must hit every group.
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
-        while stats().completed() < 1 {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "prefetch worker never completed the hinted layer"
-            );
-            std::thread::yield_now();
-        }
-        assert_eq!(stats().issued(), 1);
-        let misses_before = prefetching.cache_stats().unwrap().misses;
-        let warm = prefetching.gemv(&layer, &x);
-        let after = prefetching.cache_stats().unwrap();
-        assert_eq!(
-            after.misses, misses_before,
-            "post-prefetch gemv must not decode anything"
-        );
-        assert_eq!(after.hits, layer.num_groups() as u64);
-        // Prefetch is observational: identical output with it off.
-        assert_eq!(warm, plain.gemv(&layer, &x));
-    }
-
-    #[test]
-    fn prefetch_queue_overflow_drops_hints_without_blocking() {
-        let engine = RuntimeEngine::new(EngineConfig {
-            threads: 1,
-            cache_bytes: 1 << 20,
-            parallel_threshold: usize::MAX,
-            prefetch: true,
-            ..EngineConfig::default()
-        });
-        let layer = Arc::new(packed_layer(64, 32, GroupAxis::DotProduct, 29));
-        // Many more hints than the queue holds: every hint must return
-        // immediately, each either accepted or counted as dropped.
-        for _ in 0..64 {
-            engine.prefetch(&layer);
-        }
-        let stats = engine.prefetch_stats().unwrap();
-        assert_eq!(stats.issued() + stats.dropped(), 64);
-    }
-
-    #[test]
     fn engine_telemetry_exposes_availability_features_and_threads() {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 3,
             cache_bytes: 1 << 20,
-            prefetch: true,
             ..EngineConfig::default()
         });
         let registry = MetricsRegistry::new();
@@ -1233,6 +1029,5 @@ mod tests {
         assert!(text.contains("caller + pool workers"));
         assert!(text.contains("microscopiq_pool_jobs_total{outcome=\"split\"} 0"));
         assert!(text.contains("microscopiq_pool_jobs_total{outcome=\"busy_serial\"} 0"));
-        assert!(text.contains("microscopiq_prefetch_events_total"));
     }
 }

@@ -5,46 +5,44 @@
 //!
 //! # Policy table
 //!
-//! | policy | selection |
-//! |---|---|
-//! | [`KernelPolicy::Default`] | [`BucketedCacheKernel`] when the engine has a decoded cache, [`ScalarKernel`] otherwise — byte-for-byte the pre-dispatch engine behavior |
-//! | [`KernelPolicy::Scalar`] | always the scalar oracle (bitwise, ignores the cache) |
-//! | [`KernelPolicy::Fast`] | first registered kernel whose `supports` accepts the call, in registry priority order; scalar as the universal fallback |
-//! | [`KernelPolicy::Named`] | that kernel if registered **and** it supports the call; scalar otherwise |
+//! | policy | engine | selection |
+//! |---|---|---|
+//! | [`KernelPolicy::Default`] | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`] when the engine has a decoded cache, [`ScalarKernel`] otherwise — byte-for-byte the pre-dispatch engine behavior |
+//! | [`KernelPolicy::Scalar`] | `RuntimeEngine::scalar()` | always the scalar oracle (bitwise, ignores the cache) |
+//! | [`KernelPolicy::Fast`] | `RuntimeEngine::fast()` | first registered kernel whose `supports` accepts the call, in registry priority order; scalar as the universal fallback |
 //!
-//! With the default registration order — bucketed-cache, explicit SIMD
-//! (when runtime feature detection passes), bucketed-lane, lane-blocked
-//! `f32`, scalar — `Fast` resolves to: bucketed tiles when a cache is
-//! available; the `simd-f32` kernel for uncached calls on supported
-//! shapes (group ≤ 256 slots, outlier density ≤ 0.5); on hosts without
-//! AVX2+FMA/NEON (or with `MICROSCOPIQ_SIMD=off`), the `bucketed-lane`
-//! kernel for the 2-bit m = 1 GEMV decode shape and the lane-blocked
-//! `f32` kernel otherwise; and the scalar oracle for everything else
-//! (e.g. outlier-heavy layers, oversized groups).
+//! The registry's priority order is bucketed-cache, explicit SIMD (when
+//! runtime feature detection passes), lane-blocked `f32`, scalar. So
+//! `Fast` resolves to: bucketed tiles when a cache is available;
+//! otherwise, on supported shapes (group ≤ 256 slots, outlier density
+//! ≤ 0.5), the `simd-f32` kernel on hosts with AVX2+FMA or NEON and the
+//! `lane-f32` kernel on hosts without (or with `MICROSCOPIQ_SIMD=off`);
+//! and the scalar oracle for everything else (e.g. outlier-heavy layers,
+//! oversized groups).
 //!
-//! # Registering a kernel
+//! # Choosing a registry
 //!
 //! ```
-//! use microscopiq_runtime::kernels::{
-//!     KernelPolicy, KernelRegistry, LaneKernel,
-//! };
+//! use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
+//! use microscopiq_runtime::kernels::{KernelPolicy, KernelRegistry, LANE_KERNEL};
 //! use microscopiq_runtime::{EngineConfig, RuntimeEngine};
-//! use std::sync::Arc;
 //!
-//! let mut registry = KernelRegistry::with_defaults();
-//! registry.register(Arc::new(LaneKernel)); // or your own MicroKernel
+//! // The portable registry: what `with_defaults` builds on a host
+//! // without AVX2+FMA/NEON.
 //! let engine = RuntimeEngine::with_registry(
 //!     EngineConfig {
-//!         policy: KernelPolicy::Named("lane-f32"),
+//!         policy: KernelPolicy::Fast,
+//!         cache_bytes: 0,
 //!         ..EngineConfig::default()
 //!     },
-//!     registry,
+//!     KernelRegistry::without_simd(),
 //! );
-//! assert!(engine.kernel_names().contains(&"lane-f32"));
+//! assert_eq!(engine.kernel_names(), ["bucketed-cache", "lane-f32", "scalar-f64"]);
+//! let layer = synth_packed(&SynthSpec::default());
+//! assert_eq!(engine.kernel_for(&layer, 1), LANE_KERNEL);
 //! ```
 
 use super::bucketed::{BucketedCacheKernel, BUCKETED_KERNEL};
-use super::bucketed_lane::BucketedLaneKernel;
 use super::lane::LaneKernel;
 use super::scalar::ScalarKernel;
 use super::simd::SimdKernel;
@@ -52,8 +50,9 @@ use super::{DispatchKey, KernelCtx, MicroKernel};
 use crate::telemetry::metrics::{Counter, Sample, SampleValue};
 use std::sync::{Arc, RwLock};
 
-/// How the engine picks a kernel per call. `Default` reproduces the
-/// pre-dispatch engine exactly; anything else is an explicit opt-in.
+/// How the engine picks a kernel per call, one variant per engine
+/// constructor. `Default` reproduces the pre-dispatch engine exactly;
+/// anything else is an explicit opt-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Bucketed decoded-cache execution when the engine has a cache,
@@ -65,9 +64,6 @@ pub enum KernelPolicy {
     Scalar,
     /// Fastest supporting kernel in registry priority order.
     Fast,
-    /// A specific kernel by registry name, with scalar fallback when it
-    /// is missing or does not support the call shape.
-    Named(&'static str),
 }
 
 /// The shape a dispatched call executed as, for invocation accounting:
@@ -204,11 +200,9 @@ impl KernelMetrics {
     }
 }
 
-/// An ordered set of kernels. Priority is insertion order — `Fast` picks
-/// the first kernel whose `supports` accepts the call — and
-/// [`KernelRegistry::register`] inserts at the *front*, so the newest
-/// registration wins ties. The scalar oracle is always present as the
-/// final fallback.
+/// An ordered set of kernels. `Fast` picks the first kernel whose
+/// `supports` accepts the call; the scalar oracle is always present as
+/// the final fallback.
 #[derive(Debug, Clone)]
 pub struct KernelRegistry {
     kernels: Vec<Arc<dyn MicroKernel>>,
@@ -225,8 +219,8 @@ impl Default for KernelRegistry {
 impl KernelRegistry {
     /// The standard registry: bucketed-cache, then the explicit SIMD
     /// kernel (iff runtime feature detection passes and
-    /// `MICROSCOPIQ_SIMD` does not force-disable it), then bucketed-lane,
-    /// then lane-blocked `f32`, then the scalar oracle.
+    /// `MICROSCOPIQ_SIMD` does not force-disable it), then lane-blocked
+    /// `f32`, then the scalar oracle.
     pub fn with_defaults() -> Self {
         Self::assemble(SimdKernel::try_new())
     }
@@ -244,20 +238,10 @@ impl KernelRegistry {
         if let Some(s) = simd {
             kernels.push(Arc::new(s));
         }
-        kernels.push(Arc::new(BucketedLaneKernel));
         kernels.push(Arc::new(LaneKernel));
         kernels.push(Arc::new(ScalarKernel));
         Self {
             kernels,
-            scalar: Arc::new(ScalarKernel),
-            metrics: Arc::new(KernelMetrics::default()),
-        }
-    }
-
-    /// A registry holding only the scalar oracle.
-    pub fn scalar_only() -> Self {
-        Self {
-            kernels: vec![Arc::new(ScalarKernel)],
             scalar: Arc::new(ScalarKernel),
             metrics: Arc::new(KernelMetrics::default()),
         }
@@ -275,32 +259,17 @@ impl KernelRegistry {
         self.metrics.record(name, op, bits, groups);
     }
 
-    /// Registers a kernel at the front of the priority order (the newest
-    /// registration is consulted first by [`KernelPolicy::Fast`], and
-    /// shadows an existing kernel of the same name for
-    /// [`KernelPolicy::Named`]).
-    pub fn register(&mut self, kernel: Arc<dyn MicroKernel>) {
-        self.kernels.insert(0, kernel);
-    }
-
     /// The registered kernels in priority order.
     pub fn kernels(&self) -> &[Arc<dyn MicroKernel>] {
         &self.kernels
     }
 
-    /// Registered kernel names in priority order (deduplicated in favor
-    /// of the highest-priority entry).
+    /// Registered kernel names in priority order.
     pub fn names(&self) -> Vec<&'static str> {
-        let mut names: Vec<&'static str> = Vec::new();
-        for k in &self.kernels {
-            if !names.contains(&k.name()) {
-                names.push(k.name());
-            }
-        }
-        names
+        self.kernels.iter().map(|k| k.name()).collect()
     }
 
-    /// Looks a kernel up by name (highest-priority match).
+    /// Looks a kernel up by name.
     pub fn get(&self, name: &str) -> Option<&dyn MicroKernel> {
         self.kernels
             .iter()
@@ -331,10 +300,6 @@ impl KernelRegistry {
                 .iter()
                 .find(|k| k.supports(key, ctx))
                 .map(|k| k.as_ref())
-                .unwrap_or(self.scalar.as_ref()),
-            KernelPolicy::Named(name) => self
-                .get(name)
-                .filter(|k| k.supports(key, ctx))
                 .unwrap_or(self.scalar.as_ref()),
         }
     }
@@ -392,13 +357,18 @@ mod tests {
     fn fast_policy_prefers_lane_uncached_and_respects_supports() {
         let reg = KernelRegistry::with_defaults();
         let ctx = KernelCtx::uncached();
-        // At m = 8 bucketed-lane declines, so the pick is simd-f32 when
-        // detection passed on this host, lane-f32 otherwise.
-        let expected = if SimdKernel::try_new().is_some() {
-            super::super::simd::SIMD_KERNEL
-        } else {
-            LANE_KERNEL
-        };
+        // The pick is simd-f32 when detection passed on this host,
+        // lane-f32 otherwise.
+        let simd = SimdKernel::try_new().map(|_| super::super::simd::SIMD_KERNEL);
+        let expected = simd.unwrap_or(LANE_KERNEL);
+        // The priority order itself is pinned, so a kernel no served
+        // path selects cannot slip back into it unnoticed.
+        let order: Vec<&str> = [Some(BUCKETED_KERNEL), simd, Some(LANE_KERNEL)]
+            .into_iter()
+            .flatten()
+            .chain([SCALAR_KERNEL])
+            .collect();
+        assert_eq!(reg.names(), order);
         assert_eq!(
             reg.select(KernelPolicy::Fast, &key(8, 64, 0.03), &ctx)
                 .name(),
@@ -433,45 +403,6 @@ mod tests {
             )
             .name(),
             BUCKETED_KERNEL
-        );
-    }
-
-    #[test]
-    fn named_policy_falls_back_to_scalar_when_unsupported() {
-        let reg = KernelRegistry::with_defaults();
-        let ctx = KernelCtx::uncached();
-        assert_eq!(
-            reg.select(KernelPolicy::Named(LANE_KERNEL), &key(8, 64, 0.0), &ctx)
-                .name(),
-            LANE_KERNEL
-        );
-        assert_eq!(
-            reg.select(
-                KernelPolicy::Named("no-such-kernel"),
-                &key(8, 64, 0.0),
-                &ctx
-            )
-            .name(),
-            SCALAR_KERNEL
-        );
-        // Bucketed without a cache is unsupported → scalar.
-        assert_eq!(
-            reg.select(KernelPolicy::Named(BUCKETED_KERNEL), &key(8, 64, 0.0), &ctx)
-                .name(),
-            SCALAR_KERNEL
-        );
-    }
-
-    #[test]
-    fn registration_prepends_and_shadows() {
-        let mut reg = KernelRegistry::scalar_only();
-        assert_eq!(reg.names(), vec![SCALAR_KERNEL]);
-        reg.register(Arc::new(LaneKernel));
-        assert_eq!(reg.names(), vec![LANE_KERNEL, SCALAR_KERNEL]);
-        assert_eq!(
-            reg.select(KernelPolicy::Fast, &key(8, 64, 0.0), &KernelCtx::uncached())
-                .name(),
-            LANE_KERNEL
         );
     }
 }

@@ -1,5 +1,7 @@
-//! The lane-blocked `f32` SIMD kernel: the fast path the dispatch layer
-//! selects for uncached GEMM/GEMV on supported shapes.
+//! The lane-blocked `f32` kernel: the portable fast path the dispatch
+//! layer selects for uncached GEMM/GEMV on supported shapes when the
+//! explicit SIMD kernel is not registered (no AVX2+FMA/NEON, or
+//! `MICROSCOPIQ_SIMD=off`).
 //!
 //! Strategy (per macro-block group):
 //!

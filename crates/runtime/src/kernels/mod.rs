@@ -9,13 +9,14 @@
 //! * [`ScalarKernel`] (`scalar-f64`) — the conformance **oracle**: walks
 //!   packed groups in the dense reference's reduction order and
 //!   accumulates in `f64`. Bit-identical to `dequantize().matmul(..)`.
-//! * [`LaneKernel`] (`lane-f32`) — the lane-blocked SIMD kernel: decodes
-//!   each group's unscaled codes into a stack-resident `f32` plane
+//! * [`LaneKernel`] (`lane-f32`) — the portable lane-blocked kernel, and
+//!   the `Fast` pick on hosts without AVX2+FMA/NEON: decodes each group's
+//!   unscaled codes into a stack-resident `f32` plane
 //!   ([`PackedLayer::group`] → `decode_codes_f32`, no per-block
-//!   allocation), runs an unrolled 8-wide FMA inner loop over column
-//!   lanes with the per-group scale hoisted out, and fixes outliers up
-//!   with exact `f64` multiply-adds. Matches the oracle within a pinned
-//!   relative tolerance.
+//!   allocation), runs an unrolled 8-wide loop over column lanes that the
+//!   compiler vectorizes, with the per-group scale hoisted out, and fixes
+//!   outliers up with exact `f64` multiply-adds. Matches the oracle
+//!   within a pinned relative tolerance.
 //! * [`BucketedCacheKernel`] (`bucketed-cache`) — executes from the
 //!   engine's decoded-tile cache ([`crate::cache`]): code-bucketed tiles
 //!   at `bb = 2`, flat `f32` tiles at `bb = 4`. Requires a cache in the
@@ -25,11 +26,7 @@
 //!   detection passes (and not force-disabled via `MICROSCOPIQ_SIMD=off`).
 //!   Fuses in-register code decode (shift-based sign extension) with the
 //!   FMA reduction; outliers fix up in exact `f64` like the lane kernel.
-//! * [`BucketedLaneKernel`] (`bucketed-lane`) — the paper's multiply-free
-//!   code-bucketing trick without the decoded-tile cache: per micro-block,
-//!   activations accumulate into per-code buckets and one dot with the
-//!   decoded code table finishes the group. Shape-specialized for the
-//!   `m = 1` GEMV decode path; composes with the `Fast` tier.
+//!   The `Fast` pick for every uncached call it supports.
 //!
 //! Selection is governed by [`KernelPolicy`] — see [`dispatch`] for the
 //! policy table. The default policy reproduces the pre-dispatch engine
@@ -45,7 +42,6 @@
 //! [`PackedLayer::group`]: microscopiq_core::packed::PackedLayer::group
 
 pub mod bucketed;
-pub mod bucketed_lane;
 pub mod dispatch;
 pub mod lane;
 pub mod scalar;
@@ -53,7 +49,6 @@ pub mod simd;
 pub mod synth;
 
 pub use bucketed::{BucketedCacheKernel, BUCKETED_KERNEL};
-pub use bucketed_lane::{BucketedLaneKernel, BUCKETED_LANE_KERNEL};
 pub use dispatch::{KernelMetrics, KernelOp, KernelPolicy, KernelRegistry};
 pub use lane::{LaneKernel, LANE_KERNEL, MAX_GROUP};
 pub use scalar::{fused_gemm_serial, fused_gemv_serial, ScalarKernel, SCALAR_KERNEL};
@@ -63,6 +58,9 @@ use crate::cache::DecodedCache;
 use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
+
+/// Unregistered; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
+pub const BUCKETED_LANE_KERNEL: &str = "bucketed-lane";
 
 /// How far a kernel's output may sit from the scalar oracle. Pinned per
 /// kernel and asserted by the conformance suite; loosening a pin is an
@@ -182,7 +180,7 @@ impl<'a> KernelCtx<'a> {
 /// for the dispatcher, not a correctness gate — a kernel invoked directly
 /// outside its preferred regime must still meet its tolerance.
 pub trait MicroKernel: Send + Sync + std::fmt::Debug {
-    /// Registry name (also what [`KernelPolicy::Named`] selects).
+    /// Registry name.
     fn name(&self) -> &'static str;
 
     /// Pinned deviation bound against the scalar oracle.

@@ -13,11 +13,11 @@
 //!   outlier Upper/Lower halves via the permutation list, and accumulates
 //!   into output tiles without ever materializing the dense weight matrix
 //!   — bit-identical to `dequantize().matmul(..)` by construction. The
-//!   lane-blocked `f32` kernel trades bitwise parity for an unrolled
-//!   8-wide FMA inner loop within a pinned relative tolerance; explicit
-//!   AVX2+FMA / NEON [`SimdKernel`]s register behind runtime feature
-//!   detection, and the [`BucketedLaneKernel`] runs the paper's
-//!   multiply-free code bucketing without a decode cache.
+//!   `f32` kernels trade bitwise parity for speed within a pinned
+//!   relative tolerance: the explicit AVX2+FMA / NEON [`SimdKernel`]
+//!   registers behind runtime feature detection and serves the `Fast`
+//!   policy where it does; the portable lane-blocked [`LaneKernel`]
+//!   serves it everywhere else.
 //! * [`cache`] — lazily decoded per-macro-block tiles in execution-ready
 //!   bucketed form under an LRU residency cap, so repeated forward passes
 //!   amortize unpacking and run multiply-free inlier accumulation.
@@ -94,9 +94,9 @@ pub mod telemetry;
 pub use cache::{BucketTile, CacheStats, DecodedCache, DecodedTile, FlatTile};
 pub use executor::{EngineConfig, PrefetchStats, RuntimeEngine};
 pub use kernels::{
-    detected_cpu_features, fused_gemm_serial, fused_gemv_serial, BucketedCacheKernel,
-    BucketedLaneKernel, DispatchKey, KernelCtx, KernelPolicy, KernelRegistry, LaneKernel,
-    MicroKernel, ScalarKernel, SimdKernel, Tolerance,
+    detected_cpu_features, fused_gemm_serial, fused_gemv_serial, BucketedCacheKernel, DispatchKey,
+    KernelCtx, KernelPolicy, KernelRegistry, LaneKernel, MicroKernel, ScalarKernel, SimdKernel,
+    Tolerance,
 };
 pub use microscopiq_fm::{DecodeState, KvCacheConfig, KvMode};
 pub use net::{

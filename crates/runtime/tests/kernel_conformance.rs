@@ -15,7 +15,7 @@ use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
 use microscopiq_runtime::kernels::{
     fused_gemm_serial, fused_gemv_serial, DispatchKey, KernelCtx, KernelRegistry, Tolerance,
-    BUCKETED_LANE_KERNEL, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
+    LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
 };
 use microscopiq_runtime::{DecodedCache, EngineConfig, KernelPolicy, RuntimeEngine};
 
@@ -139,8 +139,8 @@ fn gemv_odd_k_with_tail_blocks_through_old_and_new_kernels() {
                     fused_gemm_serial(&layer, &acts).as_slice().to_vec(),
                     "scalar gemv/gemm parity {axis:?} bits={bits} k={k}"
                 );
-                // Every registered kernel (lane, simd, bucketed-lane,
-                // cached, …): within its pin.
+                // Every registered kernel (lane, simd, cached, …):
+                // within its pin.
                 let cache = DecodedCache::new(1 << 20);
                 for kernel in registry.kernels() {
                     let name = kernel.name();
@@ -335,7 +335,7 @@ fn without_simd_registry_falls_back_gracefully() {
         "without_simd must not register the SIMD kernel"
     );
     let ctx = KernelCtx::uncached();
-    // m = 1 at 2 bits: the bucketed-lane kernel is the Fast pick.
+    // m = 1 at 2 bits, the decode GEMV shape: the lane kernel.
     let gemv_key = DispatchKey {
         m: 1,
         bits: 2,
@@ -344,9 +344,9 @@ fn without_simd_registry_falls_back_gracefully() {
     };
     assert_eq!(
         registry.select(KernelPolicy::Fast, &gemv_key, &ctx).name(),
-        BUCKETED_LANE_KERNEL
+        LANE_KERNEL
     );
-    // GEMM shapes fall back to the lane kernel.
+    // And so do GEMM shapes.
     let gemm_key = DispatchKey {
         m: 8,
         bits: 2,

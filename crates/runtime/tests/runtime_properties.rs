@@ -95,8 +95,8 @@ proptest! {
         prop_assert!(cached_diff < 1e-9, "cached diff {}", cached_diff);
         prop_assert_eq!(&cached.gemm(&packed, &acts), &cold);
 
-        // Fast-policy dispatch (lane-blocked f32 on supported shapes,
-        // scalar elsewhere) must hold whichever kernel it picks to that
+        // Fast-policy dispatch (simd-f32 or lane-f32 on supported
+        // shapes, scalar elsewhere) must hold whichever kernel it picks to that
         // kernel's pinned tolerance.
         let fast = RuntimeEngine::new(EngineConfig {
             threads: 1,
@@ -104,7 +104,6 @@ proptest! {
             tile_rows: 0,
             parallel_threshold: usize::MAX,
             policy: KernelPolicy::Fast,
-            prefetch: false,
         });
         let picked = fast.kernel_for(&packed, batch);
         let tol = fast.registry().get(picked).expect("registered").tolerance();
