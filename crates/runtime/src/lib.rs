@@ -49,7 +49,8 @@
 //!   exposition) plus an opt-in bounded [`TraceSink`] exporting
 //!   per-request / per-step timelines as Chrome trace-event JSON.
 //!   Instrumentation is observational only: default-dispatch token
-//!   streams are bitwise identical with telemetry on or off.
+//!   streams are bitwise identical traced or untraced, and identical to
+//!   the offline session's.
 //!
 //! # Examples
 //!

@@ -58,12 +58,13 @@ impl Default for PrefixCacheConfig {
 }
 
 /// Counters and gauges describing a [`PrefixCache`]'s lifetime activity
-/// and current residency.
+/// and current residency — a snapshot of its [`PrefixMetrics`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PrefixCacheStats {
-    /// Admissions that matched a non-empty cached prefix.
+    /// Lookups that attached a non-empty cached prefix: admissions and
+    /// the re-match a preempted request makes before its recompute.
     pub hits: u64,
-    /// Admissions that matched nothing (including unmatchable one-token
+    /// Lookups that matched nothing (including unmatchable one-token
     /// prompts).
     pub misses: u64,
     /// Trie nodes evicted under capacity pressure.
@@ -76,9 +77,10 @@ pub struct PrefixCacheStats {
     pub resident_nodes: usize,
 }
 
-/// Metric handles a [`PrefixCache`] publishes when built against a
-/// [`MetricsRegistry`] — shared with the server handle so
-/// `prefix_cache_stats()` reads without crossing into the worker thread.
+/// A [`PrefixCache`]'s counters and gauges — the only tally it keeps.
+/// Registered into a [`MetricsRegistry`] by [`PrefixCache::with_metrics`]
+/// and shared with the server handle so `prefix_cache_stats()` reads
+/// without crossing into the worker thread.
 #[derive(Debug, Clone)]
 pub struct PrefixMetrics {
     pub(crate) hits: Arc<Counter>,
@@ -97,11 +99,12 @@ impl PrefixMetrics {
         Self {
             hits: reg.counter(
                 "microscopiq_prefix_cache_hits",
-                "Admissions that matched a cached prompt prefix",
+                "Lookups that attached a cached prompt prefix (admissions and \
+                 preemption re-matches)",
             ),
             misses: reg.counter(
                 "microscopiq_prefix_cache_misses",
-                "Admissions that matched no cached prefix",
+                "Lookups that matched no cached prefix",
             ),
             evictions: reg.counter(
                 "microscopiq_prefix_cache_evictions",
@@ -185,14 +188,25 @@ pub struct PrefixCache {
     /// Group-alignment quantum for edge boundaries (1 in exact mode).
     align: usize,
     clock: u64,
-    stats: PrefixCacheStats,
-    metrics: Option<PrefixMetrics>,
+    metrics: PrefixMetrics,
 }
 
 impl PrefixCache {
     /// Creates an empty cache for models of `n_layers` blocks storing KV
-    /// in `mode`.
+    /// in `mode`. Its metric handles count as usual but sit in a
+    /// throwaway registry, so nothing publishes them.
     pub fn new(cfg: PrefixCacheConfig, n_layers: usize, mode: KvMode) -> Self {
+        Self::with_metrics(cfg, n_layers, mode, &MetricsRegistry::new())
+    }
+
+    /// Like [`PrefixCache::new`], additionally publishing the
+    /// `microscopiq_prefix_cache_*` metric family into `reg`.
+    pub fn with_metrics(
+        cfg: PrefixCacheConfig,
+        n_layers: usize,
+        mode: KvMode,
+        reg: &MetricsRegistry,
+    ) -> Self {
         let align = match mode {
             KvMode::Exact => 1,
             KvMode::Quantized(q) => q.group.max(1),
@@ -204,32 +218,18 @@ impl PrefixCache {
             mode,
             align,
             clock: 0,
-            stats: PrefixCacheStats::default(),
-            metrics: None,
+            metrics: PrefixMetrics::register(reg),
         }
     }
 
-    /// Like [`PrefixCache::new`], additionally publishing the
-    /// `microscopiq_prefix_cache_*` metric family into `reg`.
-    pub fn with_metrics(
-        cfg: PrefixCacheConfig,
-        n_layers: usize,
-        mode: KvMode,
-        reg: &MetricsRegistry,
-    ) -> Self {
-        let mut cache = Self::new(cfg, n_layers, mode);
-        cache.metrics = Some(PrefixMetrics::register(reg));
-        cache
-    }
-
-    /// The metric handles, if the cache publishes telemetry.
-    pub fn metrics(&self) -> Option<&PrefixMetrics> {
-        self.metrics.as_ref()
+    /// The metric handles.
+    pub fn metrics(&self) -> &PrefixMetrics {
+        &self.metrics
     }
 
     /// Current counters and residency.
     pub fn stats(&self) -> PrefixCacheStats {
-        self.stats
+        self.metrics.snapshot()
     }
 
     /// Replaces the byte budget and immediately evicts down to it.
@@ -275,20 +275,14 @@ impl PrefixCache {
             cur = &mut node.children;
         }
         self.apply_deltas(bytes_delta, nodes_delta);
+        let m = &self.metrics;
         if pos == 0 {
-            self.stats.misses += 1;
-            if let Some(m) = &self.metrics {
-                m.misses.inc();
-            }
+            m.misses.inc();
             return None;
         }
-        self.stats.hits += 1;
-        self.stats.tokens_reused += pos as u64;
-        if let Some(m) = &self.metrics {
-            m.hits.inc();
-            m.tokens_reused.add(pos as u64);
-            m.reused_tokens.record(pos as u64);
-        }
+        m.hits.inc();
+        m.tokens_reused.add(pos as u64);
+        m.reused_tokens.record(pos as u64);
         Some(PrefixMatch {
             tokens: pos,
             bundles,
@@ -356,13 +350,9 @@ impl PrefixCache {
         self.evict_to_budget();
     }
 
-    fn apply_deltas(&mut self, bytes: isize, nodes: isize) {
-        self.stats.resident_bytes = (self.stats.resident_bytes as isize + bytes).max(0) as usize;
-        self.stats.resident_nodes = (self.stats.resident_nodes as isize + nodes).max(0) as usize;
-        if let Some(m) = &self.metrics {
-            m.resident_bytes.set(self.stats.resident_bytes as i64);
-            m.resident_nodes.set(self.stats.resident_nodes as i64);
-        }
+    fn apply_deltas(&self, bytes: isize, nodes: isize) {
+        self.metrics.resident_bytes.add(bytes as i64);
+        self.metrics.resident_nodes.add(nodes as i64);
     }
 
     /// Evicts least-recently-used unreferenced leaves until resident
@@ -370,17 +360,14 @@ impl PrefixCache {
     /// releases the trie's segment refcounts eagerly; rows still
     /// attached to live requests are freed when those requests retire.
     fn evict_to_budget(&mut self) {
-        while self.stats.resident_bytes > self.cfg.capacity_bytes {
+        while self.metrics.resident_bytes.get().max(0) as usize > self.cfg.capacity_bytes {
             let Some(stamp) = min_evictable(&self.children) else {
                 break;
             };
             let Some(freed) = remove_leaf(&mut self.children, stamp) else {
                 break;
             };
-            self.stats.evictions += 1;
-            if let Some(m) = &self.metrics {
-                m.evictions.inc();
-            }
+            self.metrics.evictions.inc();
             self.apply_deltas(-(freed as isize), -1);
         }
     }

@@ -55,17 +55,6 @@ pub struct ServerConfig {
     /// tests to widen race windows deterministically and by demos to
     /// make streaming visible; leave at zero to serve at full speed.
     pub pace: Duration,
-    /// Server-side lifecycle recording (queue-wait/TTFT/inter-token
-    /// histograms, outcome counters, per-token timestamping). On by
-    /// default; turning it off gives the uninstrumented baseline the
-    /// telemetry-overhead timing gate in `tests/telemetry.rs` measures
-    /// against.
-    /// Scheduler and kernel counters are always on regardless (their
-    /// cost is a few relaxed atomic ops per *step*, not per token), and
-    /// [`ServerHandle`](super::ServerHandle) gauges keep working either
-    /// way. Telemetry never perturbs numerics: token streams are
-    /// bitwise identical whichever way this is set.
-    pub telemetry: bool,
     /// Capacity of the opt-in trace ring buffer; 0 (the default)
     /// disables tracing entirely — no sink is allocated and the worker
     /// pays nothing. When positive, the worker records per-request span
@@ -115,7 +104,6 @@ impl Default for ServerConfig {
             admission: AdmissionPolicy::Block,
             kv_mode: KvMode::Exact,
             pace: Duration::ZERO,
-            telemetry: true,
             trace_events: 0,
             qos: QosShares::default(),
             shed: None,

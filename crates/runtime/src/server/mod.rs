@@ -209,8 +209,6 @@ struct Shared {
     /// [`ServerHandle::prefix_cache_stats`] read counters without
     /// crossing into the worker thread.
     prefix: Option<PrefixMetrics>,
-    /// Mirror of [`ServerConfig::telemetry`] for the worker's hot path.
-    telemetry: bool,
     /// Current overload shed level, published by the worker between
     /// steps and read by every handle at submit time. 0 = serve all;
     /// 1 = shed best-effort; 2 = shed batch too. Stays 0 without a
@@ -247,8 +245,9 @@ pub struct ServerReport {
     pub expired: usize,
     /// Streams terminated by a worker panic.
     pub faulted: usize,
-    /// Queued requests retired at admission by the shed policy
-    /// (submit-time refusals are counted only in the
+    /// Queued requests retired at admission by the shed policy: admitted
+    /// minus every other terminal outcome, since no stream is live at
+    /// exit (submit-time refusals are counted only in the
     /// `microscopiq_requests_shed_total` metric — they were never
     /// admitted).
     pub shed: usize,
@@ -499,7 +498,6 @@ impl Server {
             metrics,
             trace,
             prefix,
-            telemetry: cfg.telemetry,
             shed_level: AtomicU8::new(0),
             worker_exited: AtomicBool::new(false),
         });
@@ -613,7 +611,6 @@ fn worker_loop<E: PackedGemm>(
     // Extra-sample id → leader id, for routing fork results onto the
     // leader's stream. Entries are removed as samples finish or retire.
     let mut sample_of: HashMap<RequestId, RequestId> = HashMap::new();
-    let mut report = ServerReport::default();
     let mut rx_open = true;
     let mut shed_state = ShedState::default();
     let _exit_flag = ExitFlag(Arc::clone(&shared));
@@ -638,15 +635,9 @@ fn worker_loop<E: PackedGemm>(
         // rest queued is what gives the bounded queue its backpressure.
         while rx_open && live.len() < cfg.max_in_flight {
             match rx.try_recv() {
-                Ok(WorkerMsg::Submit(inc)) => admit(
-                    &mut session,
-                    &mut live,
-                    &mut sample_of,
-                    &mut report,
-                    inc,
-                    now,
-                    &shared,
-                ),
+                Ok(WorkerMsg::Submit(inc)) => {
+                    admit(&mut session, &mut live, &mut sample_of, inc, now, &shared)
+                }
                 Ok(WorkerMsg::InjectPanic) => {
                     panic!("injected worker panic (failure-injection hook)")
                 }
@@ -664,15 +655,7 @@ fn worker_loop<E: PackedGemm>(
             match rx.recv() {
                 Ok(WorkerMsg::Submit(inc)) => {
                     now = Instant::now();
-                    admit(
-                        &mut session,
-                        &mut live,
-                        &mut sample_of,
-                        &mut report,
-                        inc,
-                        now,
-                        &shared,
-                    );
+                    admit(&mut session, &mut live, &mut sample_of, inc, now, &shared);
                 }
                 Ok(WorkerMsg::InjectPanic) => {
                     panic!("injected worker panic (failure-injection hook)")
@@ -687,14 +670,7 @@ fn worker_loop<E: PackedGemm>(
         // Sweep before the step so a dropped stream frees its slot
         // without another forward, and a deadline of zero steps expires
         // before the request is ever prefilled.
-        sweep(
-            &mut session,
-            &mut live,
-            &mut sample_of,
-            &mut report,
-            now,
-            &shared,
-        );
+        sweep(&mut session, &mut live, &mut sample_of, now, &shared);
 
         if !live.is_empty() {
             let step_start = shared.trace.as_deref().map(|t| t.ts(Instant::now()));
@@ -702,17 +678,14 @@ fn worker_loop<E: PackedGemm>(
                 Ok(step) => {
                     // One timestamp for every token emitted this step:
                     // they left the same forward pass together.
-                    let emitted_at =
-                        (shared.telemetry || shared.trace.is_some()).then(Instant::now);
+                    let emitted_at = Instant::now();
                     for (id, tok) in step.emitted {
                         if let Some(l) = live.get_mut(&id) {
                             if l.events.send(StreamEvent::Token(tok)).is_err() {
                                 // Receiver gone: flag for the next sweep.
                                 l.cancelled.store(true, Ordering::Relaxed);
                             }
-                            if let Some(at) = emitted_at {
-                                record_token(&shared, id, l, at);
-                            }
+                            record_token(&shared, id, l, emitted_at);
                         }
                     }
                     for res in step.finished {
@@ -741,7 +714,6 @@ fn worker_loop<E: PackedGemm>(
                         }
                         if l.outstanding.is_empty() {
                             let mut l = live.remove(&leader).expect("leader is live");
-                            report.served += 1;
                             shared.metrics.finished.inc();
                             if let Some(t) = shared.trace.as_deref() {
                                 t.instant("finished", request_tid(leader), t.ts(now), vec![]);
@@ -780,7 +752,6 @@ fn worker_loop<E: PackedGemm>(
                                 session.cancel(*s);
                                 sample_of.remove(s);
                             }
-                            report.faulted += 1;
                             shared.metrics.faulted.inc();
                             if let Some(t) = shared.trace.as_deref() {
                                 t.instant("faulted", request_tid(id), t.ts(now), vec![]);
@@ -799,11 +770,25 @@ fn worker_loop<E: PackedGemm>(
         publish(&shared, &live);
     }
 
-    report.session = session.stats();
-    report.final_kv_rows = session.kv_occupancy();
-    report.peak_live = shared.metrics.peak_live.get().max(0) as usize;
     publish(&shared, &live);
-    report
+    let m = &shared.metrics;
+    let count = |c: &Counter| c.get() as usize;
+    let (served, cancelled, expired, faulted) = (
+        count(&m.finished),
+        count(&m.cancelled),
+        count(&m.expired),
+        count(&m.faulted),
+    );
+    ServerReport {
+        session: session.stats(),
+        served,
+        cancelled,
+        expired,
+        faulted,
+        shed: count(&m.admitted).saturating_sub(served + cancelled + expired + faulted),
+        final_kv_rows: session.kv_occupancy(),
+        peak_live: m.peak_live.get().max(0) as usize,
+    }
 }
 
 /// Worker-side shed controller state. The queue-pressure trigger is
@@ -850,27 +835,23 @@ impl ShedState {
 /// Records per-token latency metrics and first-token trace events for
 /// one stream. Every token emitted by a step shares one timestamp `at`.
 fn record_token(shared: &Shared, id: RequestId, l: &mut Live, at: Instant) {
-    if shared.telemetry {
-        shared.metrics.tokens_streamed.inc();
-        let class = l.class.index();
-        match l.last_token_at {
-            None => {
-                shared.metrics.ttft_us[class]
-                    .record_duration(at.saturating_duration_since(l.submitted));
-                shared
-                    .metrics
-                    .admit_to_first_token_us
-                    .record_duration(at.saturating_duration_since(l.admitted_at));
-            }
-            Some(prev) => {
-                shared.metrics.inter_token_us[class]
-                    .record_duration(at.saturating_duration_since(prev));
+    shared.metrics.tokens_streamed.inc();
+    let class = l.class.index();
+    match l.last_token_at {
+        None => {
+            shared.metrics.ttft_us[class]
+                .record_duration(at.saturating_duration_since(l.submitted));
+            shared
+                .metrics
+                .admit_to_first_token_us
+                .record_duration(at.saturating_duration_since(l.admitted_at));
+            if let Some(t) = shared.trace.as_deref() {
+                t.instant("first_token", request_tid(id), t.ts(at), vec![]);
             }
         }
-    }
-    if l.last_token_at.is_none() {
-        if let Some(t) = shared.trace.as_deref() {
-            t.instant("first_token", request_tid(id), t.ts(at), vec![]);
+        Some(prev) => {
+            shared.metrics.inter_token_us[class]
+                .record_duration(at.saturating_duration_since(prev));
         }
     }
     l.last_token_at = Some(at);
@@ -902,6 +883,10 @@ fn trace_step(t: &TraceSink, start_us: u64, batch: &crate::session::StepBatch) {
                 "decode_segments",
                 TraceArg::U64(batch.decode_segments as u64),
             ),
+            (
+                "recompute_tokens",
+                TraceArg::U64(batch.recompute_tokens as u64),
+            ),
             ("new_tokens", TraceArg::U64(batch.new_tokens as u64)),
             ("queue_depth", TraceArg::U64(batch.queue_depth as u64)),
             ("kv_rows", TraceArg::U64(batch.kv_rows as u64)),
@@ -920,7 +905,6 @@ fn admit<E: PackedGemm>(
     session: &mut Session<E>,
     live: &mut HashMap<RequestId, Live>,
     sample_of: &mut HashMap<RequestId, RequestId>,
-    report: &mut ServerReport,
     inc: Incoming,
     now: Instant,
     shared: &Shared,
@@ -933,7 +917,6 @@ fn admit<E: PackedGemm>(
         // It still counts as admitted so the accounting identity
         // admitted = finished + cancelled + expired + faulted + live
         // holds at every instant.
-        report.cancelled += 1;
         shared.metrics.admitted.inc();
         shared.metrics.cancelled.inc();
         return;
@@ -944,13 +927,12 @@ fn admit<E: PackedGemm>(
     // expired + faulted + shed + live) still holds.
     let level = shared.shed_level.load(Ordering::Relaxed);
     if level >= ShedPolicy::shed_at(inc.req.class) {
-        report.shed += 1;
         shared.metrics.admitted.inc();
         shared.metrics.shed[inc.req.class.index()].inc();
         let _ = inc.events.send(StreamEvent::Error(ServeError::Shed));
         return;
     }
-    let admitted_step = session.stats().steps;
+    let before = session.stats();
     let Incoming {
         req,
         opts,
@@ -962,18 +944,15 @@ fn admit<E: PackedGemm>(
     let max_new_tokens = req.max_new_tokens;
     let class = req.class;
     let n_samples = req.n_samples.max(1);
-    let prefix_before = session.stats();
     // `Session::submit` validates the prompt and panics on malformed
     // input; caught here, that faults only the offending stream.
     match catch_unwind(AssertUnwindSafe(|| session.submit(req))) {
         Ok(id) => {
             shared.metrics.admitted.inc();
-            if shared.telemetry {
-                shared
-                    .metrics
-                    .queue_wait_us
-                    .record_duration(now.saturating_duration_since(submitted));
-            }
+            shared
+                .metrics
+                .queue_wait_us
+                .record_duration(now.saturating_duration_since(submitted));
             if let Some(t) = shared.trace.as_deref() {
                 t.instant(
                     "enqueued",
@@ -986,8 +965,8 @@ fn admit<E: PackedGemm>(
                 );
                 t.instant("admitted", request_tid(id), t.ts(now), vec![]);
                 let after = session.stats();
-                if after.prefix_hits > prefix_before.prefix_hits {
-                    let reused = after.prefix_tokens_reused - prefix_before.prefix_tokens_reused;
+                if after.prefix_hits > before.prefix_hits {
+                    let reused = after.prefix_tokens_reused - before.prefix_tokens_reused;
                     t.instant(
                         "prefix_hit",
                         request_tid(id),
@@ -1006,7 +985,7 @@ fn admit<E: PackedGemm>(
                     cancelled,
                     deadline: opts.deadline,
                     class,
-                    admitted_step,
+                    admitted_step: before.steps,
                     submitted,
                     admitted_at: now,
                     last_token_at: None,
@@ -1016,7 +995,6 @@ fn admit<E: PackedGemm>(
             );
         }
         Err(payload) => {
-            report.faulted += 1;
             shared.metrics.admitted.inc();
             shared.metrics.faulted.inc();
             let _ = events.send(StreamEvent::Error(ServeError::WorkerPanicked(
@@ -1034,7 +1012,6 @@ fn sweep<E: PackedGemm>(
     session: &mut Session<E>,
     live: &mut HashMap<RequestId, Live>,
     sample_of: &mut HashMap<RequestId, RequestId>,
-    report: &mut ServerReport,
     now: Instant,
     shared: &Shared,
 ) {
@@ -1061,13 +1038,11 @@ fn sweep<E: PackedGemm>(
             sample_of.remove(s);
         }
         if l.cancelled.load(Ordering::Relaxed) {
-            report.cancelled += 1;
             shared.metrics.cancelled.inc();
             if let Some(t) = shared.trace.as_deref() {
                 t.instant("cancelled", request_tid(id), t.ts(now), vec![]);
             }
         } else {
-            report.expired += 1;
             shared.metrics.expired.inc();
             if let Some(t) = shared.trace.as_deref() {
                 t.instant("deadline_expired", request_tid(id), t.ts(now), vec![]);

@@ -177,7 +177,8 @@ pub struct GenResult {
     pub new_tokens: usize,
 }
 
-/// Scheduler counters.
+/// Scheduler counters, read from the session's metrics registry by
+/// [`Session::stats`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SessionStats {
     /// Batched decode steps executed.
@@ -195,10 +196,13 @@ pub struct SessionStats {
     pub prefill_chunks: usize,
     /// Requests removed via [`Session::cancel`] before finishing.
     pub cancelled: usize,
-    /// Admissions that attached a non-empty cached prompt prefix (always
-    /// 0 unless [`Session::enable_prefix_cache`] was called).
+    /// Prefix-cache lookups that attached a non-empty cached prefix: at
+    /// admission, and at the re-match a preempted request makes before
+    /// its recompute (always 0 unless [`Session::enable_prefix_cache`]
+    /// was called). Equal to [`PrefixCacheStats::hits`].
     pub prefix_hits: usize,
-    /// Prompt tokens served from the prefix cache instead of prefilled.
+    /// Tokens those hits served from the prefix cache instead of
+    /// prefilling or recomputing them.
     pub prefix_tokens_reused: usize,
     /// Requests preempted under the KV byte budget (or via
     /// [`Session::preempt`]), per [`QosClass::index`]. The budget policy
@@ -336,7 +340,7 @@ pub struct StepBatch {
     /// Single-token decode segments in the batch.
     pub decode_segments: usize,
     /// Total new tokens the forward consumed (`prefill_tokens +
-    /// decode_segments`) — compare against
+    /// recompute_tokens + decode_segments`) — compare against
     /// [`SchedulerConfig::token_budget`] for utilization.
     pub new_tokens: usize,
     /// Requests still waiting or in flight after the step.
@@ -682,7 +686,9 @@ pub struct Session<E: PackedGemm> {
     kv_mode: KvMode,
     next_id: RequestId,
     finished: Vec<GenResult>,
-    stats: SessionStats,
+    /// Largest batch executed — the one [`SessionStats`] figure with no
+    /// registry instrument behind it.
+    max_batch_used: usize,
     telemetry: MetricsRegistry,
     metrics: SchedMetrics,
     /// Shared-prompt KV reuse, opt-in via
@@ -759,7 +765,7 @@ impl<E: PackedGemm> Session<E> {
             kv_mode,
             next_id: 0,
             finished: Vec::new(),
-            stats: SessionStats::default(),
+            max_batch_used: 0,
             telemetry,
             metrics,
             prefix: None,
@@ -826,7 +832,7 @@ impl<E: PackedGemm> Session<E> {
     /// The prefix cache's shared metric handles, for front-ends that
     /// read stats without crossing into the worker thread.
     pub(crate) fn prefix_metrics(&self) -> Option<PrefixMetrics> {
-        self.prefix.as_ref().and_then(|c| c.metrics().cloned())
+        self.prefix.as_ref().map(|c| c.metrics().clone())
     }
 
     /// The session's metrics registry: scheduler instruments are already
@@ -868,9 +874,25 @@ impl<E: PackedGemm> Session<E> {
         &self.model
     }
 
-    /// Scheduler counters so far.
+    /// Scheduler counters so far, assembled from the registry's
+    /// scheduler instruments and the prefix cache's counters.
     pub fn stats(&self) -> SessionStats {
-        self.stats
+        let m = &self.metrics;
+        let count = |c: &Counter| c.get() as usize;
+        let prefix = self.prefix_cache_stats().unwrap_or_default();
+        SessionStats {
+            steps: count(&m.steps),
+            tokens_generated: count(&m.tokens_generated),
+            max_batch_used: self.max_batch_used,
+            prefill_tokens: count(&m.prefill_tokens),
+            prefill_chunks: count(&m.prefill_chunks),
+            cancelled: count(&m.cancelled),
+            prefix_hits: prefix.hits as usize,
+            prefix_tokens_reused: prefix.tokens_reused as usize,
+            preemptions: m.preemptions.each_ref().map(|c| count(c)),
+            recompute_tokens: count(&m.recompute_tokens),
+            peak_kv_bytes: m.kv_peak_bytes.get().max(0) as usize,
+        }
     }
 
     /// Requests admitted and not yet finished (waiting or in flight).
@@ -921,10 +943,6 @@ impl<E: PackedGemm> Session<E> {
             return id;
         }
         let attach = self.prefix.as_mut().and_then(|c| c.lookup(&req.prompt));
-        if let Some(m) = &attach {
-            self.stats.prefix_hits += 1;
-            self.stats.prefix_tokens_reused += m.tokens;
-        }
         if n_samples > 1 {
             self.pending_forks.insert(
                 id,
@@ -963,7 +981,6 @@ impl<E: PackedGemm> Session<E> {
         for followers in self.pending_forks.values_mut() {
             if let Some(pos) = followers.iter().position(|&(f, _)| f == id) {
                 followers.remove(pos);
-                self.stats.cancelled += 1;
                 self.metrics.cancelled.inc();
                 return true;
             }
@@ -973,20 +990,17 @@ impl<E: PackedGemm> Session<E> {
             // its undispersed samples with it — they cannot exist
             // without the leader's prefill.
             if let Some(followers) = self.pending_forks.remove(&id) {
-                self.stats.cancelled += followers.len();
                 self.metrics.cancelled.add(followers.len() as u64);
             }
             // Dropping the InFlight drops its DecodeState: the KV cache
             // is reclaimed now, not at some later step.
             drop(req);
-            self.stats.cancelled += 1;
             self.metrics.cancelled.inc();
             self.record_occupancy();
             return true;
         }
         if let Some(pos) = self.finished.iter().position(|r| r.id == id) {
             self.finished.remove(pos);
-            self.stats.cancelled += 1;
             self.metrics.cancelled.inc();
             return true;
         }
@@ -1072,7 +1086,6 @@ impl<E: PackedGemm> Session<E> {
             req.tokens = tokens;
             req.attach = attach;
         }
-        self.stats.preemptions[class.index()] += 1;
         self.metrics.preemptions[class.index()].inc();
         self.record_occupancy();
         true
@@ -1245,15 +1258,12 @@ impl<E: PackedGemm> Session<E> {
                     // A preempted request re-advancing history: counted
                     // apart from first-time prefill so `prefill_tokens`
                     // keeps meaning "each prompt token at most once".
-                    self.stats.recompute_tokens += *take;
                     sb.recompute_chunks += 1;
                     sb.recompute_tokens += *take;
                     sb.prefilled.push((req.id, *take));
                 } else if !req.prefill_done() {
                     // Prompt tokens are counted on the step whose chunk
                     // advances them — never re-counted on resume.
-                    self.stats.prefill_tokens += *take;
-                    self.stats.prefill_chunks += 1;
                     sb.prefill_chunks += 1;
                     sb.prefill_tokens += *take;
                     sb.prefilled.push((req.id, *take));
@@ -1277,8 +1287,7 @@ impl<E: PackedGemm> Session<E> {
                 .collect();
             let logits = self.model.advance_batch(&mut jobs, &self.engine);
             drop(jobs);
-            self.stats.steps += 1;
-            self.stats.max_batch_used = self.stats.max_batch_used.max(batch.len());
+            self.max_batch_used = self.max_batch_used.max(batch.len());
             // True in-step peak: caches only grow during the forward and
             // finished requests release only at retirement below, so the
             // high-water mark is right here. (Planned requests were
@@ -1288,7 +1297,6 @@ impl<E: PackedGemm> Session<E> {
                     .iter()
                     .map(|(r, _)| r.state.as_ref().map_or(0, |s| s.kv_bytes()))
                     .sum::<usize>();
-            self.stats.peak_kv_bytes = self.stats.peak_kv_bytes.max(peak);
             self.metrics.kv_peak_bytes.set_max(peak as i64);
             let mut generated = 0;
             for ((req, _), logit) in batch.iter_mut().zip(logits.iter()) {
@@ -1376,7 +1384,6 @@ impl<E: PackedGemm> Session<E> {
                 req.tokens.push(tok);
                 req.remaining -= 1;
             }
-            self.stats.tokens_generated += generated;
             // Retire finished requests; the rest return to their class
             // queue's front in order, keeping arrival-order fairness
             // within the class (a request parked mid-prefill keeps its

@@ -17,7 +17,9 @@
 //! Instrumentation never perturbs numerics: metrics observe scheduling
 //! and dispatch decisions, they do not influence them, and serving
 //! conformance tests pin that default-dispatch token streams stay
-//! bitwise identical with telemetry enabled, disabled, or traced.
+//! bitwise identical to the offline session's, traced or untraced.
+//! Metrics have no off switch; tracing is opt-in through
+//! [`ServerConfig::trace_events`](crate::ServerConfig::trace_events).
 
 pub mod metrics;
 pub mod trace;

@@ -397,6 +397,7 @@ fn kv_budget_squeeze_preempts_sheddable_and_stays_bitwise() {
         assert_eq!(got, want, "stream {i} diverged under the KV squeeze");
     }
     assert_eq!(handle.kv_rows(), 0, "KV drains once the squeeze retires");
+    let snap = handle.metrics_snapshot();
     drop(handle); // the worker exits once every admission sender is gone
     let report = server.shutdown();
     let stats = report.session;
@@ -408,6 +409,23 @@ fn kv_budget_squeeze_preempts_sheddable_and_stays_bitwise() {
         stats.peak_kv_bytes
     );
     assert_eq!(report.final_kv_rows, 0);
+    // The report reads the same instruments the registry exposes.
+    for class in QosClass::ALL {
+        assert_eq!(
+            snap.counter_with("microscopiq_preemptions_total", &[("class", class.label())]),
+            Some(stats.preemptions[class.index()] as u64),
+            "{} preemptions",
+            class.label()
+        );
+    }
+    assert_eq!(
+        snap.counter("microscopiq_recompute_tokens_total"),
+        stats.recompute_tokens as u64
+    );
+    assert_eq!(
+        snap.gauge("microscopiq_kv_peak_bytes"),
+        Some(stats.peak_kv_bytes as i64)
+    );
 }
 
 #[test]

@@ -173,6 +173,37 @@ proptest! {
     }
 }
 
+/// A preempted request re-matches the prefix cache before its
+/// recompute. That lookup is a hit like an admission's, so the session's
+/// counters and the cache's agree after it, and the resumed stream still
+/// matches a cold run.
+#[test]
+fn preemption_rematch_counts_as_a_prefix_hit() {
+    let model = serving_model();
+    let sched = SchedulerConfig::new(2);
+    let req = GenRequest {
+        prompt: (0..12).collect(),
+        max_new_tokens: 4,
+        temperature: 0.8,
+        seed: 41,
+        ..Default::default()
+    };
+    let want = cold_reference(&model, sched, KvMode::Exact, &req);
+    let mut session = Session::with_config(model, DequantGemm, sched, KvMode::Exact).unwrap();
+    session.enable_prefix_cache(PrefixCacheConfig::default());
+    let id = session.submit(req);
+    // One whole-prompt step completes the prompt, which inserts it.
+    session.step();
+    assert!(session.preempt(id));
+    let cache = session.prefix_cache_stats().expect("cache enabled");
+    assert_eq!(cache.hits, 1, "the re-match attached the cached prompt");
+    let s = session.stats();
+    assert_eq!(s.prefix_hits as u64, cache.hits);
+    assert_eq!(s.prefix_tokens_reused as u64, cache.tokens_reused);
+    let got = session.run_to_completion().pop().expect("request finished");
+    assert_eq!(got.tokens, want.tokens, "resumed stream diverged");
+}
+
 /// Quantized-KV reuse attaches only whole quantized groups
 /// (`tokens_reused` is group-aligned) and is deterministic: two warm
 /// sessions fed the same traffic agree bitwise on every stream.

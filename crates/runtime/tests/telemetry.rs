@@ -2,8 +2,8 @@
 //! *perturb*.
 //!
 //! * **Non-interference** — served token streams are bitwise identical
-//!   whether server-side telemetry is off, on, or on with tracing, and
-//!   identical to the offline [`Session::run_to_completion`] reference.
+//!   with and without tracing (metrics are always on), and identical to
+//!   the offline [`Session::run_to_completion`] reference.
 //! * **Accounting identity** — after the server drains, the lifecycle
 //!   counters balance: admitted = finished + cancelled + expired +
 //!   faulted; the queue-depth and KV gauges return to zero; histogram
@@ -11,16 +11,13 @@
 //! * **Trace schema** — the exported trace is valid Chrome trace-event
 //!   JSON (checked with a hand-rolled parser, no serde) carrying the
 //!   expected per-request and per-step events.
-//! * **Overhead** — instrumented flood throughput stays within 5% of the
-//!   uninstrumented baseline. A wall-clock ratio, so it is `#[ignore]`d:
-//!   run it alone, in release, with `--ignored` and one test thread.
 
 use microscopiq_core::{MicroScopiQ, QuantConfig};
 use microscopiq_fm::{DequantGemm, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::{
-    Deadline, EngineConfig, GenRequest, GenResult, RequestOptions, RuntimeEngine, ServeError,
-    Server, ServerConfig, ServerHandle, Session, StreamEvent,
+    Deadline, GenRequest, GenResult, RequestOptions, RuntimeEngine, ServeError, Server,
+    ServerConfig, ServerHandle, Session, StreamEvent,
 };
 use std::time::{Duration, Instant};
 
@@ -81,11 +78,11 @@ fn wait_until(what: &str, mut cond: impl FnMut() -> bool) {
 }
 
 // ---------------------------------------------------------------------
-// Non-interference: telemetry off / on / traced are bitwise identical.
+// Non-interference: untraced and traced streams are bitwise identical.
 // ---------------------------------------------------------------------
 
 #[test]
-fn streams_bitwise_identical_with_telemetry_off_on_and_traced() {
+fn streams_bitwise_identical_untraced_and_traced() {
     let model = packed_model(51, 4);
     let reqs = request_fleet(24, model.config().vocab, 17);
 
@@ -101,131 +98,23 @@ fn streams_bitwise_identical_with_telemetry_off_on_and_traced() {
         prefill_chunk: 2,
         ..ServerConfig::default()
     };
-    let off = serve_all(
-        &model,
-        ServerConfig {
-            telemetry: false,
-            ..base
-        },
-        &reqs,
-    );
-    let on = serve_all(
-        &model,
-        ServerConfig {
-            telemetry: true,
-            ..base
-        },
-        &reqs,
-    );
+    let untraced = serve_all(&model, base, &reqs);
     let traced = serve_all(
         &model,
         ServerConfig {
-            telemetry: true,
             trace_events: 1 << 14,
             ..base
         },
         &reqs,
     );
 
-    for (((want, a), b), c) in offline.iter().zip(&off).zip(&on).zip(&traced) {
-        assert_eq!(a.tokens, want.tokens, "telemetry off diverged from offline");
-        assert_eq!(b.tokens, want.tokens, "telemetry on diverged from offline");
-        assert_eq!(c.tokens, want.tokens, "tracing diverged from offline");
+    for ((want, a), b) in offline.iter().zip(&untraced).zip(&traced) {
+        assert_eq!(
+            a.tokens, want.tokens,
+            "untraced server diverged from offline"
+        );
+        assert_eq!(b.tokens, want.tokens, "tracing diverged from offline");
     }
-}
-
-// ---------------------------------------------------------------------
-// Overhead: instrumented throughput within 5% of uninstrumented.
-// ---------------------------------------------------------------------
-
-/// Tokens/s of one flood — 64 requests of 16 new tokens submitted back
-/// to back — on a fresh default-tier server with server-side telemetry
-/// on or off. The engine runs on one thread: a GEMM split across both
-/// cores of a small shared box swings with its neighbours' load by more
-/// than the 5% under test.
-fn flood_tokens_per_s(model: &PackedTinyFm, telemetry: bool) -> f64 {
-    let engine = RuntimeEngine::new(EngineConfig {
-        threads: 1,
-        ..EngineConfig::default()
-    });
-    let server = Server::spawn(
-        model.clone(),
-        engine,
-        ServerConfig {
-            max_batch: 32,
-            queue_capacity: 128,
-            max_in_flight: 64,
-            telemetry,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let handle = server.handle();
-    let vocab = model.config().vocab;
-    let mut rng = SeededRng::new(900);
-    let t0 = Instant::now();
-    let streams: Vec<_> = (0..64u64)
-        .map(|i| {
-            let req = GenRequest {
-                prompt: (0..8).map(|_| rng.below(vocab)).collect(),
-                max_new_tokens: 16,
-                temperature: 0.8,
-                seed: 3_000 + i,
-                ..Default::default()
-            };
-            handle.submit(req).expect("submit")
-        })
-        .collect();
-    let tokens: usize = streams
-        .into_iter()
-        .map(|s| s.collect().expect("stream completes").new_tokens)
-        .sum();
-    tokens as f64 / t0.elapsed().as_secs_f64()
-}
-
-/// Timing gate: server-side telemetry costs at most 5% of flood
-/// throughput. Best-of-3 floods per setting, on a d_model 256 / d_ff 512
-/// model where tokens are compute-bound — the shape the 5% budget is
-/// specified against. After one untimed warm-up flood the settings
-/// alternate on, off, off, on, on, off, so a drift in machine speed
-/// favours neither.
-#[test]
-#[ignore = "timing gate: run alone on the chaos CI leg"]
-fn telemetry_costs_at_most_five_percent_of_flood_throughput() {
-    let cfg = TinyFmConfig {
-        d_model: 256,
-        n_heads: 4,
-        d_ff: 512,
-        n_layers: 2,
-        vocab: 96,
-    };
-    let fm = TinyFm::teacher(cfg, 33);
-    let mut rng = SeededRng::new(34);
-    let calib: Vec<Vec<usize>> = (0..3).map(|_| fm.generate(10, 0.9, &mut rng)).collect();
-    let q = MicroScopiQ::new(
-        QuantConfig::w4()
-            .macro_block(64)
-            .row_block(64)
-            .build()
-            .unwrap(),
-    );
-    let wide = PackedTinyFm::quantize_from(&fm, &q, &calib).unwrap();
-
-    flood_tokens_per_s(&wide, true);
-    let (mut on, mut off) = (0.0_f64, 0.0_f64);
-    for round in 0..3 {
-        for telemetry in [round % 2 == 0, round % 2 == 1] {
-            let tok_s = flood_tokens_per_s(&wide, telemetry);
-            let best = if telemetry { &mut on } else { &mut off };
-            *best = best.max(tok_s);
-        }
-    }
-    let ratio = on / off;
-    println!("telemetry overhead: on {on:.0} tok/s, off {off:.0} tok/s, ratio {ratio:.3}");
-    assert!(
-        ratio >= 0.95,
-        "telemetry must cost <= 5% of flood throughput (got ratio {ratio:.3})"
-    );
 }
 
 // ---------------------------------------------------------------------
@@ -437,6 +326,7 @@ fn metrics_identity_holds_under_submit_cancel_deadline_churn() {
     assert_eq!(report.cancelled, cancelled as usize);
     assert_eq!(report.expired, expired as usize);
     assert_eq!(report.faulted, faulted as usize);
+    assert_eq!(report.shed, 0, "no shed policy, nothing shed");
 }
 
 // ---------------------------------------------------------------------
@@ -916,17 +806,19 @@ fn exported_trace_is_valid_chrome_trace_event_json() {
         if name == "step" {
             assert_eq!(tid, 0.0, "step spans live on the scheduler lane");
             let args = ev.get("args").expect("step spans carry batch args");
-            for key in [
-                "requests",
-                "prefill_tokens",
-                "new_tokens",
-                "queue_depth",
-                "kv_rows",
-            ] {
+            let arg = |key: &str| {
                 args.get(key)
                     .and_then(Json::as_num)
-                    .unwrap_or_else(|| panic!("step args missing {key}"));
+                    .unwrap_or_else(|| panic!("step args missing {key}"))
+            };
+            for key in ["requests", "queue_depth", "kv_rows"] {
+                arg(key);
             }
+            assert_eq!(
+                arg("prefill_tokens") + arg("recompute_tokens") + arg("decode_segments"),
+                arg("new_tokens"),
+                "a step's token args partition its new tokens"
+            );
         } else {
             assert!(tid >= 1.0, "per-request events live on request lanes");
         }
