@@ -230,14 +230,12 @@ fn main() {
             cache_bytes: 0,
             parallel_threshold: usize::MAX,
             policy,
-            ..EngineConfig::default()
         });
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
             cache_bytes: 0,
             parallel_threshold: 0,
             policy,
-            ..EngineConfig::default()
         });
         let want = serial.gemv(&layer, &x);
         let got1 = parallel.gemv(&layer, &x);

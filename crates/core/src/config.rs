@@ -12,6 +12,10 @@ use crate::error::QuantError;
 /// walkthrough maps micro-blocks across output channels. Both are
 /// supported; accuracy experiments default to [`GroupAxis::DotProduct`],
 /// accelerator experiments use [`GroupAxis::OutputChannel`].
+///
+/// The serving runtime's fast kernels (`lane-f32`, `simd-f32`,
+/// `bucketed-cache`) run `DotProduct` layers only; an `OutputChannel`
+/// layer executes on its scalar `f64` oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum GroupAxis {
     /// Blocks span contiguous input-dimension (column) indices within a row.

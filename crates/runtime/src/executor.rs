@@ -35,7 +35,10 @@
 //! contract, ~1e-12 observed); opting into [`KernelPolicy::Fast`] adds
 //! the `simd-f32` kernel (AVX2+FMA or NEON detected) or else the
 //! lane-blocked `lane-f32` kernel, each at its own pinned relative
-//! tolerance.
+//! tolerance. Those three kernels run `DotProduct` layers only, the
+//! layout every served model uses: an `OutputChannel` layer runs on the
+//! scalar oracle under every policy, still split across the pool at
+//! macro-block-aligned tile edges.
 
 use crate::cache::{CacheStats, DecodedCache};
 use crate::kernels::{DispatchKey, KernelCtx, KernelOp, KernelPolicy, KernelRegistry, MicroKernel};
@@ -57,8 +60,6 @@ pub struct EngineConfig {
     pub threads: usize,
     /// Decoded-tile cache residency cap in bytes; 0 disables caching.
     pub cache_bytes: usize,
-    /// Output rows per tile; 0 picks a size from the thread count.
-    pub tile_rows: usize,
     /// Calls of fewer multiply-accumulates than this run on the calling
     /// thread; larger ones are one job on the engine's pool. The default,
     /// 2^19, is read off the serial-vs-split table the `kernels` bench
@@ -76,7 +77,8 @@ pub struct EngineConfig {
     pub parallel_threshold: usize,
     /// How the engine picks a kernel per call (see
     /// [`crate::kernels::dispatch`] for the policy table). The default
-    /// reproduces the pre-dispatch engine bit for bit.
+    /// reproduces the pre-dispatch engine bit for bit on `DotProduct`
+    /// layers.
     pub policy: KernelPolicy,
 }
 
@@ -85,7 +87,6 @@ impl Default for EngineConfig {
         Self {
             threads: 0,
             cache_bytes: 64 << 20,
-            tile_rows: 0,
             parallel_threshold: 1 << 19,
             policy: KernelPolicy::Default,
         }
@@ -99,15 +100,14 @@ impl EngineConfig {
     ///
     /// Knobs the scalar engine honors: none beyond what this constructor
     /// pins. `policy: Scalar` forces the bit-exact oracle kernel on every
-    /// call, `threads: 1` disables tiling entirely (so `tile_rows` is
-    /// never read), `cache_bytes: 0` disables the decoded cache (the
-    /// oracle would ignore it anyway), and `parallel_threshold` is moot
-    /// once `threads == 1` (kept at `usize::MAX` for belt-and-braces).
+    /// call, `threads: 1` disables tiling entirely, `cache_bytes: 0`
+    /// disables the decoded cache (the oracle would ignore it anyway),
+    /// and `parallel_threshold` is moot once `threads == 1` (kept at
+    /// `usize::MAX` for belt-and-braces).
     pub fn scalar() -> Self {
         Self {
             threads: 1,
             cache_bytes: 0,
-            tile_rows: 0,
             parallel_threshold: usize::MAX,
             policy: KernelPolicy::Scalar,
         }
@@ -182,9 +182,9 @@ impl RuntimeEngine {
     /// including the m = 1 GEMV shape that dominates per-step decode — to
     /// the `simd-f32` kernel when AVX2+FMA or NEON is detected and to the
     /// lane-blocked `lane-f32` kernel otherwise, with the scalar oracle
-    /// as fallback for outlier-heavy layers or oversized groups. (With a
-    /// cache, `Fast` would resolve to the near-exact bucketed kernel,
-    /// i.e. the default tier.) Results are within the picked kernel's
+    /// as fallback for outlier-heavy layers, oversized groups and
+    /// `OutputChannel` layers. (With a cache, `Fast` would resolve to the
+    /// near-exact bucketed kernel, i.e. the default tier.) Results are within the picked kernel's
     /// pinned relative tolerance of the bit-exact default — the
     /// f32-tolerant serving conformance tier (`tests/fast_serving.rs`)
     /// bounds per-token logit deltas and pins argmax-token parity, which
@@ -343,22 +343,20 @@ impl RuntimeEngine {
         out
     }
 
-    /// Tile edges for a `d_row`-row output. Tiles align to macro-block
-    /// boundaries on the `OutputChannel` axis so no group straddles tiles.
+    /// Tile edges for a `d_row`-row output: about 4 tiles per thread,
+    /// which keeps the steal queue busy without making tiles too small to
+    /// amortize claim overhead. Tiles align to macro-block boundaries on
+    /// the `OutputChannel` axis (scalar oracle only) so no group
+    /// straddles tiles.
     fn tile_edges(&self, layer: &PackedLayer) -> Vec<usize> {
         let d_row = layer.d_row();
         let quantum = match layer.axis() {
             microscopiq_core::config::GroupAxis::DotProduct => 1,
             microscopiq_core::config::GroupAxis::OutputChannel => layer.macro_block(),
         };
-        let rows = if self.cfg.tile_rows > 0 {
-            self.cfg.tile_rows
-        } else {
-            // ~4 tiles per worker keeps the steal queue busy without
-            // making tiles too small to amortize claim overhead.
-            (d_row / (self.threads * 4)).max(1)
-        };
-        let rows = rows.next_multiple_of(quantum);
+        let rows = (d_row / (self.threads * 4))
+            .max(1)
+            .next_multiple_of(quantum);
         let mut edges: Vec<usize> = (0..d_row).step_by(rows).collect();
         edges.push(d_row);
         edges
@@ -653,7 +651,6 @@ mod tests {
             let parallel = RuntimeEngine::new(EngineConfig {
                 threads: 4,
                 cache_bytes: 0,
-                tile_rows: 16,
                 parallel_threshold: 0,
                 ..EngineConfig::default()
             })
@@ -675,7 +672,6 @@ mod tests {
             let cached = RuntimeEngine::new(EngineConfig {
                 threads: 2,
                 cache_bytes: 1 << 20,
-                tile_rows: 16,
                 parallel_threshold: 0,
                 ..EngineConfig::default()
             });
@@ -694,7 +690,6 @@ mod tests {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 1,
             cache_bytes: 1 << 20,
-            tile_rows: 0,
             parallel_threshold: usize::MAX,
             ..EngineConfig::default()
         });
@@ -723,7 +718,6 @@ mod tests {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 3,
             cache_bytes: 0,
-            tile_rows: 8,
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
@@ -765,7 +759,6 @@ mod tests {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 2,
             cache_bytes: 0,
-            tile_rows: 8,
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
@@ -793,7 +786,6 @@ mod tests {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 8,
             cache_bytes: 0,
-            tile_rows: 0,
             parallel_threshold: usize::MAX,
             ..EngineConfig::default()
         });
@@ -806,22 +798,26 @@ mod tests {
 
     #[test]
     fn odd_tile_sizes_cover_all_rows() {
-        for tile_rows in [1, 3, 7, 64, 1000] {
-            let layer = packed_layer(48, 32, GroupAxis::OutputChannel, 7);
-            let mut rng = SeededRng::new(8);
-            let acts = Matrix::from_fn(32, 3, |_, _| rng.normal(0.0, 1.0));
-            let engine = RuntimeEngine::new(EngineConfig {
-                threads: 3,
-                cache_bytes: 0,
-                tile_rows,
-                parallel_threshold: 0,
-                ..EngineConfig::default()
-            });
-            assert_eq!(
-                engine.gemm(&layer, &acts),
-                layer.dequantize().matmul(&acts),
-                "tile_rows={tile_rows}"
-            );
+        // Tile rows follow the thread count: 40 rows split 5, 3 (ragged
+        // last tile), 2 and 1 rows per tile on DotProduct, and round up to
+        // the 16-row macro-block quantum on OutputChannel.
+        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
+            for threads in [2, 3, 5, 7] {
+                let layer = packed_layer(40, 32, axis, 7);
+                let mut rng = SeededRng::new(8);
+                let acts = Matrix::from_fn(32, 3, |_, _| rng.normal(0.0, 1.0));
+                let engine = RuntimeEngine::new(EngineConfig {
+                    threads,
+                    cache_bytes: 0,
+                    parallel_threshold: 0,
+                    ..EngineConfig::default()
+                });
+                assert_eq!(
+                    engine.gemm(&layer, &acts),
+                    layer.dequantize().matmul(&acts),
+                    "{axis:?} threads={threads}"
+                );
+            }
         }
     }
 
@@ -838,7 +834,6 @@ mod tests {
             let gemv_route = RuntimeEngine::new(EngineConfig {
                 threads: 4,
                 cache_bytes: 0,
-                tile_rows: 8,
                 parallel_threshold: usize::MAX,
                 ..EngineConfig::default()
             });
@@ -851,7 +846,6 @@ mod tests {
             let parallel_route = RuntimeEngine::new(EngineConfig {
                 threads: 4,
                 cache_bytes: 0,
-                tile_rows: 8,
                 parallel_threshold: 0,
                 ..EngineConfig::default()
             });
@@ -863,7 +857,6 @@ mod tests {
             let cached = RuntimeEngine::new(EngineConfig {
                 threads: 4,
                 cache_bytes: 1 << 20,
-                tile_rows: 8,
                 parallel_threshold: usize::MAX,
                 ..EngineConfig::default()
             });
@@ -884,7 +877,6 @@ mod tests {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 1,
             cache_bytes: 1 << 20,
-            tile_rows: 0,
             parallel_threshold: usize::MAX,
             ..EngineConfig::default()
         });
@@ -915,7 +907,6 @@ mod tests {
             cache_bytes: 0,
             parallel_threshold: usize::MAX,
             policy: KernelPolicy::Fast,
-            ..EngineConfig::default()
         });
         // At m = 9, Fast picks the SIMD kernel when this host has one,
         // the lane kernel otherwise — both in the same tolerance class.
@@ -937,7 +928,6 @@ mod tests {
             cache_bytes: 1 << 20,
             parallel_threshold: usize::MAX,
             policy: KernelPolicy::Fast,
-            ..EngineConfig::default()
         });
         assert_eq!(fast_cached.kernel_for(&layer, 9), "bucketed-cache");
     }
@@ -956,31 +946,24 @@ mod tests {
                 let serial = RuntimeEngine::new(EngineConfig {
                     threads: 1,
                     cache_bytes: 0,
-                    tile_rows: 0,
                     parallel_threshold: usize::MAX,
                     policy,
                 })
                 .gemv(&layer, &x);
                 // Same kernel, reduction split across workers at several
-                // tile sizes and thread counts: the stitch must reproduce
+                // thread counts (and so tile sizes): the stitch must reproduce
                 // the serial result bit for bit, every run.
-                for threads in [2usize, 3, 4] {
-                    for tile_rows in [0usize, 8, 16, 48] {
-                        let engine = RuntimeEngine::new(EngineConfig {
-                            threads,
-                            cache_bytes: 0,
-                            tile_rows,
-                            parallel_threshold: 0,
-                            policy,
-                        });
-                        let a = engine.gemv(&layer, &x);
-                        let b = engine.gemv(&layer, &x);
-                        assert_eq!(
-                            a, serial,
-                            "{axis:?} {policy:?} threads={threads} tile_rows={tile_rows}"
-                        );
-                        assert_eq!(a, b, "{axis:?} {policy:?} repeat run");
-                    }
+                for threads in [2usize, 3, 4, 5, 8] {
+                    let engine = RuntimeEngine::new(EngineConfig {
+                        threads,
+                        cache_bytes: 0,
+                        parallel_threshold: 0,
+                        policy,
+                    });
+                    let a = engine.gemv(&layer, &x);
+                    let b = engine.gemv(&layer, &x);
+                    assert_eq!(a, serial, "{axis:?} {policy:?} threads={threads}");
+                    assert_eq!(a, b, "{axis:?} {policy:?} repeat run");
                 }
             }
         }
@@ -1000,7 +983,6 @@ mod tests {
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
             cache_bytes: 1 << 20,
-            tile_rows: 16,
             parallel_threshold: 0,
             ..EngineConfig::default()
         });

@@ -10,9 +10,11 @@
 //! reference, so results agree to ~1e-12 — pinned at the runtime's 1e-9
 //! contract, not bitwise.
 //!
-//! This kernel requires a cache in its [`KernelCtx`]; `supports` gates on
-//! that, and the dispatch default selects it exactly when the engine has
-//! one configured.
+//! This kernel requires a cache in its [`KernelCtx`] and a `DotProduct`
+//! layer (asserted on entry); `supports` gates on both, and the dispatch
+//! default selects it exactly when the engine has a cache configured and
+//! the layer is `DotProduct`. `OutputChannel` layers run on the scalar
+//! oracle.
 //!
 //! [`DecodedCache`]: crate::cache::DecodedCache
 //! [`BucketTile`]: crate::cache::BucketTile
@@ -30,9 +32,7 @@ pub const BUCKETED_KERNEL: &str = "bucketed-cache";
 
 /// Bucketed accumulation of one cached tile into columns
 /// `[col0, col0 + N)` of the output rows `[row_base, ..)` buffer.
-#[allow(clippy::too_many_arguments)] // internal kernel; args are the GEMM coordinates
 fn accumulate_bucketed<const N: usize>(
-    axis: GroupAxis,
     span: &GroupSpan,
     tile: &BucketTile,
     acts_flat: &[f64],
@@ -46,69 +46,38 @@ fn accumulate_bucketed<const N: usize>(
             .try_into()
             .expect("chunk width")
     };
-    match axis {
-        GroupAxis::DotProduct => {
-            let r = span.line - row_base;
-            let orow: &mut [f64; N] = (&mut out[r * n + col0..][..N])
-                .try_into()
-                .expect("chunk width");
-            for (m, slots) in tile.buckets() {
-                // Short buckets (common at bb = 4, where 15 code values
-                // split a 64-slot group thinly): direct multiply-adds beat
-                // the accumulate-then-combine detour.
-                if slots.len() < 4 {
-                    for &i in slots {
-                        let arow = arow_at(span.offset + i as usize);
-                        for j in 0..N {
-                            orow[j] += m * arow[j];
-                        }
-                    }
-                    continue;
-                }
-                let mut acc = [0.0_f64; N];
-                for &i in slots {
-                    let arow = arow_at(span.offset + i as usize);
-                    for j in 0..N {
-                        acc[j] += arow[j];
-                    }
-                }
-                for j in 0..N {
-                    orow[j] += m * acc[j];
-                }
-            }
-            for &(i, v) in tile.outliers() {
+    let r = span.line - row_base;
+    let orow: &mut [f64; N] = (&mut out[r * n + col0..][..N])
+        .try_into()
+        .expect("chunk width");
+    for (m, slots) in tile.buckets() {
+        // Short buckets (common at bb = 4, where 15 code values
+        // split a 64-slot group thinly): direct multiply-adds beat
+        // the accumulate-then-combine detour.
+        if slots.len() < 4 {
+            for &i in slots {
                 let arow = arow_at(span.offset + i as usize);
                 for j in 0..N {
-                    orow[j] += v * arow[j];
+                    orow[j] += m * arow[j];
                 }
+            }
+            continue;
+        }
+        let mut acc = [0.0_f64; N];
+        for &i in slots {
+            let arow = arow_at(span.offset + i as usize);
+            for j in 0..N {
+                acc[j] += arow[j];
             }
         }
-        GroupAxis::OutputChannel => {
-            let arow = *arow_at(span.line);
-            for (m, slots) in tile.buckets() {
-                let mut ma = [0.0_f64; N];
-                for j in 0..N {
-                    ma[j] = m * arow[j];
-                }
-                for &i in slots {
-                    let r = span.offset + i as usize - row_base;
-                    let orow: &mut [f64; N] = (&mut out[r * n + col0..][..N])
-                        .try_into()
-                        .expect("chunk width");
-                    for j in 0..N {
-                        orow[j] += ma[j];
-                    }
-                }
-            }
-            for &(i, v) in tile.outliers() {
-                let r = span.offset + i as usize - row_base;
-                let orow: &mut [f64; N] = (&mut out[r * n + col0..][..N])
-                    .try_into()
-                    .expect("chunk width");
-                for j in 0..N {
-                    orow[j] += v * arow[j];
-                }
-            }
+        for j in 0..N {
+            orow[j] += m * acc[j];
+        }
+    }
+    for &(i, v) in tile.outliers() {
+        let arow = arow_at(span.offset + i as usize);
+        for j in 0..N {
+            orow[j] += v * arow[j];
         }
     }
 }
@@ -117,7 +86,6 @@ fn accumulate_bucketed<const N: usize>(
 /// chunking — the group is walked once). Values are exact `f32`
 /// castbacks; wide-escaped slots contribute their exact `f64` values.
 fn accumulate_flat(
-    axis: GroupAxis,
     span: &GroupSpan,
     tile: &FlatTile,
     acts_flat: &[f64],
@@ -126,47 +94,22 @@ fn accumulate_flat(
     n: usize,
 ) {
     let arow_at = |k: usize| -> &[f64] { &acts_flat[k * n..(k + 1) * n] };
-    match axis {
-        GroupAxis::DotProduct => {
-            let r = span.line - row_base;
-            let orow = &mut out[r * n..(r + 1) * n];
-            for (i, &wv) in tile.values().iter().enumerate() {
-                if wv == 0.0 {
-                    continue;
-                }
-                let wv = wv as f64;
-                let arow = arow_at(span.offset + i);
-                for (o, a) in orow.iter_mut().zip(arow.iter()) {
-                    *o += wv * a;
-                }
-            }
-            for &(i, v) in tile.wide() {
-                let arow = arow_at(span.offset + i as usize);
-                for (o, a) in orow.iter_mut().zip(arow.iter()) {
-                    *o += v * a;
-                }
-            }
+    let r = span.line - row_base;
+    let orow = &mut out[r * n..(r + 1) * n];
+    for (i, &wv) in tile.values().iter().enumerate() {
+        if wv == 0.0 {
+            continue;
         }
-        GroupAxis::OutputChannel => {
-            let arow = arow_at(span.line);
-            for (i, &wv) in tile.values().iter().enumerate() {
-                if wv == 0.0 {
-                    continue;
-                }
-                let wv = wv as f64;
-                let r = span.offset + i - row_base;
-                let orow = &mut out[r * n..(r + 1) * n];
-                for (o, a) in orow.iter_mut().zip(arow.iter()) {
-                    *o += wv * a;
-                }
-            }
-            for &(i, v) in tile.wide() {
-                let r = span.offset + i as usize - row_base;
-                let orow = &mut out[r * n..(r + 1) * n];
-                for (o, a) in orow.iter_mut().zip(arow.iter()) {
-                    *o += v * a;
-                }
-            }
+        let wv = wv as f64;
+        let arow = arow_at(span.offset + i);
+        for (o, a) in orow.iter_mut().zip(arow.iter()) {
+            *o += wv * a;
+        }
+    }
+    for &(i, v) in tile.wide() {
+        let arow = arow_at(span.offset + i as usize);
+        for (o, a) in orow.iter_mut().zip(arow.iter()) {
+            *o += v * a;
         }
     }
 }
@@ -192,6 +135,11 @@ impl BucketedCacheKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
+        assert_eq!(
+            layer.axis(),
+            GroupAxis::DotProduct,
+            "{BUCKETED_KERNEL} runs DotProduct layers only"
+        );
         let (cache, layer_id) = ctx
             .cache
             .expect("bucketed-cache kernel requires a decoded cache in the context");
@@ -200,7 +148,6 @@ impl BucketedCacheKernel {
             .iter()
             .map(|&g| cache.get_or_decode(layer_id, layer, g))
             .collect();
-        let axis = layer.axis();
         if layer.inlier_bits() == 2 {
             // Bucketed tiles: column-chunked so the per-bucket accumulators
             // live in fixed-size registers.
@@ -211,18 +158,10 @@ impl BucketedCacheKernel {
                     };
                     let span = layer.group_span(g);
                     match width {
-                        8 => accumulate_bucketed::<8>(
-                            axis, &span, tile, acts_flat, n, col0, out, row_lo,
-                        ),
-                        4 => accumulate_bucketed::<4>(
-                            axis, &span, tile, acts_flat, n, col0, out, row_lo,
-                        ),
-                        2 => accumulate_bucketed::<2>(
-                            axis, &span, tile, acts_flat, n, col0, out, row_lo,
-                        ),
-                        _ => accumulate_bucketed::<1>(
-                            axis, &span, tile, acts_flat, n, col0, out, row_lo,
-                        ),
+                        8 => accumulate_bucketed::<8>(&span, tile, acts_flat, n, col0, out, row_lo),
+                        4 => accumulate_bucketed::<4>(&span, tile, acts_flat, n, col0, out, row_lo),
+                        2 => accumulate_bucketed::<2>(&span, tile, acts_flat, n, col0, out, row_lo),
+                        _ => accumulate_bucketed::<1>(&span, tile, acts_flat, n, col0, out, row_lo),
                     }
                 }
             });
@@ -233,7 +172,7 @@ impl BucketedCacheKernel {
                     unreachable!("4-bit layers decode to flat tiles");
                 };
                 let span = layer.group_span(g);
-                accumulate_flat(axis, &span, tile, acts_flat, out, row_lo, n);
+                accumulate_flat(&span, tile, acts_flat, out, row_lo, n);
             }
         }
     }
@@ -250,14 +189,14 @@ impl MicroKernel for BucketedCacheKernel {
         Tolerance::Abs(1e-9)
     }
 
-    fn supports(&self, _key: &DispatchKey, ctx: &KernelCtx<'_>) -> bool {
-        ctx.cache.is_some()
+    fn supports(&self, key: &DispatchKey, ctx: &KernelCtx<'_>) -> bool {
+        key.axis == GroupAxis::DotProduct && ctx.cache.is_some()
     }
 
     /// # Panics
     ///
-    /// Panics if the context carries no decoded cache (`supports` gates
-    /// dispatch on it).
+    /// Panics on an `OutputChannel` layer or if the context carries no
+    /// decoded cache (`supports` gates dispatch on both).
     fn gemm_rows(
         &self,
         ctx: &KernelCtx<'_>,
@@ -372,6 +311,24 @@ mod tests {
             &acts,
             0,
             layer.d_row(),
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs DotProduct layers only")]
+    fn output_channel_layer_panics() {
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let x = vec![0.0; layer.d_col()];
+        let mut out = vec![0.0; layer.d_row()];
+        let cache = DecodedCache::new(1 << 20);
+        BucketedCacheKernel.gemv(
+            &KernelCtx::cached(&cache, layer.content_fingerprint()),
+            &layer,
+            &x,
             &mut out,
         );
     }

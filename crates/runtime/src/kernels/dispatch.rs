@@ -1,13 +1,13 @@
 //! Kernel selection: a [`KernelRegistry`] of [`MicroKernel`]s plus the
 //! [`KernelPolicy`] that picks one per GEMM/GEMV call from the call's
 //! [`DispatchKey`] (activation columns, bit width, outlier density,
-//! group size) and [`KernelCtx`] (cache availability).
+//! group size, group axis) and [`KernelCtx`] (cache availability).
 //!
 //! # Policy table
 //!
 //! | policy | engine | selection |
 //! |---|---|---|
-//! | [`KernelPolicy::Default`] | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`] when the engine has a decoded cache, [`ScalarKernel`] otherwise — byte-for-byte the pre-dispatch engine behavior |
+//! | [`KernelPolicy::Default`] | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`] when the engine has a decoded cache and the layer is `DotProduct`, [`ScalarKernel`] otherwise |
 //! | [`KernelPolicy::Scalar`] | `RuntimeEngine::scalar()` | always the scalar oracle (bitwise, ignores the cache) |
 //! | [`KernelPolicy::Fast`] | `RuntimeEngine::fast()` | first registered kernel whose `supports` accepts the call, in registry priority order; scalar as the universal fallback |
 //!
@@ -19,6 +19,10 @@
 //! `lane-f32` kernel on hosts without (or with `MICROSCOPIQ_SIMD=off`);
 //! and the scalar oracle for everything else (e.g. outlier-heavy layers,
 //! oversized groups).
+//!
+//! Under every policy an `OutputChannel` layer runs on the scalar
+//! oracle: the other three kernels run `DotProduct` groups only, and
+//! their `supports` refuses the other axis.
 //!
 //! # Choosing a registry
 //!
@@ -51,12 +55,12 @@ use crate::telemetry::metrics::{Counter, Sample, SampleValue};
 use std::sync::{Arc, RwLock};
 
 /// How the engine picks a kernel per call, one variant per engine
-/// constructor. `Default` reproduces the pre-dispatch engine exactly;
-/// anything else is an explicit opt-in.
+/// constructor. `Default` reproduces the pre-dispatch engine exactly on
+/// `DotProduct` layers; anything else is an explicit opt-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
-    /// Bucketed decoded-cache execution when the engine has a cache,
-    /// scalar oracle otherwise (bitwise uncached).
+    /// Bucketed decoded-cache execution when the engine has a cache and
+    /// the layer is `DotProduct`, scalar oracle otherwise (bitwise).
     #[default]
     Default,
     /// Always the scalar `f64` oracle — bitwise everywhere, never touches
@@ -148,16 +152,6 @@ impl KernelMetrics {
             });
         slots[pos].calls[op.index()][bits_index(bits)].inc();
         slots[pos].groups.add(groups);
-    }
-
-    /// Total calls recorded for `name`, summed over shapes and widths.
-    pub fn calls_for(&self, name: &str) -> u64 {
-        let slots = self.slots.read().expect("kernel metrics poisoned");
-        slots
-            .iter()
-            .filter(|s| s.name == name)
-            .map(|s| s.calls.iter().flatten().map(Counter::get).sum::<u64>())
-            .sum()
     }
 
     /// Counter samples for the `kernel_calls` family: one series per
@@ -288,13 +282,10 @@ impl KernelRegistry {
     ) -> &dyn MicroKernel {
         match policy {
             KernelPolicy::Scalar => self.scalar.as_ref(),
-            KernelPolicy::Default => {
-                if ctx.cache.is_some() {
-                    self.get(BUCKETED_KERNEL).unwrap_or(self.scalar.as_ref())
-                } else {
-                    self.scalar.as_ref()
-                }
-            }
+            KernelPolicy::Default => self
+                .get(BUCKETED_KERNEL)
+                .filter(|k| k.supports(key, ctx))
+                .unwrap_or(self.scalar.as_ref()),
             KernelPolicy::Fast => self
                 .kernels
                 .iter()
@@ -311,6 +302,7 @@ mod tests {
     use super::super::scalar::SCALAR_KERNEL;
     use super::*;
     use crate::cache::DecodedCache;
+    use microscopiq_core::config::GroupAxis;
 
     fn key(m: usize, group: usize, frac: f64) -> DispatchKey {
         DispatchKey {
@@ -318,6 +310,7 @@ mod tests {
             bits: 2,
             outlier_frac: frac,
             group,
+            axis: GroupAxis::DotProduct,
         }
     }
 

@@ -3,6 +3,9 @@
 //! explicit SIMD kernel is not registered (no AVX2+FMA/NEON, or
 //! `MICROSCOPIQ_SIMD=off`).
 //!
+//! Supported layout: `DotProduct` groups of at most [`MAX_GROUP`] slots,
+//! asserted on entry; `OutputChannel` layers run on the scalar oracle.
+//!
 //! Strategy (per macro-block group):
 //!
 //! 1. **Stack-resident code plane.** The group's unscaled inlier codes
@@ -32,7 +35,10 @@
 //!
 //! [`GroupView::decode_codes_f32`]: microscopiq_core::packed::GroupView::decode_codes_f32
 
-use super::{for_col_chunks, groups_for_rows, DispatchKey, KernelCtx, MicroKernel, Tolerance};
+use super::{
+    assert_f32_layout, for_col_chunks, groups_for_rows, DispatchKey, KernelCtx, MicroKernel,
+    Tolerance,
+};
 use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_linalg::Matrix;
@@ -82,34 +88,6 @@ fn row_lanes<const N: usize>(
     }
 }
 
-/// One group's contribution on the `OutputChannel` axis: every nonzero
-/// code scatters `(scale × code) × activation-row` into its own output
-/// row over a compile-time block of `N` columns.
-#[inline]
-fn col_lanes<const N: usize>(
-    plane: &[f32],
-    arow32: &[f32],
-    n: usize,
-    c0: usize,
-    scale: f32,
-    row0: usize,
-    lane_acc: &mut [f32],
-) {
-    let a: &[f32; N] = arow32[c0..][..N].try_into().expect("chunk width");
-    for (i, &c) in plane.iter().enumerate() {
-        if c == 0.0 {
-            continue; // skip the row write, not just the multiply
-        }
-        let m = scale * c;
-        let o: &mut [f32; N] = (&mut lane_acc[(row0 + i) * n + c0..][..N])
-            .try_into()
-            .expect("chunk width");
-        for j in 0..N {
-            o[j] += m * a[j];
-        }
-    }
-}
-
 /// 8-lane blocked dot product with a scalar tail; partial lane sums
 /// reduce pairwise at the end.
 #[inline]
@@ -143,7 +121,9 @@ impl MicroKernel for LaneKernel {
     }
 
     fn supports(&self, key: &DispatchKey, _ctx: &KernelCtx<'_>) -> bool {
-        key.group <= MAX_GROUP && key.outlier_frac <= MAX_OUTLIER_FRAC
+        key.axis == GroupAxis::DotProduct
+            && key.group <= MAX_GROUP
+            && key.outlier_frac <= MAX_OUTLIER_FRAC
     }
 
     fn wants_f32_acts(&self) -> bool {
@@ -159,10 +139,7 @@ impl MicroKernel for LaneKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
-        assert!(
-            layer.macro_block() <= MAX_GROUP,
-            "lane kernel group plane holds at most {MAX_GROUP} slots"
-        );
+        assert_f32_layout(layer, LANE_KERNEL);
         let n = acts.cols();
         let rows = row_hi - row_lo;
         // The f32 image of the activations: shared through the context
@@ -183,117 +160,59 @@ impl MicroKernel for LaneKernel {
         };
         let mut lane_acc = vec![0.0_f32; rows * n];
         let mut plane = [0.0_f32; MAX_GROUP];
-        let axis = layer.axis();
         for g in groups_for_rows(layer, row_lo, row_hi) {
             let view = layer.group(g);
             let span = view.span();
             let scale = view.isf().value() as f32;
-            match axis {
-                GroupAxis::DotProduct => {
-                    let r = span.line - row_lo;
-                    {
-                        let orow64 = &mut out[r * n..(r + 1) * n];
-                        view.decode_codes_f32(&mut plane[..span.len], |slot, v| {
-                            let arow = acts.row(span.offset + slot);
-                            for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                                *o += v * a;
-                            }
-                        });
+            let r = span.line - row_lo;
+            {
+                let orow64 = &mut out[r * n..(r + 1) * n];
+                view.decode_codes_f32(&mut plane[..span.len], |slot, v| {
+                    let arow = acts.row(span.offset + slot);
+                    for (o, a) in orow64.iter_mut().zip(arow.iter()) {
+                        *o += v * a;
                     }
-                    let orow32 = &mut lane_acc[r * n..(r + 1) * n];
-                    for_col_chunks(n, |c0, width| match width {
-                        8 => row_lanes::<8>(
-                            &plane[..span.len],
-                            acts32,
-                            span.offset,
-                            n,
-                            c0,
-                            scale,
-                            orow32,
-                        ),
-                        4 => row_lanes::<4>(
-                            &plane[..span.len],
-                            acts32,
-                            span.offset,
-                            n,
-                            c0,
-                            scale,
-                            orow32,
-                        ),
-                        2 => row_lanes::<2>(
-                            &plane[..span.len],
-                            acts32,
-                            span.offset,
-                            n,
-                            c0,
-                            scale,
-                            orow32,
-                        ),
-                        _ => row_lanes::<1>(
-                            &plane[..span.len],
-                            acts32,
-                            span.offset,
-                            n,
-                            c0,
-                            scale,
-                            orow32,
-                        ),
-                    });
-                }
-                GroupAxis::OutputChannel => {
-                    {
-                        let arow = acts.row(span.line);
-                        let out_ref = &mut *out;
-                        view.decode_codes_f32(&mut plane[..span.len], |slot, v| {
-                            let r = span.offset + slot - row_lo;
-                            let orow64 = &mut out_ref[r * n..(r + 1) * n];
-                            for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                                *o += v * a;
-                            }
-                        });
-                    }
-                    let arow32 = &acts32[span.line * n..(span.line + 1) * n];
-                    let row0 = span.offset - row_lo;
-                    for_col_chunks(n, |c0, width| match width {
-                        8 => col_lanes::<8>(
-                            &plane[..span.len],
-                            arow32,
-                            n,
-                            c0,
-                            scale,
-                            row0,
-                            &mut lane_acc,
-                        ),
-                        4 => col_lanes::<4>(
-                            &plane[..span.len],
-                            arow32,
-                            n,
-                            c0,
-                            scale,
-                            row0,
-                            &mut lane_acc,
-                        ),
-                        2 => col_lanes::<2>(
-                            &plane[..span.len],
-                            arow32,
-                            n,
-                            c0,
-                            scale,
-                            row0,
-                            &mut lane_acc,
-                        ),
-                        _ => col_lanes::<1>(
-                            &plane[..span.len],
-                            arow32,
-                            n,
-                            c0,
-                            scale,
-                            row0,
-                            &mut lane_acc,
-                        ),
-                    });
-                }
+                });
             }
+            let orow32 = &mut lane_acc[r * n..(r + 1) * n];
+            for_col_chunks(n, |c0, width| match width {
+                8 => row_lanes::<8>(
+                    &plane[..span.len],
+                    acts32,
+                    span.offset,
+                    n,
+                    c0,
+                    scale,
+                    orow32,
+                ),
+                4 => row_lanes::<4>(
+                    &plane[..span.len],
+                    acts32,
+                    span.offset,
+                    n,
+                    c0,
+                    scale,
+                    orow32,
+                ),
+                2 => row_lanes::<2>(
+                    &plane[..span.len],
+                    acts32,
+                    span.offset,
+                    n,
+                    c0,
+                    scale,
+                    orow32,
+                ),
+                _ => row_lanes::<1>(
+                    &plane[..span.len],
+                    acts32,
+                    span.offset,
+                    n,
+                    c0,
+                    scale,
+                    orow32,
+                ),
+            });
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
             *o += l as f64;
@@ -309,10 +228,7 @@ impl MicroKernel for LaneKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
-        assert!(
-            layer.macro_block() <= MAX_GROUP,
-            "lane kernel group plane holds at most {MAX_GROUP} slots"
-        );
+        assert_f32_layout(layer, LANE_KERNEL);
         // Restricted ranges visit the same groups in the same per-element
         // order as the full range (groups_for_rows keeps per-row k
         // ascending), so tiled GEMV stitches bitwise — the parallel-GEMV
@@ -330,43 +246,22 @@ impl MicroKernel for LaneKernel {
         };
         let mut lane_acc = vec![0.0_f32; row_hi - row_lo];
         let mut plane = [0.0_f32; MAX_GROUP];
-        let axis = layer.axis();
         for g in groups_for_rows(layer, row_lo, row_hi) {
             let view = layer.group(g);
             let span = view.span();
             let scale = view.isf().value() as f32;
-            match axis {
-                GroupAxis::DotProduct => {
-                    let r = span.line - row_lo;
-                    {
-                        let acc = &mut out[r];
-                        view.decode_codes_f32(&mut plane[..span.len], |slot, v| {
-                            *acc += v * x[span.offset + slot];
-                        });
-                    }
-                    let dot = dot_lanes(
-                        &plane[..span.len],
-                        &x32[span.offset..span.offset + span.len],
-                    );
-                    lane_acc[r] += scale * dot;
-                }
-                GroupAxis::OutputChannel => {
-                    {
-                        let out_ref = &mut *out;
-                        view.decode_codes_f32(&mut plane[..span.len], |slot, v| {
-                            out_ref[span.offset + slot - row_lo] += v * x[span.line];
-                        });
-                    }
-                    let m = scale * x32[span.line];
-                    if m != 0.0 {
-                        let row0 = span.offset - row_lo;
-                        let orows = &mut lane_acc[row0..row0 + span.len];
-                        for (o, &c) in orows.iter_mut().zip(plane[..span.len].iter()) {
-                            *o += m * c;
-                        }
-                    }
-                }
+            let r = span.line - row_lo;
+            {
+                let acc = &mut out[r];
+                view.decode_codes_f32(&mut plane[..span.len], |slot, v| {
+                    *acc += v * x[span.offset + slot];
+                });
             }
+            let dot = dot_lanes(
+                &plane[..span.len],
+                &x32[span.offset..span.offset + span.len],
+            );
+            lane_acc[r] += scale * dot;
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
             *o += l as f64;
@@ -395,38 +290,35 @@ mod tests {
 
     #[test]
     fn lane_gemm_matches_oracle_within_pin_all_regimes() {
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            for bits in [2u32, 4] {
-                for rate in [0.0, 0.1, 0.9] {
-                    let layer = synth_packed(&SynthSpec {
-                        axis,
-                        d_row: 48,
-                        d_col: 64,
-                        bits,
-                        outlier_rate: rate,
-                        seed: 11,
-                        ..SynthSpec::default()
-                    });
-                    let mut rng = SeededRng::new(5);
-                    // n = 13 exercises the 8 + 4 + 1 chunk split.
-                    let acts = Matrix::from_fn(64, 13, |_, _| rng.normal(0.0, 1.0));
-                    let oracle = fused_gemm_serial(&layer, &acts);
-                    let mut got = Matrix::zeros(48, 13);
-                    LaneKernel.gemm_rows(
-                        &KernelCtx::uncached(),
-                        &layer,
-                        &acts,
-                        0,
-                        48,
-                        got.as_mut_slice(),
-                    );
-                    check_within(
-                        LaneKernel.tolerance(),
-                        got.as_slice(),
-                        oracle.as_slice(),
-                        &format!("{axis:?} bits={bits} rate={rate}"),
-                    );
-                }
+        for bits in [2u32, 4] {
+            for rate in [0.0, 0.1, 0.9] {
+                let layer = synth_packed(&SynthSpec {
+                    d_row: 48,
+                    d_col: 64,
+                    bits,
+                    outlier_rate: rate,
+                    seed: 11,
+                    ..SynthSpec::default()
+                });
+                let mut rng = SeededRng::new(5);
+                // n = 13 exercises the 8 + 4 + 1 chunk split.
+                let acts = Matrix::from_fn(64, 13, |_, _| rng.normal(0.0, 1.0));
+                let oracle = fused_gemm_serial(&layer, &acts);
+                let mut got = Matrix::zeros(48, 13);
+                LaneKernel.gemm_rows(
+                    &KernelCtx::uncached(),
+                    &layer,
+                    &acts,
+                    0,
+                    48,
+                    got.as_mut_slice(),
+                );
+                check_within(
+                    LaneKernel.tolerance(),
+                    got.as_slice(),
+                    oracle.as_slice(),
+                    &format!("bits={bits} rate={rate}"),
+                );
             }
         }
     }
@@ -466,30 +358,58 @@ mod tests {
 
     #[test]
     fn lane_gemv_matches_oracle_within_pin() {
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            for bits in [2u32, 4] {
-                let layer = synth_packed(&SynthSpec {
-                    axis,
-                    d_row: 40,
-                    d_col: 56,
-                    bits,
-                    outlier_rate: 0.2,
-                    seed: 31,
-                    ..SynthSpec::default()
-                });
-                let mut rng = SeededRng::new(9);
-                let x: Vec<f64> = (0..56).map(|_| rng.normal(0.0, 1.0)).collect();
-                let oracle = fused_gemv_serial(&layer, &x);
-                let mut got = vec![0.0_f64; 40];
-                LaneKernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut got);
-                check_within(
-                    LaneKernel.tolerance(),
-                    &got,
-                    &oracle,
-                    &format!("gemv {axis:?} bits={bits}"),
-                );
-            }
+        for bits in [2u32, 4] {
+            let layer = synth_packed(&SynthSpec {
+                d_row: 40,
+                d_col: 56,
+                bits,
+                outlier_rate: 0.2,
+                seed: 31,
+                ..SynthSpec::default()
+            });
+            let mut rng = SeededRng::new(9);
+            let x: Vec<f64> = (0..56).map(|_| rng.normal(0.0, 1.0)).collect();
+            let oracle = fused_gemv_serial(&layer, &x);
+            let mut got = vec![0.0_f64; 40];
+            LaneKernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut got);
+            check_within(
+                LaneKernel.tolerance(),
+                &got,
+                &oracle,
+                &format!("gemv bits={bits}"),
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs DotProduct layers only")]
+    fn output_channel_gemm_panics() {
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let acts = Matrix::zeros(layer.d_col(), 2);
+        let mut out = vec![0.0; layer.d_row() * 2];
+        LaneKernel.gemm_rows(
+            &KernelCtx::uncached(),
+            &layer,
+            &acts,
+            0,
+            layer.d_row(),
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs DotProduct layers only")]
+    fn output_channel_gemv_panics() {
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let x = vec![0.0; layer.d_col()];
+        let mut out = vec![0.0; layer.d_row()];
+        LaneKernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut out);
     }
 
     #[test]
@@ -533,8 +453,14 @@ mod tests {
             bits: 2,
             outlier_frac: frac,
             group,
+            axis: GroupAxis::DotProduct,
         };
         assert!(k.supports(&key(64, 0.03), &ctx));
+        let output_channel = DispatchKey {
+            axis: GroupAxis::OutputChannel,
+            ..key(64, 0.03)
+        };
+        assert!(!k.supports(&output_channel, &ctx), "OutputChannel layout");
         assert!(
             !k.supports(&key(MAX_GROUP + 1, 0.03), &ctx),
             "group too big"

@@ -2,13 +2,15 @@
 //! [`PackedLayer`] and an activation matrix into output rows lives behind
 //! the [`MicroKernel`] trait, and a [`KernelRegistry`] picks the
 //! implementation per call from a [`DispatchKey`] (activation columns
-//! `m`, inlier bit width, outlier density, group size).
+//! `m`, inlier bit width, outlier density, group size, group axis).
 //!
 //! Registered kernels:
 //!
 //! * [`ScalarKernel`] (`scalar-f64`) — the conformance **oracle**: walks
 //!   packed groups in the dense reference's reduction order and
 //!   accumulates in `f64`. Bit-identical to `dequantize().matmul(..)`.
+//!   The only kernel that runs both group axes: every
+//!   [`GroupAxis::OutputChannel`] layer executes here.
 //! * [`LaneKernel`] (`lane-f32`) — the portable lane-blocked kernel, and
 //!   the `Fast` pick on hosts without AVX2+FMA/NEON: decodes each group's
 //!   unscaled codes into a stack-resident `f32` plane
@@ -28,15 +30,21 @@
 //!   FMA reduction; outliers fix up in exact `f64` like the lane kernel.
 //!   The `Fast` pick for every uncached call it supports.
 //!
+//! The three non-oracle kernels run the [`GroupAxis::DotProduct`] layout
+//! only — the paper's grouping, the `QuantConfig` default and the layout
+//! of every model the runtime serves. Only the accelerator experiments
+//! pack `OutputChannel` layers; dispatch sends those to the oracle.
+//!
 //! Selection is governed by [`KernelPolicy`] — see [`dispatch`] for the
-//! policy table. The default policy reproduces the pre-dispatch engine
-//! bit for bit: scalar when uncached, bucketed tiles when cached.
+//! policy table. The default policy is scalar when uncached and bucketed
+//! tiles when cached — on `DotProduct` layers, the pre-dispatch engine
+//! bit for bit.
 //!
 //! Every kernel pins a [`Tolerance`] against the scalar oracle
 //! (`Bitwise` for the oracle itself); the kernel conformance suite
 //! (`crates/runtime/tests/kernel_conformance.rs`) sweeps shapes × bit
 //! widths × outlier regimes and asserts each registered kernel honors
-//! its pin.
+//! its pin on the layouts it runs.
 //!
 //! [`PackedLayer`]: microscopiq_core::packed::PackedLayer
 //! [`PackedLayer::group`]: microscopiq_core::packed::PackedLayer::group
@@ -110,6 +118,8 @@ pub struct DispatchKey {
     pub outlier_frac: f64,
     /// Macro-block (group) size.
     pub group: usize,
+    /// The axis groups run along; only the oracle runs `OutputChannel`.
+    pub axis: GroupAxis,
 }
 
 impl DispatchKey {
@@ -120,6 +130,7 @@ impl DispatchKey {
             bits: layer.inlier_bits(),
             outlier_frac: layer.outlier_micro_block_fraction(),
             group: layer.macro_block(),
+            axis: layer.axis(),
         }
     }
 }
@@ -176,9 +187,15 @@ impl<'a> KernelCtx<'a> {
 /// The contract: `gemm_rows` *accumulates* `W · acts` for output rows
 /// `[row_lo, row_hi)` into a zeroed, row-major `(row_hi − row_lo) ×
 /// acts.cols()` buffer, and the result must match the scalar oracle
-/// within [`MicroKernel::tolerance`]. `supports` is performance advice
-/// for the dispatcher, not a correctness gate — a kernel invoked directly
-/// outside its preferred regime must still meet its tolerance.
+/// within [`MicroKernel::tolerance`].
+///
+/// `supports` mixes two kinds of answer. The **layout** — the group axis
+/// and, for the `f32` kernels, a group of at most [`MAX_GROUP`] slots —
+/// is a precondition: a kernel that refuses a layout asserts it on entry,
+/// so a direct call outside it panics rather than computing garbage.
+/// **Outlier density** is performance advice only: a kernel invoked
+/// directly on an outlier-heavy layer it would refuse must still meet its
+/// tolerance.
 pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     /// Registry name.
     fn name(&self) -> &'static str;
@@ -199,16 +216,18 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     /// Accumulates output rows `[row_lo, row_hi)` of `W · acts` into
     /// `out` (zeroed, row-major `(row_hi − row_lo) × acts.cols()`).
     ///
-    /// Precondition: on an [`GroupAxis::OutputChannel`] layer, `row_lo`
-    /// and `row_hi` must align to macro-block boundaries (`row_hi`
-    /// may be `d_row`) — groups span whole macro-blocks of output rows
-    /// there, and every shipped kernel indexes `span.offset - row_lo`
-    /// on that assumption. [`RuntimeEngine`](crate::RuntimeEngine)
-    /// quantizes its tile edges accordingly; direct callers must too.
-    /// `DotProduct` tiles may cut anywhere.
+    /// Precondition: on an [`GroupAxis::OutputChannel`] layer (which only
+    /// the scalar oracle accepts), `row_lo` and `row_hi` must align to
+    /// macro-block boundaries (`row_hi` may be `d_row`) — groups span
+    /// whole macro-blocks of output rows there, and the oracle indexes
+    /// `span.offset - row_lo` on that assumption.
+    /// [`RuntimeEngine`](crate::RuntimeEngine) quantizes its tile edges
+    /// accordingly; direct callers must too. `DotProduct` tiles may cut
+    /// anywhere.
     ///
     /// # Panics
     ///
+    /// Panics on a layout the kernel does not run (see the trait docs).
     /// May panic on dimension mismatches (`acts.rows() != layer.d_col()`,
     /// `out` too short) — the engine validates before dispatching — and
     /// on unaligned `OutputChannel` row ranges (usize underflow).
@@ -262,6 +281,21 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
 pub(crate) fn decode_code(c: u8, bb: u32) -> f32 {
     let shift = 8 - bb;
     ((c << shift) as i8 >> shift) as f32
+}
+
+/// Asserts the layout precondition of the `f32` kernels: `DotProduct`
+/// groups of at most [`MAX_GROUP`] slots.
+#[inline]
+pub(crate) fn assert_f32_layout(layer: &PackedLayer, kernel: &str) {
+    assert_eq!(
+        layer.axis(),
+        GroupAxis::DotProduct,
+        "{kernel} runs DotProduct layers only"
+    );
+    assert!(
+        layer.macro_block() <= MAX_GROUP,
+        "{kernel} group plane holds at most {MAX_GROUP} slots"
+    );
 }
 
 /// Group indices contributing to output rows `[row_lo, row_hi)`, in an

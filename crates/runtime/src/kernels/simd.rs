@@ -17,11 +17,17 @@
 //! disables it), so a registered instance *proves* detection passed and
 //! the `unsafe` `#[target_feature]` calls are sound.
 //!
+//! Supported layout, as for the lane kernel: `DotProduct` groups of at
+//! most [`MAX_GROUP`] slots, asserted on entry; `OutputChannel` layers
+//! run on the scalar oracle. Each ISA module is one GEMM and one GEMV
+//! body over that layout.
+//!
 //! Numerics match the lane kernel: `f32` inlier accumulation under
 //! [`Tolerance::Rel`], exact `f64` outliers.
 
 use super::lane::MAX_OUTLIER_FRAC;
-use super::{DispatchKey, KernelCtx, MicroKernel, Tolerance, MAX_GROUP};
+use super::{assert_f32_layout, DispatchKey, KernelCtx, MicroKernel, Tolerance, MAX_GROUP};
+use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_linalg::Matrix;
 
@@ -129,7 +135,9 @@ impl MicroKernel for SimdKernel {
     }
 
     fn supports(&self, key: &DispatchKey, _ctx: &KernelCtx<'_>) -> bool {
-        key.group <= MAX_GROUP && key.outlier_frac <= MAX_OUTLIER_FRAC
+        key.axis == GroupAxis::DotProduct
+            && key.group <= MAX_GROUP
+            && key.outlier_frac <= MAX_OUTLIER_FRAC
     }
 
     fn wants_f32_acts(&self) -> bool {
@@ -145,10 +153,7 @@ impl MicroKernel for SimdKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
-        assert!(
-            layer.macro_block() <= MAX_GROUP,
-            "simd kernel group plane holds at most {MAX_GROUP} slots"
-        );
+        assert_f32_layout(layer, SIMD_KERNEL);
         let local32: Vec<f32>;
         let acts32: &[f32] = match ctx.acts32 {
             Some(shared) => {
@@ -179,10 +184,7 @@ impl MicroKernel for SimdKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
-        assert!(
-            layer.macro_block() <= MAX_GROUP,
-            "simd kernel group plane holds at most {MAX_GROUP} slots"
-        );
+        assert_f32_layout(layer, SIMD_KERNEL);
         let local32: Vec<f32>;
         let x32: &[f32] = match ctx.acts32 {
             Some(shared) => {
@@ -208,7 +210,6 @@ impl MicroKernel for SimdKernel {
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
     use super::super::{decode_code, groups_for_rows, MAX_GROUP};
-    use microscopiq_core::config::GroupAxis;
     use microscopiq_core::packed::{GroupView, PackedLayer};
     use microscopiq_linalg::Matrix;
     use std::arch::x86_64::*;
@@ -273,10 +274,10 @@ mod avx2 {
     /// The GEMV kernel body: for meta-less micro-blocks the codes decode
     /// and FMA entirely in registers — no plane store.
     ///
-    /// The `DotProduct` branch iterates line-outer / mab-inner with
-    /// incrementally computed spans. Each output element's contributions
-    /// still arrive in ascending-mab order — exactly the order
-    /// [`groups_for_rows`] produces for that element — so results are
+    /// It iterates line-outer / mab-inner with incrementally computed
+    /// spans. Each output element's contributions still arrive in
+    /// ascending-mab order — exactly the order [`groups_for_rows`]
+    /// produces for that element — so results are
     /// bitwise identical to the generic walk, but the groups array and
     /// the code bytes stream sequentially, there is no per-group
     /// `div`/`mod` span math, and the FMA stream splits over two
@@ -294,110 +295,61 @@ mod avx2 {
         let shift = _mm_cvtsi32_si128(32 - bb as i32);
         let mut lane_acc = vec![0.0_f32; row_hi - row_lo];
         let mut mb_buf = [0.0_f32; MAX_GROUP];
-        if layer.axis() == GroupAxis::DotProduct {
-            let per_line = layer.groups_per_line();
-            let line_len = layer.line_len();
-            let macro_block = layer.macro_block();
-            for line in row_lo..row_hi {
-                let r = line - row_lo;
-                for mab in 0..per_line {
-                    let offset = mab * macro_block;
-                    let view = layer.group(line * per_line + mab);
-                    let scale = view.isf().value() as f32;
-                    let mut acc0 = _mm256_setzero_ps();
-                    let mut acc1 = _mm256_setzero_ps();
-                    let mut tail = 0.0_f32;
-                    let mut base = offset;
-                    for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
-                        if has_outliers {
-                            let buf = &mut mb_buf[..codes.len()];
-                            view.decode_micro_block_codes_f32(i, buf, |slot, v| {
-                                out[r] += v * x[base + slot];
-                            });
-                            for (k, &w) in buf.iter().enumerate() {
-                                tail += w * x32[base + k];
-                            }
-                        } else {
-                            let mut j = 0usize;
-                            while j + 16 <= codes.len() {
-                                let w0 = decode8(codes.as_ptr().add(j), shift);
-                                let a0 = _mm256_loadu_ps(x32.as_ptr().add(base + j));
-                                acc0 = _mm256_fmadd_ps(w0, a0, acc0);
-                                let w1 = decode8(codes.as_ptr().add(j + 8), shift);
-                                let a1 = _mm256_loadu_ps(x32.as_ptr().add(base + j + 8));
-                                acc1 = _mm256_fmadd_ps(w1, a1, acc1);
-                                j += 16;
-                            }
-                            if j + 8 <= codes.len() {
-                                let w = decode8(codes.as_ptr().add(j), shift);
-                                let a = _mm256_loadu_ps(x32.as_ptr().add(base + j));
-                                // Alternate the spare 8-wide block between
-                                // accumulators by micro-block parity so
-                                // back-to-back micro-blocks don't stall on
-                                // one FMA chain.
-                                if i & 1 == 0 {
-                                    acc0 = _mm256_fmadd_ps(w, a, acc0);
-                                } else {
-                                    acc1 = _mm256_fmadd_ps(w, a, acc1);
-                                }
-                                j += 8;
-                            }
-                            for (k, &c) in codes.iter().enumerate().skip(j) {
-                                tail += decode_code(c, bb) * x32[base + k];
-                            }
+        let per_line = layer.groups_per_line();
+        let line_len = layer.line_len();
+        let macro_block = layer.macro_block();
+        for line in row_lo..row_hi {
+            let r = line - row_lo;
+            for mab in 0..per_line {
+                let offset = mab * macro_block;
+                let view = layer.group(line * per_line + mab);
+                let scale = view.isf().value() as f32;
+                let mut acc0 = _mm256_setzero_ps();
+                let mut acc1 = _mm256_setzero_ps();
+                let mut tail = 0.0_f32;
+                let mut base = offset;
+                for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
+                    if has_outliers {
+                        let buf = &mut mb_buf[..codes.len()];
+                        view.decode_micro_block_codes_f32(i, buf, |slot, v| {
+                            out[r] += v * x[base + slot];
+                        });
+                        for (k, &w) in buf.iter().enumerate() {
+                            tail += w * x32[base + k];
                         }
-                        base += codes.len();
-                    }
-                    debug_assert_eq!(base - offset, (line_len - offset).min(macro_block));
-                    lane_acc[r] += scale * (hsum256(_mm256_add_ps(acc0, acc1)) + tail);
-                }
-            }
-            for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
-                *o += l as f64;
-            }
-            return;
-        }
-        for g in groups_for_rows(layer, row_lo, row_hi) {
-            let view = layer.group(g);
-            let span = view.span();
-            let scale = view.isf().value() as f32;
-            match layer.axis() {
-                GroupAxis::DotProduct => unreachable!("handled above"),
-                GroupAxis::OutputChannel => {
-                    let row0 = span.offset - row_lo;
-                    let m = scale * x32[span.line];
-                    let mv = _mm256_set1_ps(m);
-                    let mut base = 0usize;
-                    for i in 0..view.micro_block_count() {
-                        let codes = view.micro_block_codes(i);
-                        if view.micro_block_has_outliers(i) {
-                            let buf = &mut mb_buf[..codes.len()];
-                            view.decode_micro_block_codes_f32(i, buf, |slot, v| {
-                                out[row0 + base + slot] += v * x[span.line];
-                            });
-                            if m != 0.0 {
-                                for (k, &w) in buf.iter().enumerate() {
-                                    lane_acc[row0 + base + k] += m * w;
-                                }
-                            }
-                        } else if m != 0.0 {
-                            let mut j = 0usize;
-                            while j + 8 <= codes.len() {
-                                let w = decode8(codes.as_ptr().add(j), shift);
-                                let o = _mm256_loadu_ps(lane_acc.as_ptr().add(row0 + base + j));
-                                _mm256_storeu_ps(
-                                    lane_acc.as_mut_ptr().add(row0 + base + j),
-                                    _mm256_fmadd_ps(w, mv, o),
-                                );
-                                j += 8;
-                            }
-                            for (k, &c) in codes.iter().enumerate().skip(j) {
-                                lane_acc[row0 + base + k] += m * decode_code(c, bb);
-                            }
+                    } else {
+                        let mut j = 0usize;
+                        while j + 16 <= codes.len() {
+                            let w0 = decode8(codes.as_ptr().add(j), shift);
+                            let a0 = _mm256_loadu_ps(x32.as_ptr().add(base + j));
+                            acc0 = _mm256_fmadd_ps(w0, a0, acc0);
+                            let w1 = decode8(codes.as_ptr().add(j + 8), shift);
+                            let a1 = _mm256_loadu_ps(x32.as_ptr().add(base + j + 8));
+                            acc1 = _mm256_fmadd_ps(w1, a1, acc1);
+                            j += 16;
                         }
-                        base += codes.len();
+                        if j + 8 <= codes.len() {
+                            let w = decode8(codes.as_ptr().add(j), shift);
+                            let a = _mm256_loadu_ps(x32.as_ptr().add(base + j));
+                            // Alternate the spare 8-wide block between
+                            // accumulators by micro-block parity so
+                            // back-to-back micro-blocks don't stall on
+                            // one FMA chain.
+                            if i & 1 == 0 {
+                                acc0 = _mm256_fmadd_ps(w, a, acc0);
+                            } else {
+                                acc1 = _mm256_fmadd_ps(w, a, acc1);
+                            }
+                            j += 8;
+                        }
+                        for (k, &c) in codes.iter().enumerate().skip(j) {
+                            tail += decode_code(c, bb) * x32[base + k];
+                        }
                     }
+                    base += codes.len();
                 }
+                debug_assert_eq!(base - offset, (line_len - offset).min(macro_block));
+                lane_acc[r] += scale * (hsum256(_mm256_add_ps(acc0, acc1)) + tail);
             }
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
@@ -421,81 +373,39 @@ mod avx2 {
         let n = acts.cols();
         let mut lane_acc = vec![0.0_f32; (row_hi - row_lo) * n];
         let mut plane = [0.0_f32; MAX_GROUP];
-        let axis = layer.axis();
         for g in groups_for_rows(layer, row_lo, row_hi) {
             let view = layer.group(g);
             let span = view.span();
             let scale = view.isf().value() as f32;
-            match axis {
-                GroupAxis::DotProduct => {
-                    let r = span.line - row_lo;
-                    {
-                        let orow64 = &mut out[r * n..(r + 1) * n];
-                        decode_group_plane(&view, bb, shift, &mut plane[..span.len], |slot, v| {
-                            let arow = acts.row(span.offset + slot);
-                            for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                                *o += v * a;
-                            }
-                        });
+            let r = span.line - row_lo;
+            {
+                let orow64 = &mut out[r * n..(r + 1) * n];
+                decode_group_plane(&view, bb, shift, &mut plane[..span.len], |slot, v| {
+                    let arow = acts.row(span.offset + slot);
+                    for (o, a) in orow64.iter_mut().zip(arow.iter()) {
+                        *o += v * a;
                     }
-                    let sv = _mm256_set1_ps(scale);
-                    let orow32 = &mut lane_acc[r * n..(r + 1) * n];
-                    let mut c0 = 0usize;
-                    while c0 + 8 <= n {
-                        let mut acc = _mm256_setzero_ps();
-                        for (i, &w) in plane[..span.len].iter().enumerate() {
-                            let a =
-                                _mm256_loadu_ps(acts32.as_ptr().add((span.offset + i) * n + c0));
-                            acc = _mm256_fmadd_ps(_mm256_set1_ps(w), a, acc);
-                        }
-                        let o = _mm256_loadu_ps(orow32.as_ptr().add(c0));
-                        _mm256_storeu_ps(orow32.as_mut_ptr().add(c0), _mm256_fmadd_ps(sv, acc, o));
-                        c0 += 8;
-                    }
-                    for c in c0..n {
-                        let mut acc = 0.0_f32;
-                        for (i, &w) in plane[..span.len].iter().enumerate() {
-                            acc += w * acts32[(span.offset + i) * n + c];
-                        }
-                        orow32[c] += scale * acc;
-                    }
+                });
+            }
+            let sv = _mm256_set1_ps(scale);
+            let orow32 = &mut lane_acc[r * n..(r + 1) * n];
+            let mut c0 = 0usize;
+            while c0 + 8 <= n {
+                let mut acc = _mm256_setzero_ps();
+                for (i, &w) in plane[..span.len].iter().enumerate() {
+                    let a = _mm256_loadu_ps(acts32.as_ptr().add((span.offset + i) * n + c0));
+                    acc = _mm256_fmadd_ps(_mm256_set1_ps(w), a, acc);
                 }
-                GroupAxis::OutputChannel => {
-                    {
-                        let arow = acts.row(span.line);
-                        let out_ref = &mut *out;
-                        decode_group_plane(&view, bb, shift, &mut plane[..span.len], |slot, v| {
-                            let r = span.offset + slot - row_lo;
-                            let orow64 = &mut out_ref[r * n..(r + 1) * n];
-                            for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                                *o += v * a;
-                            }
-                        });
-                    }
-                    let arow32 = &acts32[span.line * n..(span.line + 1) * n];
-                    let row0 = span.offset - row_lo;
-                    for (i, &w) in plane[..span.len].iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let m = scale * w;
-                        let mv = _mm256_set1_ps(m);
-                        let orow32 = &mut lane_acc[(row0 + i) * n..(row0 + i + 1) * n];
-                        let mut c0 = 0usize;
-                        while c0 + 8 <= n {
-                            let a = _mm256_loadu_ps(arow32.as_ptr().add(c0));
-                            let o = _mm256_loadu_ps(orow32.as_ptr().add(c0));
-                            _mm256_storeu_ps(
-                                orow32.as_mut_ptr().add(c0),
-                                _mm256_fmadd_ps(mv, a, o),
-                            );
-                            c0 += 8;
-                        }
-                        for c in c0..n {
-                            orow32[c] += m * arow32[c];
-                        }
-                    }
+                let o = _mm256_loadu_ps(orow32.as_ptr().add(c0));
+                _mm256_storeu_ps(orow32.as_mut_ptr().add(c0), _mm256_fmadd_ps(sv, acc, o));
+                c0 += 8;
+            }
+            for c in c0..n {
+                let mut acc = 0.0_f32;
+                for (i, &w) in plane[..span.len].iter().enumerate() {
+                    acc += w * acts32[(span.offset + i) * n + c];
                 }
+                orow32[c] += scale * acc;
             }
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
@@ -507,7 +417,6 @@ mod avx2 {
 #[cfg(target_arch = "aarch64")]
 mod neon {
     use super::super::{decode_code, groups_for_rows, MAX_GROUP};
-    use microscopiq_core::config::GroupAxis;
     use microscopiq_core::packed::{GroupView, PackedLayer};
     use microscopiq_linalg::Matrix;
     use std::arch::aarch64::*;
@@ -581,92 +490,44 @@ mod neon {
         // accumulation order is still ascending-mab (bitwise identical to
         // the groups_for_rows walk) while the groups array and code bytes
         // stream sequentially.
-        if layer.axis() == GroupAxis::DotProduct {
-            let per_line = layer.groups_per_line();
-            let macro_block = layer.macro_block();
-            for line in row_lo..row_hi {
-                let r = line - row_lo;
-                for mab in 0..per_line {
-                    let offset = mab * macro_block;
-                    let view = layer.group(line * per_line + mab);
-                    let scale = view.isf().value() as f32;
-                    let mut acc0 = vdupq_n_f32(0.0);
-                    let mut acc1 = vdupq_n_f32(0.0);
-                    let mut tail = 0.0_f32;
-                    let mut base = offset;
-                    for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
-                        if has_outliers {
-                            let buf = &mut mb_buf[..codes.len()];
-                            view.decode_micro_block_codes_f32(i, buf, |slot, v| {
-                                out[r] += v * x[base + slot];
-                            });
-                            for (k, &w) in buf.iter().enumerate() {
-                                tail += w * x32[base + k];
-                            }
-                        } else {
-                            let mut j = 0usize;
-                            while j + 8 <= codes.len() {
-                                let (wlo, whi) = decode8(codes.as_ptr().add(j), shl, shr);
-                                let alo = vld1q_f32(x32.as_ptr().add(base + j));
-                                let ahi = vld1q_f32(x32.as_ptr().add(base + j + 4));
-                                acc0 = vfmaq_f32(acc0, wlo, alo);
-                                acc1 = vfmaq_f32(acc1, whi, ahi);
-                                j += 8;
-                            }
-                            for (k, &c) in codes.iter().enumerate().skip(j) {
-                                tail += decode_code(c, bb) * x32[base + k];
-                            }
+        let per_line = layer.groups_per_line();
+        let macro_block = layer.macro_block();
+        for line in row_lo..row_hi {
+            let r = line - row_lo;
+            for mab in 0..per_line {
+                let offset = mab * macro_block;
+                let view = layer.group(line * per_line + mab);
+                let scale = view.isf().value() as f32;
+                let mut acc0 = vdupq_n_f32(0.0);
+                let mut acc1 = vdupq_n_f32(0.0);
+                let mut tail = 0.0_f32;
+                let mut base = offset;
+                for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
+                    if has_outliers {
+                        let buf = &mut mb_buf[..codes.len()];
+                        view.decode_micro_block_codes_f32(i, buf, |slot, v| {
+                            out[r] += v * x[base + slot];
+                        });
+                        for (k, &w) in buf.iter().enumerate() {
+                            tail += w * x32[base + k];
                         }
-                        base += codes.len();
-                    }
-                    lane_acc[r] += scale * (vaddvq_f32(vaddq_f32(acc0, acc1)) + tail);
-                }
-            }
-            for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
-                *o += l as f64;
-            }
-            return;
-        }
-        for g in groups_for_rows(layer, row_lo, row_hi) {
-            let view = layer.group(g);
-            let span = view.span();
-            let scale = view.isf().value() as f32;
-            match layer.axis() {
-                GroupAxis::DotProduct => unreachable!("handled above"),
-                GroupAxis::OutputChannel => {
-                    let row0 = span.offset - row_lo;
-                    let m = scale * x32[span.line];
-                    let mv = vdupq_n_f32(m);
-                    let mut base = 0usize;
-                    for i in 0..view.micro_block_count() {
-                        let codes = view.micro_block_codes(i);
-                        if view.micro_block_has_outliers(i) {
-                            let buf = &mut mb_buf[..codes.len()];
-                            view.decode_micro_block_codes_f32(i, buf, |slot, v| {
-                                out[row0 + base + slot] += v * x[span.line];
-                            });
-                            if m != 0.0 {
-                                for (k, &w) in buf.iter().enumerate() {
-                                    lane_acc[row0 + base + k] += m * w;
-                                }
-                            }
-                        } else if m != 0.0 {
-                            let mut j = 0usize;
-                            while j + 8 <= codes.len() {
-                                let (wlo, whi) = decode8(codes.as_ptr().add(j), shl, shr);
-                                let p = lane_acc.as_mut_ptr().add(row0 + base + j);
-                                vst1q_f32(p, vfmaq_f32(vld1q_f32(p), wlo, mv));
-                                let p4 = p.add(4);
-                                vst1q_f32(p4, vfmaq_f32(vld1q_f32(p4), whi, mv));
-                                j += 8;
-                            }
-                            for (k, &c) in codes.iter().enumerate().skip(j) {
-                                lane_acc[row0 + base + k] += m * decode_code(c, bb);
-                            }
+                    } else {
+                        let mut j = 0usize;
+                        while j + 8 <= codes.len() {
+                            let (wlo, whi) = decode8(codes.as_ptr().add(j), shl, shr);
+                            let alo = vld1q_f32(x32.as_ptr().add(base + j));
+                            let ahi = vld1q_f32(x32.as_ptr().add(base + j + 4));
+                            acc0 = vfmaq_f32(acc0, wlo, alo);
+                            acc1 = vfmaq_f32(acc1, whi, ahi);
+                            j += 8;
                         }
-                        base += codes.len();
+                        for (k, &c) in codes.iter().enumerate().skip(j) {
+                            tail += decode_code(c, bb) * x32[base + k];
+                        }
                     }
+                    base += codes.len();
                 }
+                lane_acc[r] += scale * (vaddvq_f32(vaddq_f32(acc0, acc1)) + tail);
             }
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
@@ -689,90 +550,38 @@ mod neon {
         let n = acts.cols();
         let mut lane_acc = vec![0.0_f32; (row_hi - row_lo) * n];
         let mut plane = [0.0_f32; MAX_GROUP];
-        let axis = layer.axis();
         for g in groups_for_rows(layer, row_lo, row_hi) {
             let view = layer.group(g);
             let span = view.span();
             let scale = view.isf().value() as f32;
-            match axis {
-                GroupAxis::DotProduct => {
-                    let r = span.line - row_lo;
-                    {
-                        let orow64 = &mut out[r * n..(r + 1) * n];
-                        decode_group_plane(
-                            &view,
-                            bb,
-                            shl,
-                            shr,
-                            &mut plane[..span.len],
-                            |slot, v| {
-                                let arow = acts.row(span.offset + slot);
-                                for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                                    *o += v * a;
-                                }
-                            },
-                        );
+            let r = span.line - row_lo;
+            {
+                let orow64 = &mut out[r * n..(r + 1) * n];
+                decode_group_plane(&view, bb, shl, shr, &mut plane[..span.len], |slot, v| {
+                    let arow = acts.row(span.offset + slot);
+                    for (o, a) in orow64.iter_mut().zip(arow.iter()) {
+                        *o += v * a;
                     }
-                    let orow32 = &mut lane_acc[r * n..(r + 1) * n];
-                    let mut c0 = 0usize;
-                    while c0 + 4 <= n {
-                        let mut acc = vdupq_n_f32(0.0);
-                        for (i, &w) in plane[..span.len].iter().enumerate() {
-                            let a = vld1q_f32(acts32.as_ptr().add((span.offset + i) * n + c0));
-                            acc = vfmaq_f32(acc, vdupq_n_f32(w), a);
-                        }
-                        let p = orow32.as_mut_ptr().add(c0);
-                        vst1q_f32(p, vfmaq_f32(vld1q_f32(p), vdupq_n_f32(scale), acc));
-                        c0 += 4;
-                    }
-                    for c in c0..n {
-                        let mut acc = 0.0_f32;
-                        for (i, &w) in plane[..span.len].iter().enumerate() {
-                            acc += w * acts32[(span.offset + i) * n + c];
-                        }
-                        orow32[c] += scale * acc;
-                    }
+                });
+            }
+            let orow32 = &mut lane_acc[r * n..(r + 1) * n];
+            let mut c0 = 0usize;
+            while c0 + 4 <= n {
+                let mut acc = vdupq_n_f32(0.0);
+                for (i, &w) in plane[..span.len].iter().enumerate() {
+                    let a = vld1q_f32(acts32.as_ptr().add((span.offset + i) * n + c0));
+                    acc = vfmaq_f32(acc, vdupq_n_f32(w), a);
                 }
-                GroupAxis::OutputChannel => {
-                    {
-                        let arow = acts.row(span.line);
-                        let out_ref = &mut *out;
-                        decode_group_plane(
-                            &view,
-                            bb,
-                            shl,
-                            shr,
-                            &mut plane[..span.len],
-                            |slot, v| {
-                                let r = span.offset + slot - row_lo;
-                                let orow64 = &mut out_ref[r * n..(r + 1) * n];
-                                for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                                    *o += v * a;
-                                }
-                            },
-                        );
-                    }
-                    let arow32 = &acts32[span.line * n..(span.line + 1) * n];
-                    let row0 = span.offset - row_lo;
-                    for (i, &w) in plane[..span.len].iter().enumerate() {
-                        if w == 0.0 {
-                            continue;
-                        }
-                        let m = scale * w;
-                        let mv = vdupq_n_f32(m);
-                        let orow32 = &mut lane_acc[(row0 + i) * n..(row0 + i + 1) * n];
-                        let mut c0 = 0usize;
-                        while c0 + 4 <= n {
-                            let a = vld1q_f32(arow32.as_ptr().add(c0));
-                            let p = orow32.as_mut_ptr().add(c0);
-                            vst1q_f32(p, vfmaq_f32(vld1q_f32(p), mv, a));
-                            c0 += 4;
-                        }
-                        for c in c0..n {
-                            orow32[c] += m * arow32[c];
-                        }
-                    }
+                let p = orow32.as_mut_ptr().add(c0);
+                vst1q_f32(p, vfmaq_f32(vld1q_f32(p), vdupq_n_f32(scale), acc));
+                c0 += 4;
+            }
+            for c in c0..n {
+                let mut acc = 0.0_f32;
+                for (i, &w) in plane[..span.len].iter().enumerate() {
+                    acc += w * acts32[(span.offset + i) * n + c];
                 }
+                orow32[c] += scale * acc;
             }
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
@@ -786,7 +595,6 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::super::{fused_gemm_serial, fused_gemv_serial};
     use super::*;
-    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     #[test]
@@ -812,43 +620,78 @@ mod tests {
             return; // host without a SIMD path: nothing to validate
         };
         assert!(!kernel.isa_name().is_empty());
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            for bits in [2u32, 4] {
-                for rate in [0.0, 0.1, 0.9] {
-                    let layer = synth_packed(&SynthSpec {
-                        axis,
-                        d_row: 48,
-                        d_col: 64,
-                        bits,
-                        outlier_rate: rate,
-                        seed: 13,
-                        ..SynthSpec::default()
-                    });
-                    let mut rng = SeededRng::new(8);
-                    let acts = Matrix::from_fn(64, 13, |_, _| rng.normal(0.0, 1.0));
-                    let oracle = fused_gemm_serial(&layer, &acts);
-                    let mut got = vec![0.0_f64; 48 * 13];
-                    kernel.gemm_rows(&KernelCtx::uncached(), &layer, &acts, 0, 48, &mut got);
-                    let tol = kernel.tolerance();
-                    for (&a, &b) in got.iter().zip(oracle.as_slice().iter()) {
-                        assert!(
-                            tol.accepts(a, b),
-                            "{axis:?} bits={bits} rate={rate}: {a} vs {b}"
-                        );
-                    }
+        for bits in [2u32, 4] {
+            for rate in [0.0, 0.1, 0.9] {
+                let layer = synth_packed(&SynthSpec {
+                    d_row: 48,
+                    d_col: 64,
+                    bits,
+                    outlier_rate: rate,
+                    seed: 13,
+                    ..SynthSpec::default()
+                });
+                let mut rng = SeededRng::new(8);
+                let acts = Matrix::from_fn(64, 13, |_, _| rng.normal(0.0, 1.0));
+                let oracle = fused_gemm_serial(&layer, &acts);
+                let mut got = vec![0.0_f64; 48 * 13];
+                kernel.gemm_rows(&KernelCtx::uncached(), &layer, &acts, 0, 48, &mut got);
+                let tol = kernel.tolerance();
+                for (&a, &b) in got.iter().zip(oracle.as_slice().iter()) {
+                    assert!(tol.accepts(a, b), "bits={bits} rate={rate}: {a} vs {b}");
+                }
 
-                    let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
-                    let goracle = fused_gemv_serial(&layer, &x);
-                    let mut gv = vec![0.0_f64; 48];
-                    kernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut gv);
-                    for (&a, &b) in gv.iter().zip(goracle.iter()) {
-                        assert!(
-                            tol.accepts(a, b),
-                            "gemv {axis:?} bits={bits} rate={rate}: {a} vs {b}"
-                        );
-                    }
+                let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
+                let goracle = fused_gemv_serial(&layer, &x);
+                let mut gv = vec![0.0_f64; 48];
+                kernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut gv);
+                for (&a, &b) in gv.iter().zip(goracle.iter()) {
+                    assert!(
+                        tol.accepts(a, b),
+                        "gemv bits={bits} rate={rate}: {a} vs {b}"
+                    );
                 }
             }
         }
+    }
+
+    #[test]
+    fn output_channel_calls_panic_when_available() {
+        let Some(kernel) = SimdKernel::try_new() else {
+            return; // host without a SIMD path: nothing to call
+        };
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let refused = |call: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                .expect_err("an OutputChannel call must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains("runs DotProduct layers only"), "{msg}");
+        };
+        let acts = Matrix::zeros(layer.d_col(), 2);
+        refused(&|| {
+            let mut out = vec![0.0; layer.d_row() * 2];
+            kernel.gemm_rows(
+                &KernelCtx::uncached(),
+                &layer,
+                &acts,
+                0,
+                layer.d_row(),
+                &mut out,
+            );
+        });
+        refused(&|| {
+            let mut out = vec![0.0; layer.d_row()];
+            kernel.gemv(
+                &KernelCtx::uncached(),
+                &layer,
+                &vec![0.0; layer.d_col()],
+                &mut out,
+            );
+        });
     }
 }

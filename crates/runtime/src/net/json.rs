@@ -139,7 +139,8 @@ pub fn obj<const N: usize>(fields: [(&str, Json); N]) -> Json {
     )
 }
 
-fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string literal.
+pub(crate) fn escape_into(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -361,5 +362,8 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd".into());
         assert_eq!(v.render(), r#""a\"b\\c\nd""#);
         assert_eq!(Json::parse(&v.render()).unwrap(), v);
+        let ctrl = Json::Str("\u{1}".into());
+        assert_eq!(ctrl.render(), r#""\u0001""#);
+        assert_eq!(Json::parse(&ctrl.render()).unwrap(), ctrl);
     }
 }

@@ -23,6 +23,7 @@
 //! `pid` is always 1 (one server process); `tid 0` is the scheduler
 //! lane, and each request renders as its own timeline row.
 
+use crate::net::json::escape_into;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -171,10 +172,11 @@ impl TraceSink {
             if i > 0 {
                 out.push(',');
             }
+            out.push_str("{\"name\":");
+            escape_into(ev.name, &mut out);
             let _ = write!(
                 out,
-                "{{\"name\":\"{}\",\"cat\":\"serving\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
-                escape_json(ev.name),
+                ",\"cat\":\"serving\",\"ph\":\"{}\",\"ts\":{},\"pid\":1,\"tid\":{}",
                 match ev.phase {
                     TracePhase::Complete => "X",
                     TracePhase::Instant => "i",
@@ -194,18 +196,16 @@ impl TraceSink {
                     if j > 0 {
                         out.push(',');
                     }
+                    escape_into(k, &mut out);
                     match v {
                         TraceArg::U64(n) => {
-                            let _ = write!(out, "\"{}\":{}", escape_json(k), n);
+                            let _ = write!(out, ":{n}");
                         }
-                        TraceArg::F64(x) => {
-                            // JSON has no NaN/Inf literals; clamp to null.
-                            if x.is_finite() {
-                                let _ = write!(out, "\"{}\":{}", escape_json(k), x);
-                            } else {
-                                let _ = write!(out, "\"{}\":null", escape_json(k));
-                            }
+                        // JSON has no NaN/Inf literals; clamp to null.
+                        TraceArg::F64(x) if x.is_finite() => {
+                            let _ = write!(out, ":{x}");
                         }
+                        TraceArg::F64(_) => out.push_str(":null"),
                     }
                 }
                 out.push('}');
@@ -219,24 +219,6 @@ impl TraceSink {
         );
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -290,11 +272,5 @@ mod tests {
         let later = Instant::now();
         // Non-decreasing for post-epoch instants.
         assert!(sink.ts(later) >= sink.ts(before));
-    }
-
-    #[test]
-    fn json_escaping_handles_control_chars() {
-        assert_eq!(escape_json("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape_json("\u{1}"), "\\u0001");
     }
 }

@@ -5,6 +5,10 @@
 //! for bit. A kernel whose pin loosens is an API change; this suite is
 //! what holds the pin.
 //!
+//! The sweeps cover both group axes. `OutputChannel` layers run on the
+//! oracle alone — the only kernel that accepts them — so there they
+//! check the oracle against dense and its tiles against the full range.
+//!
 //! Also carries the GEMV edge-case battery: m = 1 with odd reduction
 //! lengths (partial tail macro- and micro-blocks), tiles that straddle
 //! group boundaries, and outlier-heavy rows — through both the old
@@ -14,8 +18,8 @@ use microscopiq_core::config::GroupAxis;
 use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
 use microscopiq_runtime::kernels::{
-    fused_gemm_serial, fused_gemv_serial, DispatchKey, KernelCtx, KernelRegistry, Tolerance,
-    LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
+    fused_gemm_serial, fused_gemv_serial, DispatchKey, KernelCtx, KernelRegistry, MicroKernel,
+    Tolerance, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
 };
 use microscopiq_runtime::{DecodedCache, EngineConfig, KernelPolicy, RuntimeEngine};
 
@@ -33,6 +37,17 @@ fn assert_within(tol: Tolerance, got: &[f64], oracle: &[f64], what: &str) {
             tol.allowed(b)
         );
     }
+}
+
+/// The kernels a sweep runs on a layer of `axis`: every registered
+/// kernel on `DotProduct`, only the oracle on `OutputChannel`.
+fn kernels_for(registry: &KernelRegistry, axis: GroupAxis) -> Vec<&dyn MicroKernel> {
+    registry
+        .kernels()
+        .iter()
+        .map(|k| k.as_ref())
+        .filter(|k| axis == GroupAxis::DotProduct || k.name() == SCALAR_KERNEL)
+        .collect()
 }
 
 /// Runs one kernel over the full row range (GEMM) or through its GEMV
@@ -91,7 +106,7 @@ fn every_registered_kernel_meets_its_pin_across_the_sweep() {
                              ({axis:?} bits={bits} rate={rate} m={m})"
                         );
                         let cache = DecodedCache::new(8 << 20);
-                        for kernel in registry.kernels() {
+                        for kernel in kernels_for(&registry, axis) {
                             let what = format!(
                                 "{} {axis:?} bits={bits} rate={rate} \
                                  {d_row}x{d_col}/{macro_block} m={m}",
@@ -139,10 +154,10 @@ fn gemv_odd_k_with_tail_blocks_through_old_and_new_kernels() {
                     fused_gemm_serial(&layer, &acts).as_slice().to_vec(),
                     "scalar gemv/gemm parity {axis:?} bits={bits} k={k}"
                 );
-                // Every registered kernel (lane, simd, cached, …):
-                // within its pin.
+                // Every kernel that runs the layout (lane, simd,
+                // cached, … on DotProduct): within its pin.
                 let cache = DecodedCache::new(1 << 20);
-                for kernel in registry.kernels() {
+                for kernel in kernels_for(&registry, axis) {
                     let name = kernel.name();
                     let got = run_kernel(&registry, name, &layer, &acts, &cache, true);
                     assert_within(
@@ -190,9 +205,10 @@ fn group_boundary_straddling_tiles_agree_with_full_row_range() {
         }
         assert_eq!(full, stitched, "{} tiling changed results", kernel.name());
     }
-    // Engine level: tile_rows = 3 on an OutputChannel layer forces the
-    // quantum round-up; results must match the untiled engine bitwise
-    // (scalar dispatch) for m = 1 and m > 1.
+    // Engine level: three threads on a 40-row OutputChannel layer ask
+    // for 3-row tiles, which round up to the 16-row macro-block quantum;
+    // results must match the untiled engine bitwise (scalar dispatch)
+    // for m = 1 and m > 1.
     let oc = synth_packed(&SynthSpec {
         axis: GroupAxis::OutputChannel,
         d_row: 40,
@@ -209,7 +225,6 @@ fn group_boundary_straddling_tiles_agree_with_full_row_range() {
         let tiled = RuntimeEngine::new(EngineConfig {
             threads: 3,
             cache_bytes: 0,
-            tile_rows: 3,
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
@@ -224,9 +239,9 @@ fn group_boundary_straddling_tiles_agree_with_full_row_range() {
 #[test]
 fn outlier_heavy_rows_through_old_and_new_kernels() {
     // Nearly every micro-block carries an outlier pair: the scalar path
-    // must stay bitwise, the lane kernel must hold its pin even though
-    // dispatch would route this regime to scalar (supports() is advice,
-    // not a correctness gate).
+    // must stay bitwise, the lane kernel must hold its pin on DotProduct
+    // layers even though dispatch would route this regime to scalar
+    // (outlier density is advice, not a correctness gate).
     let registry = KernelRegistry::with_defaults();
     for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
         for bits in [2u32, 4] {
@@ -259,7 +274,7 @@ fn outlier_heavy_rows_through_old_and_new_kernels() {
                 let acts = Matrix::from_fn(48, m, |_, _| rng.normal(0.0, 1.0));
                 let oracle = fused_gemm_serial(&layer, &acts);
                 assert_eq!(oracle, layer.dequantize().matmul(&acts), "oracle bitwise");
-                for kernel in registry.kernels() {
+                for kernel in kernels_for(&registry, axis) {
                     let name = kernel.name();
                     let got = run_kernel(&registry, name, &layer, &acts, &cache, m == 1);
                     assert_within(
@@ -279,9 +294,10 @@ fn gemv_row_tiles_stitch_bitwise_for_every_kernel() {
     // The parallel-GEMV determinism contract: restricted-row-range GEMV
     // calls must accumulate each output element in the same order as the
     // full-range call, so disjoint tiles stitched in row order equal the
-    // one-shot gemv bit for bit — for every registered kernel, on both
-    // group axes. DotProduct tolerates ragged tile edges; OutputChannel
-    // tiles align to the macro-block quantum like the engine's splitter.
+    // one-shot gemv bit for bit — for every registered kernel on
+    // DotProduct, and for the oracle on OutputChannel. DotProduct
+    // tolerates ragged tile edges; OutputChannel tiles align to the
+    // macro-block quantum like the engine's splitter.
     let registry = KernelRegistry::with_defaults();
     let tilings: [(&[(usize, usize)], GroupAxis); 2] = [
         (
@@ -304,7 +320,7 @@ fn gemv_row_tiles_stitch_bitwise_for_every_kernel() {
         let mut rng = SeededRng::new(92);
         let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
         let cache = DecodedCache::new(1 << 20);
-        for kernel in registry.kernels() {
+        for kernel in kernels_for(&registry, axis) {
             let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
             let mut full = vec![0.0_f64; 48];
             kernel.gemv(&ctx, &layer, &x, &mut full);
@@ -341,6 +357,7 @@ fn without_simd_registry_falls_back_gracefully() {
         bits: 2,
         outlier_frac: 0.03,
         group: 64,
+        axis: GroupAxis::DotProduct,
     };
     assert_eq!(
         registry.select(KernelPolicy::Fast, &gemv_key, &ctx).name(),
@@ -352,6 +369,7 @@ fn without_simd_registry_falls_back_gracefully() {
         bits: 2,
         outlier_frac: 0.03,
         group: 64,
+        axis: GroupAxis::DotProduct,
     };
     assert_eq!(
         registry.select(KernelPolicy::Fast, &gemm_key, &ctx).name(),
@@ -420,4 +438,50 @@ fn default_dispatch_serving_stays_bitwise_stable() {
         default_uncached.gemv(&layer, &x),
         fused_gemv_serial(&layer, &x)
     );
+}
+
+#[test]
+fn output_channel_layers_run_on_the_oracle_in_every_engine() {
+    // The fast kernels run DotProduct only: whatever the engine, an
+    // OutputChannel layer dispatches to the oracle and equals it bitwise.
+    let fast_cached = RuntimeEngine::new(EngineConfig {
+        policy: KernelPolicy::Fast,
+        ..EngineConfig::default()
+    });
+    let engines = [
+        ("parallel", RuntimeEngine::parallel()),
+        ("fast", RuntimeEngine::fast()),
+        ("fast+cache", fast_cached),
+    ];
+    for (label, engine) in &engines {
+        for bits in [2u32, 4] {
+            let layer = synth_packed(&SynthSpec {
+                axis: GroupAxis::OutputChannel,
+                d_row: 48,
+                d_col: 64,
+                bits,
+                micro: 8,
+                macro_block: 16,
+                outlier_rate: 0.03,
+                seed: 101 + u64::from(bits),
+            });
+            let mut rng = SeededRng::new(102 + u64::from(bits));
+            for m in [1usize, 8] {
+                let what = format!("{label} bits={bits} m={m}");
+                assert_eq!(engine.kernel_for(&layer, m), SCALAR_KERNEL, "{what}");
+                let acts = Matrix::from_fn(64, m, |_, _| rng.normal(0.0, 1.0));
+                assert_eq!(
+                    engine.gemm(&layer, &acts),
+                    fused_gemm_serial(&layer, &acts),
+                    "{what} gemm"
+                );
+                let x = acts.col(0);
+                assert_eq!(
+                    engine.gemv(&layer, &x),
+                    fused_gemv_serial(&layer, &x),
+                    "{what} gemv"
+                );
+            }
+        }
+    }
 }

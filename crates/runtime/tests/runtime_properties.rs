@@ -70,7 +70,6 @@ proptest! {
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
             cache_bytes: 0,
-            tile_rows: 0,
             parallel_threshold: 0,
             ..EngineConfig::default()
         })
@@ -83,7 +82,6 @@ proptest! {
         let cached = RuntimeEngine::new(EngineConfig {
             threads: 2,
             cache_bytes: 1 << 20,
-            tile_rows: 0,
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
@@ -101,7 +99,6 @@ proptest! {
         let fast = RuntimeEngine::new(EngineConfig {
             threads: 1,
             cache_bytes: 0,
-            tile_rows: 0,
             parallel_threshold: usize::MAX,
             policy: KernelPolicy::Fast,
         });
@@ -129,7 +126,6 @@ proptest! {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 2,
             cache_bytes: 1024, // far below the decoded working set
-            tile_rows: 0,
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
