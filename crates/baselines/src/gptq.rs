@@ -92,20 +92,7 @@ impl WeightQuantizer for Gptq {
                     }
                 }
             }
-            if block_end < d_col {
-                for r in 0..d_row {
-                    for k in block_end..d_col {
-                        let mut acc = 0.0;
-                        for jj in 0..(block_end - block_start) {
-                            let e = err_block[(r, jj)];
-                            if e != 0.0 {
-                                acc += e * hessian.coupling(block_start + jj, k);
-                            }
-                        }
-                        work[(r, k)] -= acc;
-                    }
-                }
-            }
+            hessian.propagate_block_error(&err_block, block_start, &mut work);
             block_start = block_end;
         }
 

@@ -7,11 +7,11 @@ use crate::error::QuantError;
 
 /// Which tensor dimension macro-/micro-blocks span.
 ///
-/// See DESIGN.md §2 ("Grouping-axis note"): the paper's algorithm text
-/// groups along the dot-product (input) dimension while the accelerator
-/// walkthrough maps micro-blocks across output channels. Both are
-/// supported; accuracy experiments default to [`GroupAxis::DotProduct`],
-/// accelerator experiments use [`GroupAxis::OutputChannel`].
+/// The paper's algorithm text groups along the dot-product (input)
+/// dimension while its accelerator walkthrough maps micro-blocks across
+/// output channels. Both are supported; accuracy experiments default to
+/// [`GroupAxis::DotProduct`], accelerator experiments use
+/// [`GroupAxis::OutputChannel`].
 ///
 /// The serving runtime's fast kernels (`lane-f32`, `simd-f32`,
 /// `bucketed-cache`) run `DotProduct` layers only; an `OutputChannel`

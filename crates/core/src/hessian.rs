@@ -1,6 +1,6 @@
-//! GPTQ Hessian machinery (§4.1): `H = 2XXᵀ + λI`, its inverse, and the
-//! upper Cholesky factor of the inverse that drives both error
-//! compensation and the pruning saliency `w²/[H⁻¹]ₚₚ`.
+//! GPTQ Hessian machinery (§4.1): `H = 2XXᵀ + λI` and the upper Cholesky
+//! factor of its inverse, which drives both error compensation and the
+//! pruning saliency `w²/[H⁻¹]ₚₚ`.
 
 use crate::error::QuantError;
 use microscopiq_linalg::{upper_cholesky_of_inverse, Matrix};
@@ -66,14 +66,38 @@ impl HessianState {
 
     /// The compensation row `U[j, j+1..end]` used to update not-yet-
     /// quantized columns after column `j` is quantized.
-    pub fn update_row(&self, j: usize, end: usize) -> Vec<f64> {
-        (j + 1..end).map(|k| self.chol_inv_upper[(j, k)]).collect()
+    pub fn update_row(&self, j: usize, end: usize) -> &[f64] {
+        &self.chol_inv_upper.row(j)[j + 1..end]
     }
 
-    /// Cross-block coupling `U[j, k]` for the post-block update
-    /// (Algorithm 1 L36).
-    pub fn coupling(&self, j: usize, k: usize) -> f64 {
-        self.chol_inv_upper[(j, k)]
+    /// The post-block update (Algorithm 1 L36): once the compensation block
+    /// of columns `start..start + err.cols()` is quantized, subtracts its
+    /// scaled errors' coupling from every later column,
+    /// `work[r, k] −= Σⱼⱼ err[r, jj]·U[start + jj, k]`. A no-op when the
+    /// block ends at the last column.
+    ///
+    /// Each sum starts at zero, runs `jj` upwards and skips zero errors; an
+    /// accumulator row over `k` lets it read each `U` row contiguously.
+    pub fn propagate_block_error(&self, err: &Matrix, start: usize, work: &mut Matrix) {
+        let end = start + err.cols();
+        if end >= self.dim() {
+            return;
+        }
+        let mut acc = vec![0.0; self.dim() - end];
+        for r in 0..err.rows() {
+            acc.fill(0.0);
+            for (jj, &e) in err.row(r).iter().enumerate() {
+                if e != 0.0 {
+                    let coupling = &self.chol_inv_upper.row(start + jj)[end..];
+                    for (a, &u) in acc.iter_mut().zip(coupling) {
+                        *a += e * u;
+                    }
+                }
+            }
+            for (w, a) in work.row_mut(r)[end..].iter_mut().zip(&acc) {
+                *w -= a;
+            }
+        }
     }
 }
 
@@ -146,6 +170,54 @@ mod tests {
             assert_eq!(h.diag(j), 1.0);
         }
         assert!(h.update_row(3, 12).iter().all(|&v| v == 0.0));
+    }
+
+    /// Reference L36: one `(r, k)` sum at a time, reading `U` down a column.
+    fn propagate_by_element(h: &HessianState, err: &Matrix, start: usize, work: &mut Matrix) {
+        let end = start + err.cols();
+        for r in 0..err.rows() {
+            for k in end..h.dim() {
+                let mut acc = 0.0;
+                for jj in 0..err.cols() {
+                    let e = err[(r, jj)];
+                    if e != 0.0 {
+                        acc += e * h.chol_inv_upper[(start + jj, k)];
+                    }
+                }
+                work[(r, k)] -= acc;
+            }
+        }
+    }
+
+    #[test]
+    fn block_update_is_bitwise_the_element_loop() {
+        let d = 37;
+        let h = HessianState::from_calibration(&random_calibration(d, 50, 7), 0.01).unwrap();
+        let mut rng = SeededRng::new(8);
+        let work = Matrix::from_fn(5, d, |_, _| rng.normal(0.0, 0.1));
+        // Full blocks, a short block with columns after it, and blocks
+        // that end at `d` (a partial last block among them), which update
+        // nothing. Every third error is an exact zero, as for a weight
+        // that quantizes exactly.
+        for (start, len) in [(0, 8), (8, 8), (16, 5), (24, 13), (32, 5)] {
+            let err = Matrix::from_fn(5, len, |r, c| {
+                let e = rng.normal(0.0, 0.05);
+                if (r + c) % 3 == 0 {
+                    0.0
+                } else {
+                    e
+                }
+            });
+            let mut fast = work.clone();
+            let mut slow = work.clone();
+            h.propagate_block_error(&err, start, &mut fast);
+            propagate_by_element(&h, &err, start, &mut slow);
+            let bits = |m: &Matrix| m.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fast), bits(&slow), "block {start}+{len}");
+            if start + len == d {
+                assert_eq!(bits(&fast), bits(&work), "the last block updates nothing");
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! columns through the upper Cholesky factor of `H⁻¹` (L31–33); remaining
 //! columns outside the block are updated once per block (L36).
 //!
-//! Both grouping axes are supported (see DESIGN.md §2): `DotProduct`
+//! Both grouping axes are supported (see [`GroupAxis`]): `DotProduct`
 //! snapshots each row's macro-block before its columns are processed;
 //! `OutputChannel` quantizes one full column at a time with macro-blocks
 //! spanning output channels.
@@ -314,8 +314,7 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
     let mut comp_start = 0;
     while comp_start < d_col {
         let comp_end = (comp_start + cfg.row_block).min(d_col);
-        let comp_len = comp_end - comp_start;
-        let mut err_block = Matrix::zeros(d_row, comp_len);
+        let mut err_block = Matrix::zeros(d_row, comp_end - comp_start);
 
         let mut mab_start = comp_start;
         while mab_start < comp_end {
@@ -349,7 +348,7 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
                 let urow = if cfg.error_compensation {
                     hessian.update_row(j, comp_end)
                 } else {
-                    Vec::new()
+                    &[]
                 };
                 for r in 0..d_row {
                     let seg = &segments[r];
@@ -395,19 +394,8 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
         }
 
         // Phase C: propagate block errors into all later columns (L36).
-        if cfg.error_compensation && comp_end < d_col {
-            for r in 0..d_row {
-                for k in comp_end..d_col {
-                    let mut acc = 0.0;
-                    for jj in 0..comp_len {
-                        let e = err_block[(r, jj)];
-                        if e != 0.0 {
-                            acc += e * hessian.coupling(comp_start + jj, k);
-                        }
-                    }
-                    work[(r, k)] -= acc;
-                }
-            }
+        if cfg.error_compensation {
+            hessian.propagate_block_error(&err_block, comp_start, &mut work);
         }
         comp_start = comp_end;
     }
@@ -439,19 +427,18 @@ fn solve_output_channel(
     let mut comp_start = 0;
     while comp_start < d_col {
         let comp_end = (comp_start + cfg.row_block).min(d_col);
-        let comp_len = comp_end - comp_start;
-        let mut err_block = Matrix::zeros(d_row, comp_len);
+        let mut err_block = Matrix::zeros(d_row, comp_end - comp_start);
 
         for j in comp_start..comp_end {
             let col: Vec<f64> = (0..d_row).map(|r| work[(r, j)]).collect();
             // Within a column the Hessian diagonal is constant, so the
-            // saliency ordering reduces to |w|² (DESIGN.md §2).
+            // saliency ordering reduces to |w|².
             let saliency: Vec<f64> = col.iter().map(|&w| w * w).collect();
 
             let urow = if cfg.error_compensation {
                 hessian.update_row(j, comp_end)
             } else {
-                Vec::new()
+                &[]
             };
 
             for (mab_index, mab_start) in (0..d_row).step_by(cfg.macro_block).enumerate() {
@@ -497,19 +484,8 @@ fn solve_output_channel(
             }
         }
 
-        if cfg.error_compensation && comp_end < d_col {
-            for r in 0..d_row {
-                for k in comp_end..d_col {
-                    let mut acc = 0.0;
-                    for jj in 0..comp_len {
-                        let e = err_block[(r, jj)];
-                        if e != 0.0 {
-                            acc += e * hessian.coupling(comp_start + jj, k);
-                        }
-                    }
-                    work[(r, k)] -= acc;
-                }
-            }
+        if cfg.error_compensation {
+            hessian.propagate_block_error(&err_block, comp_start, &mut work);
         }
         comp_start = comp_end;
     }

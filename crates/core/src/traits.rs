@@ -84,8 +84,8 @@ pub struct QuantizedLayer {
 
 impl QuantizedLayer {
     /// Relative layer output error `‖WX − QX‖F / ‖WX‖F` against the given
-    /// original tensors — the accuracy proxy used throughout the
-    /// experiments (DESIGN.md §2).
+    /// original tensors — the accuracy proxy the experiments use, since
+    /// they run on synthetic stand-ins rather than real checkpoints.
     pub fn output_error(&self, original: &LayerTensors) -> f64 {
         let ref_out = original.weights.matmul(&original.calibration);
         let q_out = self.dequantized.matmul(&original.calibration);

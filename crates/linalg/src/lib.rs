@@ -2,8 +2,8 @@
 //! substrate for the MicroScopiQ reproduction.
 //!
 //! The quantization framework needs a small, predictable numeric kernel:
-//! row-major [`Matrix`] with blocked matmul, a Cholesky-based SPD inverse for
-//! the GPTQ Hessian `H = 2XXᵀ + λI`, summary statistics for the 3σ outlier
+//! row-major [`Matrix`] with blocked matmul, the upper Cholesky factor of the
+//! inverse GPTQ Hessian `(2XXᵀ + λI)⁻¹`, summary statistics for the 3σ outlier
 //! rule, and seeded heavy-tailed samplers for synthetic foundational-model
 //! weights. Everything here is `f64`; quantization-facing tensors are `f32`
 //! and convert at the boundary.
@@ -23,7 +23,7 @@ pub mod matrix;
 pub mod rng;
 pub mod stats;
 
-pub use cholesky::{cholesky, spd_inverse, upper_cholesky_of_inverse, CholeskyError};
+pub use cholesky::{upper_cholesky_of_inverse, CholeskyError};
 pub use matrix::Matrix;
 pub use rng::SeededRng;
 pub use stats::{mean, percentile, std_dev, Summary};
