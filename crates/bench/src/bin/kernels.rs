@@ -13,7 +13,8 @@
 //!    the shape-specialized GEMV entries.
 //!
 //! 3. **Serial vs split** — the wide (256-wide) and deep (64-wide) model
-//!    layer shapes at m ∈ {1, 8, 16, 96} through `RuntimeEngine` on both
+//!    layer shapes at m ∈ {1, 4, 7, 8, 16, 96} (4 and 7 leave a column
+//!    tail short of one 8-wide block) through `RuntimeEngine` on both
 //!    serving tiers, once with the split over the engine's persistent
 //!    pool forced off and once forced on (the pool is already running:
 //!    the warm-up call creates it), and the break-even MAC count that
@@ -65,7 +66,7 @@ fn split_break_even() -> Vec<(String, f64)> {
     // d_row × d_col of the benchmark models' linears: attention
     // projections and the FFN up-projection, wide then deep.
     let shapes = [(256usize, 256usize), (512, 256), (64, 64), (128, 64)];
-    let ms = [1usize, 8, 16, 96];
+    let ms = [1usize, 4, 7, 8, 16, 96];
     let threads = RuntimeEngine::parallel().threads();
     let mut table = Table::new(
         &format!("Serial vs split GEMM/GEMV ({threads} threads)"),

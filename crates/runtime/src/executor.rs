@@ -63,17 +63,20 @@ pub struct EngineConfig {
     /// Calls of fewer multiply-accumulates than this run on the calling
     /// thread; larger ones are one job on the engine's pool. The default,
     /// 2^19, is read off the serial-vs-split table the `kernels` bench
-    /// bin prints. On a 2-vCPU host a split costs a fixed ≈15–30 µs —
+    /// bin prints. On a 2-vCPU host a split costs a fixed ≈ 1–5 µs —
     /// waking the parked worker, and sleeping until it is off its last
-    /// tile (it was ~70–120 µs while every call spawned and joined its
-    /// threads): a 64×64·m=1 GEMV goes 15 → 47 µs on the exact tier and
-    /// 2 → 17 µs on the f32 tier. The two paths cross near 2^19 on both
-    /// tiers: the exact tier ties at 256×256·m=8 (2^19) and the split
-    /// wins from 2^19.6; the f32 tier still loses at 64×64·m=96 (2^18.6)
-    /// and wins from 2^19. The f32 tier is 3–4× faster per MAC against
-    /// the same fixed cost, so one MAC count cannot sit at both tiers'
-    /// optimum; 2^19 keeps a 256-wide model's m ≥ 8 steps splitting on
-    /// both and every m ≤ 16 call of the 32- and 64-wide models serial.
+    /// tile: a 64×64·m=1 GEMV goes 14 → 16 µs on the exact tier and
+    /// 2 → 3 µs on the f32 tier. What a split buys depends on whether the
+    /// host's second vCPU is free. In one run of the table the exact
+    /// tier's split won on every 256- and 512-wide call (from 2^16) and
+    /// the f32 tier's on 512×256 calls from m = 4 (2^19); in the two runs
+    /// after it (the tracked `results/BENCH_kernels.json` is the last),
+    /// serial and split stayed within ≈ 10% of each other up to 2^23.6 on
+    /// both tiers. The f32 tier is 4–7× faster per MAC against the same
+    /// fixed cost, and a serial 256×256 f32 call costs ≈ 65 µs at every m
+    /// from 4 to 8, so one MAC count cannot sit at both tiers' optimum;
+    /// 2^19 keeps a 256-wide model's m ≥ 8 steps splitting on both and
+    /// every m ≤ 16 call of the 32- and 64-wide models serial.
     pub parallel_threshold: usize,
     /// How the engine picks a kernel per call (see
     /// [`crate::kernels::dispatch`] for the policy table). The default

@@ -12,6 +12,18 @@
 //! micro-blocks: codes go from packed bytes to partial sums in registers,
 //! which is what closes the gap to the paper's PE datapath.
 //!
+//! The AVX2 GEMM decodes the groups of up to four consecutive output lines
+//! at one macro-block position into stack planes, then streams each
+//! activation row past all of them: one 8-wide activation load feeds four
+//! independent FMA chains, as the paper's weight-stationary array streams
+//! one activation past many resident weights. The `n % 8` trailing
+//! columns run as one masked 8-wide block (`vmaskmovps`) instead of a
+//! scalar strided loop, with separate mul and add so they round exactly
+//! as the scalar loop did — the output is bit-for-bit the one-line,
+//! scalar-tail body's, which a test keeps as the oracle. The NEON GEMM
+//! still runs one line per pass with a scalar `n % 4` tail: the aarch64
+//! CI job only type-checks, so a port could not be validated.
+//!
 //! Construction is fallible: [`SimdKernel::try_new`] returns `None` when
 //! the host lacks the features (or when `MICROSCOPIQ_SIMD=off` force-
 //! disables it), so a registered instance *proves* detection passed and
@@ -209,7 +221,9 @@ impl MicroKernel for SimdKernel {
 
 #[cfg(target_arch = "x86_64")]
 mod avx2 {
-    use super::super::{decode_code, groups_for_rows, MAX_GROUP};
+    #[cfg(test)]
+    use super::super::groups_for_rows;
+    use super::super::{decode_code, MAX_GROUP};
     use microscopiq_core::packed::{GroupView, PackedLayer};
     use microscopiq_linalg::Matrix;
     use std::arch::x86_64::*;
@@ -357,10 +371,158 @@ mod avx2 {
         }
     }
 
-    /// The GEMM kernel body: SIMD group decode into a stack plane, then
-    /// 8-wide column-block FMAs per plane element.
+    /// Lines decoded per activation pass of the GEMM body: each activation
+    /// load feeds this many independent FMA chains.
+    const LINES: usize = 4;
+
+    /// The GEMM kernel body. Per macro-block position, the groups of up to
+    /// [`LINES`] consecutive output lines decode into stack planes (outlier
+    /// fix-ups go straight to `out` in `f64`), then one pass over the
+    /// activation rows feeds all of them — see [`lines_pass`].
+    ///
+    /// Bitwise identical to the one line per pass body with a scalar column
+    /// tail (kept as the test oracle `gemm_rows_one_line`): every output
+    /// element sees its line's groups in ascending macro-block order, each
+    /// through the same operations in the same order.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gemm_rows(
+        layer: &PackedLayer,
+        acts: &Matrix,
+        acts32: &[f32],
+        row_lo: usize,
+        row_hi: usize,
+        out: &mut [f64],
+    ) {
+        let bb = layer.inlier_bits();
+        let shift = _mm_cvtsi32_si128(32 - bb as i32);
+        let n = acts.cols();
+        let mut lane_acc = vec![0.0_f32; (row_hi - row_lo) * n];
+        let mut planes = [[0.0_f32; MAX_GROUP]; LINES];
+        let per_line = layer.groups_per_line();
+        let line_len = layer.line_len();
+        let macro_block = layer.macro_block();
+        for mab in 0..per_line {
+            let offset = mab * macro_block;
+            let len = (line_len - offset).min(macro_block);
+            let mut line = row_lo;
+            while line < row_hi {
+                let lines = (row_hi - line).min(LINES);
+                let r0 = line - row_lo;
+                let mut scales = [0.0_f32; LINES];
+                for (j, (plane, scale)) in
+                    planes.iter_mut().zip(&mut scales).take(lines).enumerate()
+                {
+                    let view = layer.group((line + j) * per_line + mab);
+                    debug_assert_eq!((view.span().offset, view.span().len), (offset, len));
+                    *scale = view.isf().value() as f32;
+                    let orow64 = &mut out[(r0 + j) * n..(r0 + j + 1) * n];
+                    decode_group_plane(&view, bb, shift, &mut plane[..len], |slot, v| {
+                        let arow = acts.row(offset + slot);
+                        for (o, a) in orow64.iter_mut().zip(arow.iter()) {
+                            *o += v * a;
+                        }
+                    });
+                }
+                let rows = &mut lane_acc[r0 * n..(r0 + lines) * n];
+                let (p, s) = (&planes, &scales);
+                match lines {
+                    4 => lines_pass::<4>(p, s, offset, len, acts32, n, rows),
+                    3 => lines_pass::<3>(p, s, offset, len, acts32, n, rows),
+                    2 => lines_pass::<2>(p, s, offset, len, acts32, n, rows),
+                    _ => lines_pass::<1>(p, s, offset, len, acts32, n, rows),
+                }
+                line += lines;
+            }
+        }
+        for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
+            *o += l as f64;
+        }
+    }
+
+    /// One macro-block position's contribution to `R` consecutive output
+    /// lines: `rows[j·n + c] += scales[j] × Σ_i planes[j][i] · acts32[(k0 +
+    /// i)·n + c]` for `j < R`, `i < len`. Each activation load feeds `R`
+    /// accumulators.
+    ///
+    /// Full 8-column blocks run `acc = fma(w, a, acc)` over ascending `i`
+    /// and fold with `fma(scale, acc, o)`. The `n % 8` trailing columns run
+    /// as one masked block with separate mul and add — `acc + w·a` and
+    /// `o + scale·acc`, each rounded — so they round exactly as the scalar
+    /// `acc += w * a; o += scale * acc` of the oracle body.
+    ///
+    /// # Safety
+    ///
+    /// The host has AVX2+FMA. (Every address formed is bounded by the
+    /// entry assert.)
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn lines_pass<const R: usize>(
+        planes: &[[f32; MAX_GROUP]; LINES],
+        scales: &[f32; LINES],
+        k0: usize,
+        len: usize,
+        acts32: &[f32],
+        n: usize,
+        rows: &mut [f32],
+    ) {
+        // Bounds every raw address below, and lets the compiler drop the
+        // plane bounds checks from the loops.
+        assert!(
+            len <= MAX_GROUP && (k0 + len) * n <= acts32.len() && rows.len() == R * n,
+            "lines_pass shape"
+        );
+        let a0 = acts32.as_ptr().add(k0 * n);
+        let o0 = rows.as_mut_ptr();
+        let mut c0 = 0usize;
+        while c0 + 8 <= n {
+            let mut acc = [_mm256_setzero_ps(); R];
+            for i in 0..len {
+                // SAFETY: row `k0 + i` of the activations, columns
+                // `c0..c0 + 8 ≤ n`.
+                let a = _mm256_loadu_ps(a0.add(i * n + c0));
+                for (acc, plane) in acc.iter_mut().zip(planes) {
+                    *acc = _mm256_fmadd_ps(_mm256_set1_ps(plane[i]), a, *acc);
+                }
+            }
+            for (j, &acc) in acc.iter().enumerate() {
+                // SAFETY: row `j < R` of `rows`, columns `c0..c0 + 8 ≤ n`.
+                let p = o0.add(j * n + c0);
+                let sv = _mm256_set1_ps(scales[j]);
+                _mm256_storeu_ps(p, _mm256_fmadd_ps(sv, acc, _mm256_loadu_ps(p)));
+            }
+            c0 += 8;
+        }
+        if c0 < n {
+            // Lane `l` is live iff `l < n − c0` (1..=7 lanes).
+            let live = _mm256_set1_epi32((n - c0) as i32);
+            let mask = _mm256_cmpgt_epi32(live, _mm256_setr_epi32(0, 1, 2, 3, 4, 5, 6, 7));
+            let mut acc = [_mm256_setzero_ps(); R];
+            for i in 0..len {
+                // SAFETY: the base address is element `c0 < n` of
+                // activation row `k0 + i`; the live lanes stop at column
+                // `n − 1`. Masked-off lanes are neither read nor able to
+                // fault (a masked load touches only the memory its set
+                // mask bits select), and they load as 0.
+                let a = _mm256_maskload_ps(a0.add(i * n + c0), mask);
+                for (acc, plane) in acc.iter_mut().zip(planes) {
+                    *acc = _mm256_add_ps(*acc, _mm256_mul_ps(_mm256_set1_ps(plane[i]), a));
+                }
+            }
+            for (j, &acc) in acc.iter().enumerate() {
+                // SAFETY: as above, within row `j < R` of `rows`; the
+                // masked store writes the live lanes only.
+                let p = o0.add(j * n + c0);
+                let sa = _mm256_mul_ps(_mm256_set1_ps(scales[j]), acc);
+                _mm256_maskstore_ps(p, mask, _mm256_add_ps(_mm256_maskload_ps(p, mask), sa));
+            }
+        }
+    }
+
+    /// One line per activation pass and a scalar column tail: the bitwise
+    /// oracle for [`gemm_rows`].
+    #[cfg(test)]
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) unsafe fn gemm_rows_one_line(
         layer: &PackedLayer,
         acts: &Matrix,
         acts32: &[f32],
@@ -649,6 +811,56 @@ mod tests {
                         tol.accepts(a, b),
                         "gemv bits={bits} rate={rate}: {a} vs {b}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The four-lines-per-pass GEMM body is bit-for-bit the one-line,
+    /// scalar-tail oracle body on every column-tail width, line remainder,
+    /// partial tail group and row sub-range.
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn avx2_gemm_is_bitwise_the_one_line_body() {
+        if SimdKernel::try_new().is_none() {
+            return; // host without AVX2+FMA: nothing to validate
+        }
+        // (d_row, d_col, macro_block): d_row not a multiple of 4, partial
+        // tail groups (100 = 3·32 + 4, 130 = 2·64 + 2).
+        let shapes = [(37, 100, 32), (38, 130, 64), (21, 100, 64), (13, 130, 32)];
+        for bits in [2u32, 4] {
+            for rate in [0.0, 0.1, 0.9] {
+                for (d_row, d_col, macro_block) in shapes {
+                    let layer = synth_packed(&SynthSpec {
+                        d_row,
+                        d_col,
+                        bits,
+                        macro_block,
+                        outlier_rate: rate,
+                        seed: 29,
+                        ..SynthSpec::default()
+                    });
+                    let mut rng = SeededRng::new(31);
+                    for n in 1..=33 {
+                        let acts = Matrix::from_fn(d_col, n, |_, _| rng.normal(0.0, 1.0));
+                        let acts32: Vec<f32> = acts.as_slice().iter().map(|&v| v as f32).collect();
+                        for (lo, hi) in [(0, d_row), (1, d_row - 2), (3, 10), (5, 6)] {
+                            let mut want = vec![0.0_f64; (hi - lo) * n];
+                            let mut got = want.clone();
+                            // SAFETY: `try_new` succeeding proves AVX2+FMA.
+                            unsafe {
+                                avx2::gemm_rows_one_line(&layer, &acts, &acts32, lo, hi, &mut want);
+                                avx2::gemm_rows(&layer, &acts, &acts32, lo, hi, &mut got);
+                            }
+                            let bits_of =
+                                |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                            assert_eq!(
+                                bits_of(&got),
+                                bits_of(&want),
+                                "bits={bits} rate={rate} shape={d_row}x{d_col}/{macro_block} n={n} rows={lo}..{hi}"
+                            );
+                        }
+                    }
                 }
             }
         }

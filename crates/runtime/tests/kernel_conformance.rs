@@ -95,7 +95,7 @@ fn every_registered_kernel_meets_its_pin_across_the_sweep() {
                         seed: 1000 + cases as u64,
                     });
                     let mut rng = SeededRng::new(2000 + cases as u64);
-                    for m in [1usize, 3, 9] {
+                    for m in [1usize, 3, 7, 9, 15, 16] {
                         let acts = Matrix::from_fn(d_col, m, |_, _| rng.normal(0.0, 1.0));
                         let oracle = fused_gemm_serial(&layer, &acts);
                         // The oracle's own pin: bitwise against dense.
