@@ -28,7 +28,8 @@ use microscopiq_bench::{f2, median, Table};
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_core::{MicroScopiQ, QuantConfig};
 use microscopiq_fm::{
-    DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedGemm, PackedTinyFm, TinyFm, TinyFmConfig,
+    DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedGemm, PackedTinyFm, PartFn, TinyFm,
+    TinyFmConfig,
 };
 use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::RuntimeEngine;
@@ -158,8 +159,11 @@ fn packed_model(cfg: TinyFmConfig, seed: u64, rng: &mut SeededRng) -> PackedTiny
     PackedTinyFm::quantize_from(&teacher, &q, &calib).expect("quantizes")
 }
 
-/// An engine that clocks the time spent inside its calls, so a pass's
-/// self time (attention, KV append, norms) is its wall time minus this.
+/// An engine that clocks the time spent inside its GEMM/GEMV calls, so a
+/// pass's self time (attention, KV append, norms) is its wall time minus
+/// this. Attention goes through the engine's `run_parts` unclocked, so
+/// the self time measures the attention that serves, split over the
+/// engine's pool where the engine splits it.
 struct TimedGemm<'a> {
     engine: &'a RuntimeEngine,
     busy: Cell<Duration>,
@@ -178,6 +182,10 @@ impl PackedGemm for TimedGemm<'_> {
         let out = PackedGemm::gemv(self.engine, layer, x);
         self.busy.set(self.busy.get() + t0.elapsed());
         out
+    }
+
+    fn run_parts(&self, work: usize, parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+        self.engine.run_parts(work, parts, part);
     }
 }
 

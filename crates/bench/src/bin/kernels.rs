@@ -17,8 +17,9 @@
 //!    tail short of one 8-wide block) through `RuntimeEngine` on both
 //!    serving tiers, once with the split over the engine's persistent
 //!    pool forced off and once forced on (the pool is already running:
-//!    the warm-up call creates it), and the break-even MAC count that
-//!    follows — the measurement
+//!    the warm-up call creates it), one serial and one split call per
+//!    sample so both sides share each moment of the host's load, and
+//!    the break-even MAC count that follows — the measurement
 //!    `EngineConfig::default().parallel_threshold` is read off.
 //!
 //! Every timed kernel is conformance-gated against the scalar oracle at
@@ -51,6 +52,22 @@ fn time_median<F: FnMut()>(iters: usize, mut f: F) -> f64 {
         })
         .collect();
     median(&samples)
+}
+
+/// Median wall times of `iters` runs each of `a` and `b` (after one
+/// warm-up each), in seconds, alternating one `a` with one `b`: whatever
+/// the host does to one window (the second vCPU busy or free) lands on
+/// both sides alike.
+fn paired_medians(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f64, f64) {
+    a();
+    b();
+    let time = |f: &mut dyn FnMut()| {
+        let t0 = Instant::now();
+        f();
+        t0.elapsed().as_secs_f64()
+    };
+    let (ta, tb): (Vec<f64>, Vec<f64>) = (0..iters).map(|_| (time(&mut a), time(&mut b))).unzip();
+    (median(&ta), median(&tb))
 }
 
 /// Section 3: times every (tier, layer shape, m) call serially and split
@@ -113,8 +130,7 @@ fn split_break_even() -> Vec<(String, f64)> {
                         std::hint::black_box(engine.gemm(&layer, &acts));
                     }
                 };
-                let t_serial = time_median(51, || run(&serial));
-                let t_split = time_median(51, || run(&split));
+                let (t_serial, t_split) = paired_medians(51, || run(&serial), || run(&split));
                 let macs = d_row * d_col * m;
                 let split_wins = t_split < t_serial;
                 points.push((macs, split_wins));

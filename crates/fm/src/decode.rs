@@ -57,14 +57,29 @@
 //! visits them in — which is why chunking and batching still cannot
 //! change a bit. A `#[cfg(test)]` copy of the scalar loop is the oracle
 //! (`blocked_attention_is_bitwise_naive`).
+//!
+//! # Heads are parts
+//!
+//! One layer's attention is one [`PackedGemm::run_parts`] job with one
+//! part per head. `attn` is row-major `d × total`, so head `h` owns the
+//! contiguous panel of rows `h·dh..(h+1)·dh`; its part walks every
+//! segment of the batch into that panel, with a scratch of its own. No
+//! element is written by two heads and no head reads another's output,
+//! so the loop order is (head, segment) whether the engine runs the parts
+//! in order on the calling thread or spreads them over its compute pool,
+//! and the per-element order above is the same either way: the split is
+//! bitwise. The runtime engine splits once the pass's multiply-adds (Q·K
+//! plus P·V, Σ over segments of `len × (hist + len) × d × 2`) reach its
+//! `parallel_threshold`, the gate its GEMM calls use; the oracle test
+//! also runs every head on a thread of its own.
 
-use crate::packed::{PackedGemm, PackedTinyFm};
+use crate::packed::{run_parts_serially, PackedGemm, PackedTinyFm, PartFn};
 use crate::tinyfm::{rmsnorm_col, silu, LinearId, TinyFm, TinyFmConfig};
 use microscopiq_core::error::QuantError;
 use microscopiq_core::kv_cache::{KvMode, KvSegment, KvView, LayerKvCache};
 use microscopiq_linalg::Matrix;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// How a model executes the shared forward math: configuration access
 /// plus one `linear` hook per packed/dense weight representation.
@@ -76,6 +91,12 @@ pub(crate) trait ModelOps {
     fn ln_f(&self) -> &[f64];
     /// Computes `W[id] · acts`.
     fn linear(&self, id: LinearId, acts: &Matrix) -> Matrix;
+    /// Runs an attention pass's per-head parts (see
+    /// [`PackedGemm::run_parts`]); the dense model runs them in order.
+    fn run_parts(&self, work: usize, parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+        let _ = work;
+        run_parts_serially(parts, part);
+    }
 }
 
 impl ModelOps for TinyFm {
@@ -132,6 +153,9 @@ impl ModelOps for PackedOps<'_> {
             return Matrix::from_vec(layer.d_row(), 1, self.engine.gemv(layer, acts.as_slice()));
         }
         self.engine.matmul(layer, acts)
+    }
+    fn run_parts(&self, work: usize, parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+        self.engine.run_parts(work, parts, part);
     }
 }
 
@@ -414,9 +438,9 @@ struct Segment {
 /// Widest query block of the attention kernel.
 const MAX_BLOCK: usize = 8;
 
-/// Buffers of the blocked attention kernel, allocated once per
-/// [`advance_batch`] call and reused by every (layer, job, head, block):
-/// `O(MAX_BLOCK × context)`, never `O(segment × context)`.
+/// Buffers of the blocked attention kernel, one per head, allocated once
+/// per [`advance_batch`] call and reused by that head in every (layer,
+/// job, block): `O(MAX_BLOCK × context)`, never `O(segment × context)`.
 struct AttnScratch {
     /// Transposed Q head panel, `dh × B`: row `i` holds dimension `i` of
     /// the block's `B` queries.
@@ -438,33 +462,30 @@ impl AttnScratch {
     }
 }
 
-/// How [`advance_batch_with`] runs one segment's causal attention: reads
-/// `q` columns of the segment, writes the matching `attn` columns.
-type AttendFn = fn(&KvView<'_>, &Matrix, &mut Matrix, Segment, usize, &mut AttnScratch);
+/// How [`advance_batch_with`] runs one head of one segment's causal
+/// attention: reads rows `dims` of the segment's `q` columns, writes the
+/// same columns of the head's panel (`dims.len() × q.cols()`, row-major).
+type AttendFn = fn(&KvView<'_>, &Matrix, Range<usize>, &mut [f64], Segment, &mut AttnScratch);
 
-/// Blocked causal attention for one segment, all heads (see the module
+/// Blocked causal attention for one head of one segment (see the module
 /// docs for the accumulation-order contract).
 fn attend_segment(
     view: &KvView<'_>,
     q: &Matrix,
-    attn: &mut Matrix,
+    dims: Range<usize>,
+    panel: &mut [f64],
     seg: Segment,
-    n_heads: usize,
     scratch: &mut AttnScratch,
 ) {
-    let dh = q.rows() / n_heads;
-    for head in 0..n_heads {
-        let dims = head * dh..(head + 1) * dh;
-        let mut t = 0;
-        while t < seg.len {
-            let (col, ctx) = (seg.start + t, seg.hist + t + 1);
-            t += match seg.len - t {
-                8.. => attend_block::<8>(view, q, attn, dims.clone(), col, ctx, scratch),
-                4.. => attend_block::<4>(view, q, attn, dims.clone(), col, ctx, scratch),
-                2.. => attend_block::<2>(view, q, attn, dims.clone(), col, ctx, scratch),
-                _ => attend_block::<1>(view, q, attn, dims.clone(), col, ctx, scratch),
-            };
-        }
+    let mut t = 0;
+    while t < seg.len {
+        let (col, ctx) = (seg.start + t, seg.hist + t + 1);
+        t += match seg.len - t {
+            8.. => attend_block::<8>(view, q, dims.clone(), panel, col, ctx, scratch),
+            4.. => attend_block::<4>(view, q, dims.clone(), panel, col, ctx, scratch),
+            2.. => attend_block::<2>(view, q, dims.clone(), panel, col, ctx, scratch),
+            _ => attend_block::<1>(view, q, dims.clone(), panel, col, ctx, scratch),
+        };
     }
 }
 
@@ -474,8 +495,8 @@ fn attend_segment(
 fn attend_block<const B: usize>(
     view: &KvView<'_>,
     q: &Matrix,
-    attn: &mut Matrix,
     dims: Range<usize>,
+    panel: &mut [f64],
     col: usize,
     ctx: usize,
     scratch: &mut AttnScratch,
@@ -542,9 +563,10 @@ fn attend_block<const B: usize>(
             }
         }
     }
+    let total = q.cols();
     for (b, acc) in out.chunks_exact(dh).enumerate() {
         for (i, &o) in acc.iter().enumerate() {
-            attn[(dims.start + i, col + b)] = o;
+            panel[i * total + col + b] = o;
         }
     }
     B
@@ -597,8 +619,17 @@ fn advance_batch_with(
         start += job.tokens.len();
     }
     let total = start;
+    let dh = d / nh;
     let max_ctx = segments.iter().map(|s| s.hist + s.len).max().unwrap_or(0);
-    let mut scratch = AttnScratch::new(d / nh, max_ctx);
+    let scratch: Vec<Mutex<AttnScratch>> = (0..nh)
+        .map(|_| Mutex::new(AttnScratch::new(dh, max_ctx)))
+        .collect();
+    // Multiply-adds of one layer's attention (Q·K plus P·V), the unit
+    // the engine's split gate is set in.
+    let attn_work: usize = segments
+        .iter()
+        .map(|s| s.len * (s.hist + s.len) * d * 2)
+        .sum();
 
     let mut h = Matrix::zeros(d, total);
     for (seg, job) in segments.iter().zip(jobs.iter()) {
@@ -644,11 +675,27 @@ fn advance_batch_with(
             }
         }
 
+        // One part per head: head `h` owns rows `h·dh..(h+1)·dh` of the
+        // row-major `attn`, a contiguous panel, and walks every segment.
         let mut attn = Matrix::zeros(d, total);
-        for (&seg, job) in segments.iter().zip(jobs.iter()) {
-            let view = job.state.caches[layer].view();
-            attend(&view, &q, &mut attn, seg, nh, &mut scratch);
-        }
+        let views: Vec<KvView<'_>> = jobs
+            .iter()
+            .map(|job| job.state.caches[layer].view())
+            .collect();
+        let panels = attn.as_mut_slice().chunks_exact_mut(dh * total).collect();
+        ops.run_parts(attn_work, panels, &|head, panel| {
+            let mut scratch = scratch[head].lock().expect("a head is claimed once");
+            for (view, &seg) in views.iter().zip(&segments) {
+                attend(
+                    view,
+                    &q,
+                    head * dh..(head + 1) * dh,
+                    panel,
+                    seg,
+                    &mut scratch,
+                );
+            }
+        });
         if let Some(tr) = trace.as_deref_mut() {
             tr.push(attn.clone()); // wo input
         }
@@ -711,42 +758,72 @@ mod tests {
     use proptest::prelude::*;
 
     /// The scalar per-(head, token) attention loop `advance_batch` ran
-    /// before the blocked kernel, kept verbatim as the bitwise oracle.
+    /// before the blocked kernel, kept as the bitwise oracle (one head
+    /// per call, writing into the head's panel).
     fn attend_naive(
         view: &KvView<'_>,
         q: &Matrix,
-        attn: &mut Matrix,
+        dims: Range<usize>,
+        panel: &mut [f64],
         seg: Segment,
-        n_heads: usize,
         _scratch: &mut AttnScratch,
     ) {
-        let dh = q.rows() / n_heads;
+        let (dh, off, total) = (dims.len(), dims.start, q.cols());
         let scale = 1.0 / (dh as f64).sqrt();
-        for head in 0..n_heads {
-            let off = head * dh;
-            for t in 0..seg.len {
-                let tc = seg.start + t;
-                let ctx = seg.hist + t + 1;
-                let mut scores = Vec::with_capacity(ctx);
-                for s in 0..ctx {
-                    let key = view.key_row(s);
-                    let dot: f64 = (0..dh).map(|i| q[(off + i, tc)] * key[off + i]).sum();
-                    scores.push(dot * scale);
-                }
-                let max = scores.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-                let mut sum = 0.0;
-                for s in scores.iter_mut() {
-                    *s = (*s - max).exp();
-                    sum += *s;
-                }
-                for (s, &score) in scores.iter().enumerate() {
-                    let alpha = score / sum;
-                    let val = view.value_row(s);
-                    for i in 0..dh {
-                        attn[(off + i, tc)] += alpha * val[off + i];
-                    }
+        for t in 0..seg.len {
+            let tc = seg.start + t;
+            let ctx = seg.hist + t + 1;
+            let mut scores = Vec::with_capacity(ctx);
+            for s in 0..ctx {
+                let key = view.key_row(s);
+                let dot: f64 = (0..dh).map(|i| q[(off + i, tc)] * key[off + i]).sum();
+                scores.push(dot * scale);
+            }
+            let max = scores.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+            let mut sum = 0.0;
+            for s in scores.iter_mut() {
+                *s = (*s - max).exp();
+                sum += *s;
+            }
+            for (s, &score) in scores.iter().enumerate() {
+                let alpha = score / sum;
+                let val = view.value_row(s);
+                for i in 0..dh {
+                    panel[i * total + tc] += alpha * val[off + i];
                 }
             }
+        }
+    }
+
+    /// The dense model behind an engine whose `run_parts` always fans
+    /// out: one scoped thread per part, whatever the work.
+    struct FanOut<'a>(&'a TinyFm);
+
+    impl ModelOps for FanOut<'_> {
+        fn cfg(&self) -> TinyFmConfig {
+            ModelOps::cfg(self.0)
+        }
+        fn embed(&self) -> &Matrix {
+            ModelOps::embed(self.0)
+        }
+        fn ln1(&self, layer: usize) -> &[f64] {
+            self.0.ln1(layer)
+        }
+        fn ln2(&self, layer: usize) -> &[f64] {
+            self.0.ln2(layer)
+        }
+        fn ln_f(&self) -> &[f64] {
+            self.0.ln_f()
+        }
+        fn linear(&self, id: LinearId, acts: &Matrix) -> Matrix {
+            self.0.linear(id, acts)
+        }
+        fn run_parts(&self, _work: usize, parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+            std::thread::scope(|s| {
+                for (i, p) in parts.into_iter().enumerate() {
+                    s.spawn(move || part(i, p));
+                }
+            });
         }
     }
 
@@ -796,10 +873,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         /// `advance_batch` through the blocked kernel equals the naive
-        /// loop bit for bit: every block-width remainder (segment lengths
-        /// 1..=19), histories around the chunk size, multi-span views,
-        /// mixed prefill + decode batches, both KV modes, an odd and a
-        /// power-of-two head width.
+        /// loop bit for bit, with its heads run in order and with every
+        /// head on a thread of its own: every block-width remainder
+        /// (segment lengths 1..=19), histories around the chunk size,
+        /// multi-span views, mixed prefill + decode batches, both KV
+        /// modes, an odd and a power-of-two head width.
         #[test]
         fn blocked_attention_is_bitwise_naive(
             seed in any::<u64>(),
@@ -833,27 +911,31 @@ mod tests {
                 })
                 .collect();
             let mut naive = blocked.clone();
+            let mut fanned = blocked.clone();
             let tokens: Vec<Vec<usize>> = shapes
                 .iter()
                 .map(|&(_, n)| (0..n).map(|_| rng.below(cfg.vocab)).collect())
                 .collect();
-            let run = |states: &mut [DecodeState], attend: AttendFn| {
+            let run = |states: &mut [DecodeState], ops: &dyn ModelOps, attend: AttendFn| {
                 let mut jobs: Vec<DecodeJob<'_>> = states
                     .iter_mut()
                     .zip(&tokens)
                     .map(|(state, tokens)| DecodeJob { state, tokens })
                     .collect();
-                advance_batch_with(&model, &mut jobs, None, attend)
+                advance_batch_with(ops, &mut jobs, None, attend)
             };
-            let got = run(&mut blocked, attend_segment);
-            let want = run(&mut naive, attend_naive);
-            for (job, (g, w)) in got.iter().zip(&want).enumerate() {
-                let same = g
-                    .as_slice()
-                    .iter()
-                    .zip(w.as_slice())
-                    .all(|(a, b)| a.to_bits() == b.to_bits());
-                prop_assert!(same, "job {job} of {shapes:?} diverged from the naive loop");
+            let want = run(&mut naive, &model, attend_naive);
+            let serial = run(&mut blocked, &model, attend_segment);
+            let split = run(&mut fanned, &FanOut(&model), attend_segment);
+            for (path, got) in [("serial", serial), ("split", split)] {
+                for (job, (g, w)) in got.iter().zip(&want).enumerate() {
+                    let same = g
+                        .as_slice()
+                        .iter()
+                        .zip(w.as_slice())
+                        .all(|(a, b)| a.to_bits() == b.to_bits());
+                    prop_assert!(same, "{path}: job {job} of {shapes:?} diverged from the naive loop");
+                }
             }
         }
     }

@@ -45,9 +45,32 @@ pub trait PackedGemm {
         self.matmul(layer, &acts).as_slice().to_vec()
     }
 
+    /// Calls `part(i, parts[i])` once for every part: the per-head
+    /// panels of one attention pass (see [`crate::decode`]). `work` is
+    /// the job's multiply-adds, the unit `matmul` calls are sized in, so
+    /// an engine with a thread pool can decide whether spreading the
+    /// parts over it pays. The parts are disjoint and each one's result
+    /// must not depend on the others, so any order or placement gives
+    /// the same bits. The default runs them in order on the calling
+    /// thread.
+    fn run_parts(&self, work: usize, parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+        let _ = work;
+        run_parts_serially(parts, part);
+    }
+
     /// Never called; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
     fn prefetch(&self, layer: &Arc<PackedLayer>) {
         let _ = layer;
+    }
+}
+
+/// One part of a [`PackedGemm::run_parts`] job: `(index, the part's slice)`.
+pub type PartFn<'a> = dyn Fn(usize, &mut [f64]) + Sync + 'a;
+
+/// [`PackedGemm::run_parts`] on the calling thread, parts in order.
+pub(crate) fn run_parts_serially(parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+    for (i, p) in parts.into_iter().enumerate() {
+        part(i, p);
     }
 }
 

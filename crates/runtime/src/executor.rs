@@ -11,7 +11,12 @@
 //! per worker. An engine that never crosses the threshold never owns a
 //! thread. The pool runs one job at a time: a second thread calling the
 //! same engine meanwhile runs its call serially, which the accumulation
-//! contract below makes bitwise equal.
+//! contract below makes bitwise equal. Two kinds of job take that one
+//! path (`RuntimeEngine::split`): a GEMM/GEMV call's row tiles, and a
+//! layer's attention heads, which `microscopiq_fm::decode` hands over
+//! through [`PackedGemm::run_parts`] with the pass's Q·K plus P·V
+//! multiply-adds as its size. Each head writes its own panel of the
+//! attention output, so that split is bitwise as well.
 //!
 //! **Tiles.** Tiling is over *output rows*: the output buffer is cut at
 //! the tile edges into disjoint sub-slices and each claimed tile is
@@ -48,7 +53,7 @@ use crate::telemetry::{
     collector_fn, EngineTelemetry, MetricKind, MetricsRegistry, Sample, SampleValue,
 };
 use microscopiq_core::packed::PackedLayer;
-use microscopiq_fm::PackedGemm;
+use microscopiq_fm::{PackedGemm, PartFn};
 use microscopiq_linalg::Matrix;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 
@@ -61,22 +66,26 @@ pub struct EngineConfig {
     /// Decoded-tile cache residency cap in bytes; 0 disables caching.
     pub cache_bytes: usize,
     /// Calls of fewer multiply-accumulates than this run on the calling
-    /// thread; larger ones are one job on the engine's pool. The default,
-    /// 2^19, is read off the serial-vs-split table the `kernels` bench
-    /// bin prints. On a 2-vCPU host a split costs a fixed ≈ 1–5 µs —
-    /// waking the parked worker, and sleeping until it is off its last
-    /// tile: a 64×64·m=1 GEMV goes 14 → 16 µs on the exact tier and
-    /// 2 → 3 µs on the f32 tier. What a split buys depends on whether the
-    /// host's second vCPU is free. In one run of the table the exact
-    /// tier's split won on every 256- and 512-wide call (from 2^16) and
-    /// the f32 tier's on 512×256 calls from m = 4 (2^19); in the two runs
-    /// after it (the tracked `results/BENCH_kernels.json` is the last),
-    /// serial and split stayed within ≈ 10% of each other up to 2^23.6 on
-    /// both tiers. The f32 tier is 4–7× faster per MAC against the same
-    /// fixed cost, and a serial 256×256 f32 call costs ≈ 65 µs at every m
-    /// from 4 to 8, so one MAC count cannot sit at both tiers' optimum;
-    /// 2^19 keeps a 256-wide model's m ≥ 8 steps splitting on both and
-    /// every m ≤ 16 call of the 32- and 64-wide models serial.
+    /// thread; larger ones are one job on the engine's pool. The same
+    /// gate sizes a layer's attention pass (see [`PackedGemm::run_parts`]).
+    /// The default, 2^19, is read off the serial-vs-split table the
+    /// `kernels` bench bin prints, which alternates one serial and one
+    /// split call per sample. On a 2-vCPU host a split costs a fixed
+    /// ≈ 2–5 µs — waking the parked worker, and sleeping until it is off
+    /// its last tile: a 64×64·m=1 GEMV goes 15 → 19 µs on the exact tier
+    /// and 3 → 5 µs on the f32 tier. What a split buys depends on whether
+    /// the host's second vCPU is free, which changes from run to run:
+    /// four back-to-back runs put the exact tier's break-even at 2^16,
+    /// 2^23.6 and, twice, never (serial and split within ≈ 5% on every
+    /// shape), and the f32 tier's between 2^18.8 and 2^23.6. In the last run
+    /// (the tracked `results/BENCH_kernels.json`) the exact tier's split
+    /// won every 256- and 512-wide call (256×256·m=96: 2929 → 1531 µs)
+    /// and the f32 tier's every call of those shapes from m = 4. The f32
+    /// tier is 4–7× faster per MAC against the same fixed cost, and a
+    /// serial 256×256 f32 call costs ≈ 70–80 µs at every m from 4 to 8,
+    /// so one MAC count cannot sit at both tiers' optimum; 2^19 keeps a
+    /// 256-wide model's m ≥ 8 steps splitting on both and every m ≤ 16
+    /// call of the 32- and 64-wide models serial.
     pub parallel_threshold: usize,
     /// How the engine picks a kernel per call (see
     /// [`crate::kernels::dispatch`] for the policy table). The default
@@ -121,10 +130,18 @@ impl EngineConfig {
 #[derive(Debug, Default)]
 pub struct PrefetchStats;
 
-/// How the calls that crossed `parallel_threshold` ran: as a job on the
-/// pool, or serially because another thread's job held it.
+/// How the jobs that crossed `parallel_threshold` ran, by source: GEMM
+/// and GEMV row tiles, and attention heads.
 #[derive(Debug, Default)]
 struct PoolJobs {
+    gemm: SplitOutcomes,
+    attention: SplitOutcomes,
+}
+
+/// As a job on the pool, or serially because another thread's job held
+/// it.
+#[derive(Debug, Default)]
+struct SplitOutcomes {
     split: Counter,
     busy_serial: Counter,
 }
@@ -378,6 +395,32 @@ impl RuntimeEngine {
         }
     }
 
+    /// The one split path: calls `part(i, parts[i])` for every part as
+    /// one pool job — whoever is idle, worker or caller, claims the next
+    /// part — and counts it in `outcomes`. While another thread's job
+    /// holds the pool it runs nothing and hands the parts back.
+    fn split<'a>(
+        &self,
+        outcomes: &SplitOutcomes,
+        parts: Vec<&'a mut [f64]>,
+        part: &PartFn<'_>,
+    ) -> Result<(), Vec<&'a mut [f64]>> {
+        let Some(mut pool) = self.claim_pool() else {
+            outcomes.busy_serial.inc();
+            return Err(parts);
+        };
+        outcomes.split.inc();
+        let pool = pool.get_or_insert_with(|| Pool::new(self.threads - 1));
+        // One never-contended lock per part: it hands whoever claims the
+        // part its `&mut`, which a shared closure cannot hold.
+        let parts: Vec<Mutex<&mut [f64]>> = parts.into_iter().map(Mutex::new).collect();
+        pool.run_tiles(parts.len(), &|i| {
+            let mut p = parts[i].lock().expect("a part is claimed once");
+            part(i, &mut p);
+        });
+        Ok(())
+    }
+
     /// Fills the `d_row × n` output `out` by calling
     /// `tile(row_lo, row_hi, rows)`: as one pool job over the row tiles,
     /// each claimed tile writing its own sub-slice of `out` — or, while
@@ -390,28 +433,22 @@ impl RuntimeEngine {
         out: &mut [f64],
         tile: &(dyn Fn(usize, usize, &mut [f64]) + Sync),
     ) {
-        let Some(mut pool) = self.claim_pool() else {
-            self.pool_jobs.busy_serial.inc();
-            return tile(0, layer.d_row(), out);
-        };
-        self.pool_jobs.split.inc();
-        let pool = pool.get_or_insert_with(|| Pool::new(self.threads - 1));
         let edges = self.tile_edges(layer);
-        // One never-contended lock per tile: it hands whoever claims the
-        // tile the `&mut` to its rows, which a shared closure cannot hold.
-        let mut rest = out;
-        let tiles: Vec<Mutex<&mut [f64]>> = edges
+        let mut rest = &mut *out;
+        let tiles = edges
             .windows(2)
             .map(|e| {
                 let (rows, tail) = std::mem::take(&mut rest).split_at_mut((e[1] - e[0]) * n);
                 rest = tail;
-                Mutex::new(rows)
+                rows
             })
             .collect();
-        pool.run_tiles(tiles.len(), &|t| {
-            let mut rows = tiles[t].lock().expect("a tile is claimed once");
-            tile(edges[t], edges[t + 1], &mut rows);
+        let split = self.split(&self.pool_jobs.gemm, tiles, &|t, rows| {
+            tile(edges[t], edges[t + 1], rows)
         });
+        if split.is_err() {
+            tile(0, layer.d_row(), out);
+        }
     }
 
     /// Parallel GEMM: one pool job in which workers and the caller steal
@@ -485,6 +522,23 @@ impl PackedGemm for RuntimeEngine {
     fn gemv(&self, layer: &PackedLayer, x: &[f64]) -> Vec<f64> {
         self.gemv(layer, x)
     }
+
+    /// Attention heads take the GEMM calls' split path and gate: one
+    /// pool job at `work ≥ parallel_threshold`, in order on the calling
+    /// thread otherwise or while another thread's job holds the pool.
+    fn run_parts(&self, work: usize, parts: Vec<&mut [f64]>, part: &PartFn<'_>) {
+        let parts = if self.threads > 1 && work >= self.cfg.parallel_threshold {
+            match self.split(&self.pool_jobs.attention, parts, part) {
+                Ok(()) => return,
+                Err(parts) => parts,
+            }
+        } else {
+            parts
+        };
+        for (i, p) in parts.into_iter().enumerate() {
+            part(i, p);
+        }
+    }
 }
 
 impl EngineTelemetry for RuntimeEngine {
@@ -545,7 +599,7 @@ impl EngineTelemetry for RuntimeEngine {
         let threads = self.threads as i64;
         registry.register_collector(
             "microscopiq_engine_threads",
-            "Threads a split GEMM/GEMV call runs on (caller + pool workers).",
+            "Threads a split GEMM/GEMV call or attention pass runs on (caller + pool workers).",
             MetricKind::Gauge,
             collector_fn(move || {
                 vec![Sample {
@@ -557,19 +611,23 @@ impl EngineTelemetry for RuntimeEngine {
         let jobs = self.pool_jobs.clone();
         registry.register_collector(
             "microscopiq_pool_jobs_total",
-            "Calls above parallel_threshold by how they ran (split over the pool / serially while it was busy).",
+            "Jobs above parallel_threshold by source (GEMM/GEMV row tiles, attention heads) and how they ran (split over the pool / serially while it was busy).",
             MetricKind::Counter,
             collector_fn(move || {
-                [
-                    ("split", jobs.split.get()),
-                    ("busy_serial", jobs.busy_serial.get()),
-                ]
-                .into_iter()
-                .map(|(outcome, n)| Sample {
-                    labels: vec![("outcome", outcome.to_string())],
-                    value: SampleValue::Counter(n),
-                })
-                .collect()
+                [("gemm", &jobs.gemm), ("attention", &jobs.attention)]
+                    .into_iter()
+                    .flat_map(|(op, o)| {
+                        [("split", &o.split), ("busy_serial", &o.busy_serial)].map(
+                            |(outcome, n)| Sample {
+                                labels: vec![
+                                    ("op", op.to_string()),
+                                    ("outcome", outcome.to_string()),
+                                ],
+                                value: SampleValue::Counter(n.get()),
+                            },
+                        )
+                    })
+                    .collect()
             }),
         );
         if let Some(cache) = &self.cache {
@@ -616,6 +674,10 @@ mod tests {
     use microscopiq_core::config::{GroupAxis, QuantConfig};
     use microscopiq_core::solver::solve;
     use microscopiq_core::traits::LayerTensors;
+    use microscopiq_core::MicroScopiQ;
+    use microscopiq_fm::{
+        DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, TinyFmConfig,
+    };
     use microscopiq_linalg::{Matrix, SeededRng};
 
     fn packed_layer(rows: usize, cols: usize, axis: GroupAxis, seed: u64) -> PackedLayer {
@@ -724,7 +786,10 @@ mod tests {
             parallel_threshold: 0,
             ..EngineConfig::default()
         });
-        let jobs = |e: &RuntimeEngine| (e.pool_jobs.split.get(), e.pool_jobs.busy_serial.get());
+        let jobs = |e: &RuntimeEngine| {
+            let gemm = &e.pool_jobs.gemm;
+            (gemm.split.get(), gemm.busy_serial.get())
+        };
 
         // The busy path, forced: while the pool is held a call runs as
         // one full-range tile on its own thread.
@@ -778,7 +843,7 @@ mod tests {
             want,
             "split again after the panic"
         );
-        assert_eq!(engine.pool_jobs.busy_serial.get(), 0);
+        assert_eq!(engine.pool_jobs.gemm.busy_serial.get(), 0);
     }
 
     #[test]
@@ -1012,7 +1077,150 @@ mod tests {
         assert!(text.contains("feature=\"avx2\""));
         assert!(text.contains("microscopiq_engine_threads 3"));
         assert!(text.contains("caller + pool workers"));
-        assert!(text.contains("microscopiq_pool_jobs_total{outcome=\"split\"} 0"));
-        assert!(text.contains("microscopiq_pool_jobs_total{outcome=\"busy_serial\"} 0"));
+        for op in ["gemm", "attention"] {
+            for outcome in ["split", "busy_serial"] {
+                let line =
+                    format!("microscopiq_pool_jobs_total{{op=\"{op}\",outcome=\"{outcome}\"}} 0");
+                assert!(text.contains(&line), "{line}");
+            }
+        }
+    }
+
+    /// A 4-head packed model (8-wide heads) for the attention-split tests.
+    fn four_head_model() -> PackedTinyFm {
+        let cfg = TinyFmConfig {
+            d_model: 32,
+            n_heads: 4,
+            d_ff: 48,
+            n_layers: 2,
+            vocab: 40,
+        };
+        let fm = TinyFm::teacher(cfg, 41);
+        let mut rng = SeededRng::new(42);
+        let calib: Vec<Vec<usize>> = (0..3).map(|_| fm.generate(8, 0.8, &mut rng)).collect();
+        let q = MicroScopiQ::new(
+            QuantConfig::w4()
+                .macro_block(32)
+                .row_block(32)
+                .build()
+                .unwrap(),
+        );
+        PackedTinyFm::quantize_from(&fm, &q, &calib).unwrap()
+    }
+
+    fn advance(
+        model: &PackedTinyFm,
+        engine: &RuntimeEngine,
+        states: &mut [DecodeState],
+        tokens: &[Vec<usize>],
+    ) -> Vec<Matrix> {
+        let mut jobs: Vec<DecodeJob<'_>> = states
+            .iter_mut()
+            .zip(tokens)
+            .map(|(state, tokens)| DecodeJob { state, tokens })
+            .collect();
+        model.advance_batch(&mut jobs, engine)
+    }
+
+    fn assert_bitwise(got: &[Matrix], want: &[Matrix], what: &str) {
+        for (job, (g, w)) in got.iter().zip(want).enumerate() {
+            let same = g
+                .as_slice()
+                .iter()
+                .zip(w.as_slice())
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+            assert!(same, "{what}: job {job} diverged from serial attention");
+        }
+    }
+
+    /// Attention heads split over the pool give the serial bits: a mixed
+    /// batch (a prefill chunk on top of two attached prefix segments, a
+    /// cold prefill, a decode step) in both KV modes, then one decode
+    /// step each; and a split requested while another thread holds the
+    /// pool runs serially, to the same bits.
+    #[test]
+    fn attention_split_is_bitwise_serial() {
+        let model = four_head_model();
+        let cfg = model.config();
+        let engine = |parallel_threshold| {
+            RuntimeEngine::new(EngineConfig {
+                threads: 3,
+                cache_bytes: 0,
+                parallel_threshold,
+                ..EngineConfig::default()
+            })
+        };
+        let (serial, split) = (engine(usize::MAX), engine(0));
+        let mut rng = SeededRng::new(43);
+        let mut draw = |n: usize| -> Vec<usize> { (0..n).map(|_| rng.below(cfg.vocab)).collect() };
+        let quantized = KvMode::Quantized(KvCacheConfig {
+            bits: 4,
+            group: 4,
+            residual: 3,
+        });
+        for mode in [KvMode::Exact, quantized] {
+            // A donor shares its first 8 and 16 rows; the first job
+            // attaches both segments and prefills the rest on top.
+            let prompt = draw(24);
+            let mut donor = DecodeState::new(cfg, mode).unwrap();
+            advance(
+                &model,
+                &serial,
+                std::slice::from_mut(&mut donor),
+                std::slice::from_ref(&prompt),
+            );
+            assert!(donor.shareable_len() >= 16);
+            let bundles = [
+                donor.share_prefix(8).unwrap(),
+                donor.share_prefix(16).unwrap(),
+            ];
+            let attached = DecodeState::with_prefix(cfg, mode, &prompt[..16], &bundles).unwrap();
+            let mut decoding = DecodeState::new(cfg, mode).unwrap();
+            advance(
+                &model,
+                &serial,
+                std::slice::from_mut(&mut decoding),
+                &[draw(20)],
+            );
+            let fresh = DecodeState::new(cfg, mode).unwrap();
+
+            let mut want_states = vec![attached, fresh, decoding];
+            let mut got_states = want_states.clone();
+            let mut held_states = want_states.clone();
+            let batch = [prompt[16..].to_vec(), draw(11), draw(1)];
+            let want = advance(&model, &serial, &mut want_states, &batch);
+            let got = advance(&model, &split, &mut got_states, &batch);
+            assert_bitwise(&got, &want, &format!("{mode:?} mixed batch"));
+            let step: Vec<Vec<usize>> = (0..3).map(|_| draw(1)).collect();
+            let want_step = advance(&model, &serial, &mut want_states, &step);
+            assert_bitwise(
+                &advance(&model, &split, &mut got_states, &step),
+                &want_step,
+                &format!("{mode:?} decode step"),
+            );
+
+            // The same batch while another thread holds the pool.
+            let attention = &split.pool_jobs.attention;
+            let before = (attention.split.get(), attention.busy_serial.get());
+            let (held_tx, held_rx) = std::sync::mpsc::channel();
+            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+            let held = std::thread::scope(|scope| {
+                let pool = &split.pool;
+                scope.spawn(move || {
+                    let _pool = pool.lock().unwrap();
+                    held_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                });
+                held_rx.recv().unwrap();
+                let out = advance(&model, &split, &mut held_states, &batch);
+                release_tx.send(()).unwrap();
+                out
+            });
+            assert_bitwise(&held, &want, &format!("{mode:?} busy pool"));
+            let after = (attention.split.get(), attention.busy_serial.get());
+            assert_eq!(after, (before.0, before.1 + cfg.n_layers as u64));
+        }
+        assert_eq!(serial.pool_jobs.attention.split.get(), 0);
+        assert!(split.pool_jobs.attention.split.get() >= 4 * cfg.n_layers as u64);
     }
 }
