@@ -11,11 +11,11 @@
 //! MACs).
 //!
 //! The packed layer must use `GroupAxis::OutputChannel` so that one μB maps
-//! across one PE row, as in Fig. 6/8 (DESIGN.md §2).
+//! across one PE row, as in Fig. 6/8: the PE row shares one activation, so
+//! a micro-block's slots must be distinct output channels of one input.
 
 use crate::recon::{ColumnInput, ReCoN};
 use microscopiq_core::config::GroupAxis;
-use microscopiq_core::microblock::PermEntry;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_linalg::Matrix;
 use microscopiq_mx::halves::unpack_sign_mag;
@@ -83,7 +83,7 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
     assert_eq!(
         packed.axis(),
         GroupAxis::OutputChannel,
-        "hardware mapping requires OutputChannel packing (DESIGN.md §2)"
+        "hardware mapping requires OutputChannel packing (one micro-block per PE row)"
     );
     assert_eq!(
         acts.codes.rows(),
@@ -103,13 +103,11 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
     // (the merged value carries mb fractional bits).
     let xsf = acts.scale.exponent();
     let mut e_min = i32::MAX;
-    for g in packed.groups() {
-        e_min = e_min.min(g.isf.exponent() + xsf);
-        for mbk in &g.micro_blocks {
-            if let Some(meta) = &mbk.meta {
-                e_min =
-                    e_min.min(meta.mxscale.total_exponent() - g.isf.exponent() + xsf - mb as i32);
-            }
+    for g in packed.iter_groups() {
+        let isf = g.isf().exponent();
+        e_min = e_min.min(isf + xsf);
+        for (mxscale, _) in g.micro_blocks().filter_map(|(_, outliers)| outliers) {
+            e_min = e_min.min(mxscale.total_exponent() - isf + xsf - mb as i32);
         }
     }
     if e_min == i32::MAX {
@@ -124,19 +122,19 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
     // channels — each μB maps across one PE row).
     for k in 0..d_col {
         for mab in 0..mabs_per_line {
-            let group = &packed.groups()[k * mabs_per_line + mab];
-            let isf = group.isf.exponent();
+            let group = packed.group(k * mabs_per_line + mab);
+            let isf = group.isf().exponent();
             let mut offset = mab * packed.macro_block();
-            for mbk in &group.micro_blocks {
-                let n = mbk.codes.len();
-                match &mbk.meta {
+            for (codes, outliers) in group.micro_blocks() {
+                let n = codes.len();
+                match outliers {
                     None => {
                         // Pure inlier μB: straight PE-row MACs.
                         let shift = (isf + xsf - e_min) as u32;
                         #[allow(clippy::needless_range_loop)] // b indexes acts and acc together
                         for b in 0..batch {
                             let x = acts.codes[(k, b)] as i128;
-                            for (i, &code) in mbk.codes.iter().enumerate() {
+                            for (i, &code) in codes.iter().enumerate() {
                                 let sh = 8 - bb;
                                 let w = ((code << sh) as i8 >> sh) as i128;
                                 counters.macs += 1;
@@ -145,16 +143,15 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
                             counters.total_waves += 1;
                         }
                     }
-                    Some(meta) => {
+                    Some((mxscale, entries)) => {
                         // Outlier-bearing μB: route every wave through ReCoN.
-                        let out_exp = meta.mxscale.total_exponent() - isf;
+                        let out_exp = mxscale.total_exponent() - isf;
                         let in_shift = (isf + xsf - e_min) as u32;
                         let out_shift = (out_exp + xsf - mb as i32 - e_min) as u32;
                         // μB-relative perm entries are already relative.
-                        let entries: Vec<PermEntry> = meta.perm.entries().to_vec();
                         let is_outlier_col: Vec<bool> = {
                             let mut v = vec![false; n];
-                            for e in &entries {
+                            for e in entries {
                                 v[e.upper_loc as usize] = true;
                                 v[e.lower_loc as usize] = true;
                             }
@@ -164,7 +161,7 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
                         for b in 0..batch {
                             let x = acts.codes[(k, b)] as i64;
                             let mut inputs = Vec::with_capacity(recon.width());
-                            for (i, &code) in mbk.codes.iter().enumerate() {
+                            for (i, &code) in codes.iter().enumerate() {
                                 counters.macs += 1;
                                 if is_outlier_col[i] {
                                     let half = unpack_sign_mag(code, bb) as i64;
@@ -185,8 +182,7 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
                             let signed_iacts: Vec<i64> = entries
                                 .iter()
                                 .map(|e| {
-                                    let sign_bit =
-                                        (mbk.codes[e.upper_loc as usize] >> (bb - 1)) & 1;
+                                    let sign_bit = (codes[e.upper_loc as usize] >> (bb - 1)) & 1;
                                     if sign_bit == 1 {
                                         -x
                                     } else {
@@ -194,7 +190,7 @@ pub fn execute_gemm(packed: &PackedLayer, acts: &QuantizedActs) -> GemmExecution
                                     }
                                 })
                                 .collect();
-                            let routed = recon.route(&inputs, &entries, &signed_iacts, mb);
+                            let routed = recon.route(&inputs, entries, &signed_iacts, mb);
                             counters.recon_accesses += 1;
                             counters.total_waves += 1;
                             counters.switch_ops += routed.switch_ops;

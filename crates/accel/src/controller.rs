@@ -63,8 +63,9 @@ impl ControlProgram {
 ///
 /// # Panics
 ///
-/// Panics if the layer is not `OutputChannel`-packed (the hardware
-/// mapping, DESIGN.md §2).
+/// Panics if the layer is not `OutputChannel`-packed: the hardware maps
+/// one micro-block across one PE row (Fig. 6/8), so a micro-block must
+/// run along output channels.
 pub fn generate_control(packed: &PackedLayer) -> ControlProgram {
     assert_eq!(
         packed.axis(),
@@ -83,12 +84,11 @@ pub fn generate_control(packed: &PackedLayer) -> ControlProgram {
     // (inlier Isf and outlier MXScale−Isf), so every shift is ≥ 0 — a
     // left-shifter suffices, as in Fig. 4's `<<` port.
     let mut reference = i32::MAX;
-    for g in packed.groups() {
-        reference = reference.min(g.isf.exponent());
-        for blk in &g.micro_blocks {
-            if let Some(meta) = &blk.meta {
-                reference = reference.min(meta.mxscale.total_exponent() - g.isf.exponent() - mb);
-            }
+    for g in packed.iter_groups() {
+        let isf = g.isf().exponent();
+        reference = reference.min(isf);
+        for (mxscale, _) in g.micro_blocks().filter_map(|(_, outliers)| outliers) {
+            reference = reference.min(mxscale.total_exponent() - isf - mb);
         }
     }
     if reference == i32::MAX {
@@ -96,17 +96,17 @@ pub fn generate_control(packed: &PackedLayer) -> ControlProgram {
     }
 
     let mut rows = Vec::new();
-    for g in packed.groups() {
-        for blk in &g.micro_blocks {
-            let n = blk.codes.len();
+    for g in packed.iter_groups() {
+        let isf = g.isf().exponent();
+        for (codes, outliers) in g.micro_blocks() {
+            let n = codes.len();
             let mut outlier_present = vec![false; n];
-            let mut shift_values = vec![g.isf.exponent() - reference; n];
-            let route = match &blk.meta {
+            let mut shift_values = vec![isf - reference; n];
+            let route = match outliers {
                 None => PsumRoute::NextRow,
-                Some(meta) => {
-                    let out_shift =
-                        meta.mxscale.total_exponent() - g.isf.exponent() - mb - reference;
-                    for e in meta.perm.entries() {
+                Some((mxscale, entries)) => {
+                    let out_shift = mxscale.total_exponent() - isf - mb - reference;
+                    for e in entries {
                         outlier_present[e.upper_loc as usize] = true;
                         outlier_present[e.lower_loc as usize] = true;
                         shift_values[e.upper_loc as usize] = out_shift;

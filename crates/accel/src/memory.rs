@@ -120,10 +120,10 @@ pub fn instruction_bytes(packed: &PackedLayer) -> usize {
     let mut bytes = 0usize;
     let loc_bits = (packed.micro_block() as u32).ilog2();
     let perm_bytes = (((packed.micro_block() as u32 / 2) * 2 * loc_bits).div_ceil(8)) as usize;
-    for g in packed.groups() {
+    for g in packed.iter_groups() {
         bytes += 1; // Isf
-        for mb in &g.micro_blocks {
-            if mb.meta.is_some() {
+        for i in 0..g.micro_block_count() {
+            if g.micro_block_has_outliers(i) {
                 bytes += 1 + perm_bytes; // MXScale + permutation list
             }
         }

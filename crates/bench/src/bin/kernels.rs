@@ -6,9 +6,8 @@
 //!
 //! 1. **GEMM 512×2048 @ batch 8** (bb = 2, Bμ = 8, BM = 64, ~3% outlier
 //!    micro-blocks, synthesized directly in packed form) — the shape the
-//!    runtime acceptance gauge has always used. The acceptance bar here
-//!    is the ISSUE's: the lane-blocked `f32` kernel ≥ 1.5× over the
-//!    scalar `f64` oracle.
+//!    runtime acceptance gauge has always used. The acceptance bar here:
+//!    the lane-blocked `f32` kernel ≥ 1.5× over the scalar `f64` oracle.
 //! 2. **GEMV 512×2048** (m = 1) — the per-step decode shape, comparing
 //!    the shape-specialized GEMV entries.
 //!
@@ -21,6 +20,13 @@
 //!    sample so both sides share each moment of the host's load, and
 //!    the break-even MAC count that follows — the measurement
 //!    `EngineConfig::default().parallel_threshold` is read off.
+//!
+//! The acceptance gates (lane-f32 ≥ 1.5× scalar-f64 on GEMM and GEMV,
+//! simd-f32 ≥ 2.0× lane-f32 on GEMV) time their two sides alternately
+//! with [`paired_medians`], so a slow stretch of a shared host lands on
+//! both; the JSON's `gemm_speedup_lane_vs_scalar`,
+//! `gemv_speedup_lane_vs_scalar` and `gemv_speedup_simd_vs_lane` are
+//! those paired ratios, while the tables time each kernel on its own.
 //!
 //! Every timed kernel is conformance-gated against the scalar oracle at
 //! its pinned tolerance — on the GEMM shape *and* the GEMV entry —
@@ -35,7 +41,7 @@ use microscopiq_core::config::GroupAxis;
 use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
 use microscopiq_runtime::kernels::{
-    detected_cpu_features, fused_gemv_serial, KernelCtx, KernelRegistry, LANE_KERNEL,
+    detected_cpu_features, fused_gemv_serial, KernelCtx, KernelRegistry, MicroKernel, LANE_KERNEL,
     SCALAR_KERNEL, SIMD_KERNEL,
 };
 use microscopiq_runtime::{DecodedCache, EngineConfig, KernelPolicy, RuntimeEngine};
@@ -68,6 +74,21 @@ fn paired_medians(iters: usize, mut a: impl FnMut(), mut b: impl FnMut()) -> (f6
     };
     let (ta, tb): (Vec<f64>, Vec<f64>) = (0..iters).map(|_| (time(&mut a), time(&mut b))).unzip();
     (median(&ta), median(&tb))
+}
+
+/// One acceptance gate: times `base` and `kernel` alternately, `iters`
+/// runs each ([`paired_medians`]), prints the speedup against `bar` and
+/// panics below it. Returns the speedup.
+fn gate(what: &str, bar: f64, iters: usize, base: impl FnMut(), kernel: impl FnMut()) -> f64 {
+    let (t_base, t_kernel) = paired_medians(iters, base, kernel);
+    let speedup = t_base / t_kernel;
+    let verdict = if speedup >= bar { "PASS >=" } else { "FAIL <" };
+    println!("acceptance: {what} = {speedup:.2}x ({verdict} {bar:.1}x)");
+    assert!(
+        speedup >= bar,
+        "{what} must be >= {bar:.1}x (got {speedup:.2}x)"
+    );
+    speedup
 }
 
 /// Section 3: times every (tier, layer shape, m) call serially and split
@@ -358,79 +379,60 @@ fn main() {
     }
     gemv_table.print();
 
-    // Acceptance gauge: the lane-blocked f32 kernel against the scalar
-    // oracle on the 512×2048 GEMM.
-    let t_lane = gemm_times
-        .iter()
-        .find(|(n, _)| *n == "lane-f32")
-        .expect("lane timed")
-        .1;
-    let lane_speedup = t_scalar / t_lane;
-    println!(
-        "\nacceptance: lane-f32 vs scalar-f64 on {d_row}x{d_col}@b{batch} = {lane_speedup:.2}x ({})",
-        if lane_speedup >= 1.5 {
-            "PASS >= 1.5x"
-        } else {
-            "FAIL < 1.5x"
-        }
-    );
-    assert!(
-        lane_speedup >= 1.5,
-        "lane-f32 must be >= 1.5x over scalar-f64 (got {lane_speedup:.2}x)"
-    );
-
-    // Acceptance gauge 2: the same bar on the m=1 GEMV path — the shape
-    // every per-step decode collapses to, and the one the Fast serving
-    // tier runs on hosts without SIMD, so it must not silently regress.
-    let lane_gemv_speedup = t_scalar_gemv
-        / gemv_times
-            .iter()
-            .find(|(n, _)| *n == "lane-f32")
-            .expect("lane gemv timed")
-            .1;
-    println!(
-        "acceptance: lane-f32 vs scalar-f64 on {d_row}x{d_col} GEMV (m=1) = {lane_gemv_speedup:.2}x ({})",
-        if lane_gemv_speedup >= 1.5 {
-            "PASS >= 1.5x"
-        } else {
-            "FAIL < 1.5x"
-        }
-    );
-    assert!(
-        lane_gemv_speedup >= 1.5,
-        "lane-f32 GEMV must be >= 1.5x over scalar-f64 (got {lane_gemv_speedup:.2}x)"
-    );
-    let bucketed_speedup = t_scalar
-        / gemm_times
-            .iter()
-            .find(|(n, _)| *n == "bucketed-cache")
-            .expect("bucketed timed")
-            .1;
-
+    let gemm_time = |name: &str| gemm_times.iter().find(|(n, _)| *n == name).map(|&(_, t)| t);
+    let t_lane = gemm_time(LANE_KERNEL).expect("lane timed");
+    let bucketed_speedup = t_scalar / gemm_time("bucketed-cache").expect("bucketed timed");
     let gemv_time = |name: &str| gemv_times.iter().find(|(n, _)| *n == name).map(|&(_, t)| t);
     let t_lane_gemv = gemv_time(LANE_KERNEL).expect("lane gemv timed");
 
-    // Acceptance gauge 3 (conditional): when the SIMD kernel registered,
-    // it must beat the lane kernel by ≥ 2× on the decode GEMV — the
-    // ISSUE's close-the-gap bar. On SIMD-less hosts (or the CI leg with
-    // MICROSCOPIQ_SIMD=off) the gate reports n/a and does not fail.
-    let simd_gemv_speedup = gemv_time(SIMD_KERNEL).map(|t| t_lane_gemv / t);
-    match simd_gemv_speedup {
-        Some(s) => {
-            println!(
-                "acceptance: simd-f32 vs lane-f32 on {d_row}x{d_col} GEMV (m=1) = {s:.2}x ({})",
-                if s >= 2.0 {
-                    "PASS >= 2.0x"
-                } else {
-                    "FAIL < 2.0x"
-                }
-            );
-            assert!(
-                s >= 2.0,
-                "simd-f32 GEMV must be >= 2.0x over lane-f32 (got {s:.2}x)"
-            );
-        }
-        None => println!("acceptance: simd-f32 vs lane-f32 — n/a (kernel not registered)"),
+    // Acceptance gates. Each times its two sides alternately
+    // (`paired_medians`), so a slow stretch of the host lands on both.
+    let kernel = |name| registry.get(name).expect("registered");
+    let (scalar, lane) = (kernel(SCALAR_KERNEL), kernel(LANE_KERNEL));
+    let gemm_pass = |k: &dyn MicroKernel| {
+        let mut out = vec![0.0_f64; d_row * batch];
+        k.gemm_rows(&ctx, &layer, &acts, 0, d_row, &mut out);
+        std::hint::black_box(out);
+    };
+    let gemv_pass = |k: &dyn MicroKernel| {
+        let mut out = vec![0.0_f64; d_row];
+        k.gemv(&ctx, &layer, &x, &mut out);
+        std::hint::black_box(out);
+    };
+    // Gate 1: the lane-blocked f32 kernel against the scalar oracle on
+    // the 512×2048 GEMM.
+    let lane_speedup = gate(
+        &format!("lane-f32 vs scalar-f64 on {d_row}x{d_col}@b{batch}"),
+        1.5,
+        9,
+        || gemm_pass(scalar),
+        || gemm_pass(lane),
+    );
+    // Gate 2: the same bar on the m=1 GEMV path — the shape every
+    // per-step decode collapses to, and the one the Fast serving tier
+    // runs on hosts without SIMD, so it must not silently regress.
+    let lane_gemv_speedup = gate(
+        &format!("lane-f32 vs scalar-f64 on {d_row}x{d_col} GEMV (m=1)"),
+        1.5,
+        15,
+        || gemv_pass(scalar),
+        || gemv_pass(lane),
+    );
+    // Gate 3 (conditional): when the SIMD kernel registered, it must beat
+    // the lane kernel by ≥ 2× on the decode GEMV. On SIMD-less hosts (or
+    // the CI leg with MICROSCOPIQ_SIMD=off) the gate reports n/a and does
+    // not fail.
+    let simd_gemv_speedup = registry.get(SIMD_KERNEL).map(|simd| {
+        gate(
+            &format!("simd-f32 vs lane-f32 on {d_row}x{d_col} GEMV (m=1)"),
+            2.0,
+            15,
+            || gemv_pass(lane),
+            || gemv_pass(simd),
+        )
+    });
+    if simd_gemv_speedup.is_none() {
+        println!("acceptance: simd-f32 vs lane-f32 — n/a (kernel not registered)");
     }
 
     let mut metrics: Vec<(&str, f64)> = vec![
@@ -445,13 +447,10 @@ fn main() {
     ];
     if let Some(t) = gemv_time(SIMD_KERNEL) {
         metrics.push(("gemv_us_simd", t * 1e6));
+        metrics.push(("gemv_speedup_simd_vs_scalar", t_scalar_gemv / t));
     }
     if let Some(s) = simd_gemv_speedup {
         metrics.push(("gemv_speedup_simd_vs_lane", s));
-        metrics.push((
-            "gemv_speedup_simd_vs_scalar",
-            t_scalar_gemv * s / t_lane_gemv,
-        ));
     }
     // Host capability + availability block: which features the host has
     // and which kernels actually registered, so a JSON artifact from the

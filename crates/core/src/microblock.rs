@@ -60,15 +60,7 @@ impl PermutationList {
     /// Packs to the on-chip bit format: `B_μ/2` entries of
     /// `2·log2(B_μ)` bits, zero-padded (paper: 24 bits at `B_μ = 8`).
     pub fn to_bits(&self, micro_block: usize) -> u64 {
-        let loc_bits = (micro_block as u32).ilog2();
-        let mut word = 0u64;
-        for (i, e) in self.entries.iter().enumerate() {
-            let entry = ((e.upper_loc as u64) << loc_bits) | e.lower_loc as u64;
-            word |= entry << (i as u32 * 2 * loc_bits);
-        }
-        // Occupancy count rides in the top byte so decode knows how many
-        // entries are real (slot 0/0 would otherwise be ambiguous).
-        word | ((self.entries.len() as u64) << 56)
+        perm_word(&self.entries, micro_block)
     }
 
     /// Unpacks from the bit format.
@@ -99,6 +91,20 @@ impl PermutationList {
         }
         Ok(Self { entries })
     }
+}
+
+/// [`PermutationList::to_bits`] over a borrowed entry slice, for stores
+/// that keep entries without owning a list.
+pub(crate) fn perm_word(entries: &[PermEntry], micro_block: usize) -> u64 {
+    let loc_bits = (micro_block as u32).ilog2();
+    let mut word = 0u64;
+    for (i, e) in entries.iter().enumerate() {
+        let entry = ((e.upper_loc as u64) << loc_bits) | e.lower_loc as u64;
+        word |= entry << (i as u32 * 2 * loc_bits);
+    }
+    // Occupancy count rides in the top byte so decode knows how many
+    // entries are real (slot 0/0 would otherwise be ambiguous).
+    word | ((entries.len() as u64) << 56)
 }
 
 /// The quantization role assigned to each micro-block slot.

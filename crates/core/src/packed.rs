@@ -7,10 +7,17 @@
 //! 8-bit MXScale and the permutation list. Weight slots always hold exactly
 //! `bb` bits: inlier codes in two's complement, outlier Upper/Lower halves
 //! in sign-magnitude.
+//!
+//! In memory a layer holds the same fields as flat arrays, one per kind,
+//! so it costs no allocation per group or micro-block: one code byte per
+//! slot in group order, one E8M0 byte per group, one outlier bit per
+//! micro-block, and a side table for the outlier-bearing micro-blocks
+//! only. [`PackedMacroBlock`] is the construction form that
+//! [`PackedLayer::new`] flattens.
 
 use crate::config::GroupAxis;
 use crate::error::QuantError;
-use crate::microblock::PermutationList;
+use crate::microblock::{perm_word, PermEntry, PermutationList};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use microscopiq_linalg::Matrix;
 use microscopiq_mx::fp::TinyFloat;
@@ -31,7 +38,8 @@ pub struct MicroBlockMeta {
     pub perm: PermutationList,
 }
 
-/// One packed micro-block: `B_μ` fixed-width slots plus optional metadata.
+/// One micro-block in construction form: `B_μ` fixed-width slots plus
+/// optional metadata.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMicroBlock {
     /// Raw slot bit patterns (`bb` significant bits each).
@@ -40,7 +48,9 @@ pub struct PackedMicroBlock {
     pub meta: Option<MicroBlockMeta>,
 }
 
-/// One packed macro-block: shared inlier scale plus its micro-blocks.
+/// One macro-block in construction form: shared inlier scale plus its
+/// micro-blocks. [`PackedLayer::new`] flattens these; a built layer hands
+/// out [`GroupView`]s instead.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PackedMacroBlock {
     /// Shared inlier scale `2^Isf`.
@@ -62,6 +72,133 @@ pub struct GroupSpan {
     pub len: usize,
 }
 
+/// A layer's contents as flat arrays. Micro-blocks are numbered in layout
+/// order; since macro-blocks are whole multiples of the micro-block, the
+/// micro-block holding slot `offset` of line `l` is number
+/// `l · ⌈line_len / B_μ⌉ + offset / B_μ`, and its codes start at
+/// `l · line_len + offset` rounded down to the micro-block.
+#[derive(Debug, Clone, PartialEq, Default)]
+struct Store {
+    /// One code byte per slot, in group (line-major) order.
+    codes: Vec<u8>,
+    /// One E8M0 `Isf` byte per group.
+    scales: Vec<u8>,
+    /// One bit per micro-block, set iff it carries outlier metadata.
+    outlier_bits: Vec<u64>,
+    /// Per word of `outlier_bits`: set bits in all earlier words, so the
+    /// side-table row of an outlier micro-block is one lookup and a
+    /// popcount.
+    outlier_rank: Vec<u32>,
+    /// Side table, one row per outlier micro-block in layout order: the
+    /// MXScale byte…
+    mxscales: Vec<u8>,
+    /// …and the row's entries in `perm_entries` (`perm_start[r] ..
+    /// perm_start[r + 1]`).
+    perm_start: Vec<u32>,
+    /// Every permutation entry, side-table row after row.
+    perm_entries: Vec<PermEntry>,
+}
+
+impl Store {
+    /// An empty store with exact room for `slots` codes, `groups` scales
+    /// and `micro_blocks` outlier bits.
+    fn with_capacity(slots: usize, groups: usize, micro_blocks: usize) -> Self {
+        Self {
+            codes: Vec::with_capacity(slots),
+            scales: Vec::with_capacity(groups),
+            outlier_bits: vec![0; micro_blocks.div_ceil(64)],
+            perm_start: vec![0],
+            ..Self::default()
+        }
+    }
+
+    /// Appends micro-block number `index` (layout order): its codes and,
+    /// if it carries outliers, its MXScale byte and permutation entries.
+    fn push_micro_block(
+        &mut self,
+        index: usize,
+        codes: &[u8],
+        outliers: Option<(u8, &[PermEntry])>,
+    ) {
+        self.codes.extend_from_slice(codes);
+        if let Some((mxscale, entries)) = outliers {
+            self.outlier_bits[index / 64] |= 1 << (index % 64);
+            self.mxscales.push(mxscale);
+            self.perm_entries.extend_from_slice(entries);
+            self.perm_start.push(self.perm_entries.len() as u32);
+        }
+    }
+
+    /// Trims the side table to its length and fills the rank index.
+    fn finish(mut self) -> Self {
+        self.mxscales.shrink_to_fit();
+        self.perm_start.shrink_to_fit();
+        self.perm_entries.shrink_to_fit();
+        let mut seen = 0u32;
+        self.outlier_rank = self
+            .outlier_bits
+            .iter()
+            .map(|w| {
+                let before = seen;
+                seen += w.count_ones();
+                before
+            })
+            .collect();
+        self
+    }
+
+    /// Whether micro-block `index` carries outlier metadata.
+    #[inline(always)]
+    fn has_outliers(&self, index: usize) -> bool {
+        self.outlier_bits[index / 64] >> (index % 64) & 1 == 1
+    }
+
+    /// Outlier bits of micro-blocks `index .. index + count`, at most the
+    /// first 64 of them: bit `i` is micro-block `index + i`.
+    #[inline]
+    fn outlier_window(&self, index: usize, count: usize) -> u64 {
+        let (word, shift) = (index / 64, index % 64);
+        let mut bits = self.outlier_bits.get(word).map_or(0, |&w| w >> shift);
+        if shift > 0 {
+            bits |= self
+                .outlier_bits
+                .get(word + 1)
+                .map_or(0, |&w| w << (64 - shift));
+        }
+        if count < 64 {
+            bits & ((1 << count) - 1)
+        } else {
+            bits
+        }
+    }
+
+    /// Side-table row of outlier micro-block `index`.
+    #[inline(always)]
+    fn outlier_row(&self, index: usize) -> usize {
+        let word = self.outlier_bits[index / 64] & ((1u64 << (index % 64)) - 1);
+        (self.outlier_rank[index / 64] + word.count_ones()) as usize
+    }
+
+    /// MXScale byte and permutation entries of micro-block `index`, which
+    /// must carry outliers.
+    #[inline(always)]
+    fn outlier_meta(&self, index: usize) -> (u8, &[PermEntry]) {
+        debug_assert!(
+            self.has_outliers(index),
+            "micro-block {index} has no outliers"
+        );
+        let r = self.outlier_row(index);
+        let entries =
+            &self.perm_entries[self.perm_start[r] as usize..self.perm_start[r + 1] as usize];
+        (self.mxscales[r], entries)
+    }
+
+    /// Number of outlier-bearing micro-blocks.
+    fn outlier_count(&self) -> usize {
+        self.mxscales.len()
+    }
+}
+
 /// A complete packed layer.
 #[derive(Debug, Clone)]
 pub struct PackedLayer {
@@ -71,13 +208,17 @@ pub struct PackedLayer {
     inlier_bits: u32,
     micro_block: usize,
     macro_block: usize,
-    groups: Vec<PackedMacroBlock>,
+    /// Geometry derived from the fields above, kept so that finding a
+    /// group's codes and outlier bits costs no division on the kernel
+    /// path; excluded from equality.
+    line_len: usize,
+    groups_per_line: usize,
+    micro_blocks_per_line: usize,
+    micro_blocks_per_group: usize,
+    store: Store,
     /// Lazily computed content fingerprint (see
     /// [`PackedLayer::content_fingerprint`]); excluded from equality.
     fingerprint: OnceLock<u64>,
-    /// Lazily computed (outlier micro-blocks, total micro-blocks) counts;
-    /// excluded from equality.
-    outlier_counts: OnceLock<(usize, usize)>,
 }
 
 impl PartialEq for PackedLayer {
@@ -88,17 +229,21 @@ impl PartialEq for PackedLayer {
             && self.inlier_bits == other.inlier_bits
             && self.micro_block == other.micro_block
             && self.macro_block == other.macro_block
-            && self.groups == other.groups
+            && self.store == other.store
     }
 }
 
 impl PackedLayer {
-    /// Assembles a packed layer.
+    /// Assembles a packed layer, flattening the macro-blocks into the
+    /// layer's in-memory layout.
     ///
     /// # Panics
     ///
     /// Panics if the group/micro-block structure does not tile the tensor
-    /// dimensions (groups per line, blocks per group, slots per block).
+    /// dimensions (groups per line, blocks per group, slots per block), if
+    /// the macro-block is not a multiple of the micro-block, if a
+    /// permutation entry addresses a slot past its micro-block, or if an
+    /// MXScale is not in the layer's outlier format.
     pub fn new(
         axis: GroupAxis,
         d_row: usize,
@@ -108,31 +253,71 @@ impl PackedLayer {
         macro_block: usize,
         groups: Vec<PackedMacroBlock>,
     ) -> Self {
-        let (lines, line_len) = match axis {
-            GroupAxis::DotProduct => (d_row, d_col),
-            GroupAxis::OutputChannel => (d_col, d_row),
-        };
-        let mabs_per_line = line_len.div_ceil(macro_block);
+        assert!(
+            micro_block > 0 && macro_block.is_multiple_of(micro_block),
+            "macro-block must be a whole number of micro-blocks"
+        );
+        let mut layer = Self::empty(axis, d_row, d_col, inlier_bits, micro_block, macro_block);
+        let mabs_per_line = layer.groups_per_line();
         assert_eq!(
             groups.len(),
-            lines * mabs_per_line,
+            layer.lines() * mabs_per_line,
             "group count does not tile the tensor"
         );
+        let fmt = layer.outlier_format();
+        let mut store =
+            Store::with_capacity(d_row * d_col, groups.len(), layer.micro_block_total());
+        let mut index = 0;
         for (g, group) in groups.iter().enumerate() {
-            let mab_index = g % mabs_per_line;
-            let mab_len = (line_len - mab_index * macro_block).min(macro_block);
+            let mab_len = layer.group_span(g).len;
             assert_eq!(
                 group.micro_blocks.len(),
                 mab_len.div_ceil(micro_block),
                 "micro-block count mismatch in group {g}"
             );
+            store.scales.push(group.isf.to_e8m0_byte());
             let mut remaining = mab_len;
             for mb in &group.micro_blocks {
                 let expect = remaining.min(micro_block);
                 assert_eq!(mb.codes.len(), expect, "slot count mismatch in group {g}");
                 remaining -= expect;
+                let outliers = mb.meta.as_ref().map(|meta| {
+                    let byte = meta.mxscale.to_byte();
+                    assert_eq!(
+                        MxScale::from_byte(byte, fmt),
+                        meta.mxscale,
+                        "MXScale not in the layer's outlier format in group {g}"
+                    );
+                    for e in meta.perm.entries() {
+                        assert!(
+                            (e.upper_loc.max(e.lower_loc) as usize) < expect,
+                            "permutation location out of range in group {g}"
+                        );
+                    }
+                    (byte, meta.perm.entries())
+                });
+                store.push_micro_block(index, &mb.codes, outliers);
+                index += 1;
             }
         }
+        layer.store = store.finish();
+        layer
+    }
+
+    /// A layer with the given geometry and no contents yet. The
+    /// macro-block must be a positive multiple of the micro-block.
+    fn empty(
+        axis: GroupAxis,
+        d_row: usize,
+        d_col: usize,
+        inlier_bits: u32,
+        micro_block: usize,
+        macro_block: usize,
+    ) -> Self {
+        let line_len = match axis {
+            GroupAxis::DotProduct => d_col,
+            GroupAxis::OutputChannel => d_row,
+        };
         Self {
             axis,
             d_row,
@@ -140,9 +325,12 @@ impl PackedLayer {
             inlier_bits,
             micro_block,
             macro_block,
-            groups,
+            line_len,
+            groups_per_line: line_len.div_ceil(macro_block),
+            micro_blocks_per_line: line_len.div_ceil(micro_block),
+            micro_blocks_per_group: macro_block / micro_block,
+            store: Store::default(),
             fingerprint: OnceLock::new(),
-            outlier_counts: OnceLock::new(),
         }
     }
 
@@ -176,39 +364,34 @@ impl PackedLayer {
         self.macro_block
     }
 
-    /// The packed macro-blocks in layout order.
-    pub fn groups(&self) -> &[PackedMacroBlock] {
-        &self.groups
-    }
-
     /// The outlier element format implied by `bb` (e1m2 at 2-bit budget,
     /// e3m4 at 4-bit).
     pub fn outlier_format(&self) -> TinyFloat {
         TinyFloat::for_outlier_bits(self.inlier_bits * 2)
     }
 
-    /// Fraction of micro-blocks carrying outlier metadata. Computed once
-    /// and memoized — kernel dispatch keys on it per GEMM call, so the
-    /// count must not be re-walked on the hot path.
+    /// Micro-blocks in the layer. Macro-blocks are whole multiples of the
+    /// micro-block, so only a line's last micro-block can be short.
+    fn micro_block_total(&self) -> usize {
+        self.lines() * self.micro_blocks_per_line
+    }
+
+    /// Fraction of micro-blocks carrying outlier metadata (kernel dispatch
+    /// keys on it per GEMM call; the count is kept, not re-walked).
     pub fn outlier_micro_block_fraction(&self) -> f64 {
-        let (with, total) = *self.outlier_counts.get_or_init(|| {
-            let mut total = 0usize;
-            let mut with = 0usize;
-            for g in &self.groups {
-                for mb in &g.micro_blocks {
-                    total += 1;
-                    if mb.meta.is_some() {
-                        with += 1;
-                    }
-                }
-            }
-            (with, total)
-        });
+        let total = self.micro_block_total();
         if total == 0 {
             0.0
         } else {
-            with as f64 / total as f64
+            self.store.outlier_count() as f64 / total as f64
         }
+    }
+
+    /// Permutation-list plus MXScale bits an outlier-bearing micro-block
+    /// adds (Eq. 4).
+    fn outlier_overhead_bits(&self) -> f64 {
+        let loc_bits = (self.micro_block as u32).ilog2() as f64;
+        (self.micro_block as f64 / 2.0) * 2.0 * loc_bits + 8.0
     }
 
     /// Effective bit width per Eq. 4: micro-blocks without outliers cost
@@ -216,51 +399,31 @@ impl PackedLayer {
     /// and the 8-bit MXScale. The shared `Isf` and the 1-bit identifier
     /// are excluded, as in the paper.
     pub fn effective_bit_width(&self) -> f64 {
+        // Every term is a small integer, so the sums are exact in f64 and
+        // equal the per-micro-block running sum.
         let bb = self.inlier_bits as f64;
-        let mut bits = 0.0;
-        let mut elems = 0usize;
-        for g in &self.groups {
-            for mb in &g.micro_blocks {
-                let n = mb.codes.len();
-                elems += n;
-                bits += bb * n as f64;
-                if mb.meta.is_some() {
-                    let loc_bits = (self.micro_block as u32).ilog2() as f64;
-                    let perm_bits = (self.micro_block as f64 / 2.0) * 2.0 * loc_bits;
-                    bits += perm_bits + 8.0;
-                }
-            }
-        }
+        let elems = self.store.codes.len();
         if elems == 0 {
-            bb
-        } else {
-            bits / elems as f64
+            return bb;
         }
+        let bits =
+            bb * elems as f64 + self.store.outlier_count() as f64 * self.outlier_overhead_bits();
+        bits / elems as f64
     }
 
     /// Effective bit width including every stored bit (Isf amortized over
     /// the macro-block and the 1-bit identifier) — the "honest" variant the
     /// paper argues contributes only 0.05–0.09 extra bits.
     pub fn effective_bit_width_exact(&self) -> f64 {
-        let mut bits = 0.0;
-        let mut elems = 0usize;
-        for g in &self.groups {
-            let group_elems: usize = g.micro_blocks.iter().map(|m| m.codes.len()).sum();
-            bits += 8.0; // Isf
-            elems += group_elems;
-            for mb in &g.micro_blocks {
-                bits += 1.0 + self.inlier_bits as f64 * mb.codes.len() as f64;
-                if mb.meta.is_some() {
-                    let loc_bits = (self.micro_block as u32).ilog2() as f64;
-                    bits += (self.micro_block as f64 / 2.0) * 2.0 * loc_bits + 8.0;
-                }
-            }
-        }
+        let elems = self.store.codes.len();
         if elems == 0 {
-            self.inlier_bits as f64
-        } else {
-            bits / elems as f64
+            return self.inlier_bits as f64;
         }
+        let bits = 8.0 * self.num_groups() as f64
+            + self.micro_block_total() as f64
+            + self.inlier_bits as f64 * elems as f64
+            + self.store.outlier_count() as f64 * self.outlier_overhead_bits();
+        bits / elems as f64
     }
 
     /// Number of lines the grouping axis walks: rows for
@@ -274,20 +437,17 @@ impl PackedLayer {
 
     /// Elements per line along the grouping axis.
     pub fn line_len(&self) -> usize {
-        match self.axis {
-            GroupAxis::DotProduct => self.d_col,
-            GroupAxis::OutputChannel => self.d_row,
-        }
+        self.line_len
     }
 
     /// Macro-block groups per line.
     pub fn groups_per_line(&self) -> usize {
-        self.line_len().div_ceil(self.macro_block)
+        self.groups_per_line
     }
 
     /// Number of macro-block groups.
     pub fn num_groups(&self) -> usize {
-        self.groups.len()
+        self.lines() * self.groups_per_line()
     }
 
     /// Placement of group `g` within the weight matrix: the line it lives
@@ -299,11 +459,15 @@ impl PackedLayer {
     ///
     /// Panics if `g` is out of range.
     pub fn group_span(&self, g: usize) -> GroupSpan {
-        assert!(g < self.groups.len(), "group index out of range");
-        let per_line = self.groups_per_line();
-        let line = g / per_line;
-        let offset = (g % per_line) * self.macro_block;
-        let len = (self.line_len() - offset).min(self.macro_block);
+        assert!(g < self.num_groups(), "group index out of range");
+        self.span_at(g / self.groups_per_line, g % self.groups_per_line)
+    }
+
+    /// Placement of the group at macro-block position `mab` of `line`.
+    #[inline]
+    fn span_at(&self, line: usize, mab: usize) -> GroupSpan {
+        let offset = mab * self.macro_block;
+        let len = (self.line_len - offset).min(self.macro_block);
         GroupSpan { line, offset, len }
     }
 
@@ -324,20 +488,17 @@ impl PackedLayer {
                 self.d_col as u64,
                 self.inlier_bits as u64,
                 ((self.micro_block as u64) << 32) | self.macro_block as u64,
-                self.groups.len() as u64,
+                self.num_groups() as u64,
             ] {
                 mix64(v);
             }
-            for g in &self.groups {
-                mix64(g.isf.to_e8m0_byte() as u64);
-                for mb in &g.micro_blocks {
-                    if let Some(meta) = &mb.meta {
-                        mix64(
-                            ((meta.mxscale.to_byte() as u64) << 56)
-                                ^ meta.perm.to_bits(self.micro_block),
-                        );
+            for view in self.iter_groups() {
+                mix64(self.store.scales[view.index] as u64);
+                for i in 0..view.micro_block_count() {
+                    if let Some((mxscale, entries)) = view.outliers(i) {
+                        mix64(((mxscale as u64) << 56) ^ perm_word(entries, self.micro_block));
                     }
-                    let mut chunks = mb.codes.chunks_exact(8);
+                    let mut chunks = view.micro_block_codes(i).chunks_exact(8);
                     for c in &mut chunks {
                         mix64(u64::from_le_bytes(c.try_into().expect("chunk of 8")));
                     }
@@ -362,22 +523,31 @@ impl PackedLayer {
 
     /// Reassembles one outlier's exact value from its Upper/Lower
     /// sign-magnitude halves: the merged mantissa under the block's
-    /// MXScale, with the shared `Isf` divided back out (§4.2). Shared by
-    /// every decode path so outliers always reconstruct identically.
-    fn outlier_value(&self, meta: &MicroBlockMeta, isf: Pow2Scale, up: u8, lo: u8) -> f64 {
+    /// MXScale (stored byte), with the shared `Isf` divided back out
+    /// (§4.2). Shared by every decode path so outliers always reconstruct
+    /// identically.
+    #[inline(always)]
+    fn outlier_value(&self, mxscale: u8, isf: Pow2Scale, up: u8, lo: u8) -> f64 {
         let bb = self.inlier_bits;
         let fmt = self.outlier_format();
         let mb_bits = fmt.mantissa_bits();
         // Dequantized outlier exponent: MXScale total − Isf (§4.2).
-        let exp = meta.mxscale.total_exponent() - isf.exponent();
+        let exp = MxScale::from_byte(mxscale, fmt).total_exponent() - isf.exponent();
         let upper = unpack_sign_mag(up, bb);
         let lower = unpack_sign_mag(lo, bb);
         // The sign is duplicated into both halves; read it from the
         // Upper slot's raw sign bit.
         let sign = (up >> (bb - 1)) & 1 == 1;
         let mantissa = (upper.unsigned_abs() << (mb_bits / 2)) | lower.unsigned_abs();
-        let frac = 1.0 + mantissa as f64 / fmt.mantissa_levels() as f64;
-        let mag = frac * (exp as f64).exp2();
+        // (1 + m / 2^mb) · 2^exp, as the integer 2^mb + m times 2^(exp − mb):
+        // both forms are exact, so they are the same f64, and this one needs
+        // neither a division nor `exp2`. |exp| ≤ 127 + 64 (the Isf and
+        // MXScale field ranges), so the power of two is a normal f64 built
+        // from its exponent field.
+        let e = exp - mb_bits as i32;
+        debug_assert!(e.abs() < 1000, "outlier exponent {e}");
+        let mag =
+            (fmt.mantissa_levels() + mantissa) as f64 * f64::from_bits(((e + 1023) as u64) << 52);
         if sign {
             -mag
         } else {
@@ -385,76 +555,97 @@ impl PackedLayer {
         }
     }
 
-    /// Decodes one micro-block into `out` (one value per slot; `out` must
-    /// hold at least `mb.codes.len()` elements). Inlier slots decode as
-    /// two's complement × `2^Isf`; outlier-bearing blocks reassemble the
-    /// Upper/Lower sign-magnitude halves through the permutation list and
-    /// zero the pruned host slots.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `out` is shorter than the micro-block.
-    pub fn decode_micro_block_into(&self, mb: &PackedMicroBlock, isf: Pow2Scale, out: &mut [f64]) {
-        let bb = self.inlier_bits;
-        assert!(out.len() >= mb.codes.len(), "decode buffer too small");
-        for (o, &c) in out.iter_mut().zip(mb.codes.iter()) {
-            // Default: inlier two's-complement decode.
-            let shift = 8 - bb;
-            let signed = ((c << shift) as i8 >> shift) as i32;
-            *o = isf.unapply(signed as f64);
-        }
-        if let Some(meta) = &mb.meta {
-            for e in meta.perm.entries() {
-                let up = mb.codes[e.upper_loc as usize];
-                let lo = mb.codes[e.lower_loc as usize];
-                out[e.upper_loc as usize] = self.outlier_value(meta, isf, up, lo);
-                out[e.lower_loc as usize] = 0.0; // pruned slot
-            }
-        }
-    }
-
     /// Decodes every slot of group `g` into `out` (at least
-    /// [`GroupSpan::len`] elements), in line order.
+    /// [`GroupSpan::len`] elements), in line order. Inlier slots decode as
+    /// two's complement × `2^Isf`; outlier-bearing micro-blocks reassemble
+    /// the Upper/Lower sign-magnitude halves through the permutation list
+    /// and zero the pruned host slots.
     ///
     /// # Panics
     ///
     /// Panics if `g` is out of range or `out` is too short.
     pub fn decode_group_into(&self, g: usize, out: &mut [f64]) {
-        let group = &self.groups[g];
-        let mut offset = 0;
-        for mb in &group.micro_blocks {
-            self.decode_micro_block_into(mb, group.isf, &mut out[offset..]);
-            offset += mb.codes.len();
+        let view = self.group(g);
+        let isf = view.isf();
+        let shift = 8 - self.inlier_bits;
+        assert!(out.len() >= view.codes.len(), "decode buffer too small");
+        for (o, &c) in out.iter_mut().zip(view.codes) {
+            // Default: inlier two's-complement decode.
+            let signed = ((c << shift) as i8 >> shift) as i32;
+            *o = isf.unapply(signed as f64);
+        }
+        if !view.has_outliers() {
+            return;
+        }
+        for i in 0..view.micro_block_count() {
+            if let Some((mxscale, entries)) = view.outliers(i) {
+                let base = i * self.micro_block;
+                let codes = view.micro_block_codes(i);
+                for e in entries {
+                    let (up, lo) = (e.upper_loc as usize, e.lower_loc as usize);
+                    out[base + up] = self.outlier_value(mxscale, isf, codes[up], codes[lo]);
+                    out[base + lo] = 0.0; // pruned slot
+                }
+            }
         }
     }
 
-    /// Borrowed view of group `g`: placement, scale, and allocation-free
-    /// decode entry points for kernels that walk packed blocks directly.
+    /// Borrowed view of group `g`: placement, scale, its slice of the
+    /// code array, and allocation-free decode entry points for kernels
+    /// that walk packed blocks directly.
     ///
     /// # Panics
     ///
     /// Panics if `g` is out of range.
+    #[inline]
     pub fn group(&self, g: usize) -> GroupView<'_> {
-        assert!(g < self.groups.len(), "group index out of range");
+        assert!(g < self.num_groups(), "group index out of range");
+        self.group_at(g / self.groups_per_line, g % self.groups_per_line)
+    }
+
+    /// Borrowed view of the group at macro-block position `mab` of line
+    /// `line` — group `line · groups_per_line() + mab`, without the
+    /// division [`Self::group`] needs to split that index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line` or `mab` is out of range.
+    #[inline]
+    pub fn group_at(&self, line: usize, mab: usize) -> GroupView<'_> {
+        assert!(
+            line < self.lines() && mab < self.groups_per_line,
+            "group index out of range"
+        );
+        let span = self.span_at(line, mab);
+        let (offset, len) = (span.offset, span.len);
+        let start = line * self.line_len + offset;
+        let first_mb = line * self.micro_blocks_per_line + mab * self.micro_blocks_per_group;
+        let micro_blocks = if len == self.macro_block {
+            self.micro_blocks_per_group
+        } else {
+            len.div_ceil(self.micro_block)
+        };
         GroupView {
             layer: self,
-            index: g,
+            index: line * self.groups_per_line + mab,
+            span,
+            codes: &self.store.codes[start..start + len],
+            first_mb,
+            micro_blocks,
+            outlier_mask: self.store.outlier_window(first_mb, micro_blocks),
         }
     }
 
     /// Iterates borrowed views over every group in layout order.
     pub fn iter_groups(&self) -> impl ExactSizeIterator<Item = GroupView<'_>> + '_ {
-        (0..self.groups.len()).map(move |g| GroupView {
-            layer: self,
-            index: g,
-        })
+        (0..self.num_groups()).map(move |g| self.group(g))
     }
 
     /// Reconstructs the full dequantized weight matrix.
     pub fn dequantize(&self) -> Matrix {
         let mut w = Matrix::zeros(self.d_row, self.d_col);
         let mut buf = vec![0.0; self.macro_block];
-        for (g, span) in (0..self.groups.len()).map(|g| (g, self.group_span(g))) {
+        for (g, span) in (0..self.num_groups()).map(|g| (g, self.group_span(g))) {
             self.decode_group_into(g, &mut buf);
             for (i, &v) in buf[..span.len].iter().enumerate() {
                 match self.axis {
@@ -464,6 +655,12 @@ impl PackedLayer {
             }
         }
         w
+    }
+
+    /// Bytes of the byte-padded permutation payload (3 at `B_μ = 8`).
+    fn perm_payload_bytes(micro_block: usize) -> usize {
+        let loc_bits = (micro_block as u32).ilog2();
+        ((micro_block as u32 / 2) * 2 * loc_bits).div_ceil(8) as usize
     }
 
     /// Serializes to the byte layout of Fig. 5 (weights + hardware-managed
@@ -481,23 +678,22 @@ impl PackedLayer {
         buf.put_u16(self.macro_block as u16);
         buf.put_u32(self.d_row as u32);
         buf.put_u32(self.d_col as u32);
-        buf.put_u32(self.groups.len() as u32);
-        for g in &self.groups {
-            buf.put_u8(g.isf.to_e8m0_byte());
-            buf.put_u16(g.micro_blocks.len() as u16);
-            for mb in &g.micro_blocks {
-                buf.put_u8(mb.codes.len() as u8);
-                match &mb.meta {
+        buf.put_u32(self.num_groups() as u32);
+        let payload_bytes = Self::perm_payload_bytes(self.micro_block);
+        for view in self.iter_groups() {
+            buf.put_u8(self.store.scales[view.index]);
+            buf.put_u16(view.micro_block_count() as u16);
+            for i in 0..view.micro_block_count() {
+                let codes = view.micro_block_codes(i);
+                buf.put_u8(codes.len() as u8);
+                match view.outliers(i) {
                     None => buf.put_u8(0),
-                    Some(meta) => {
-                        buf.put_u8(1 | ((meta.perm.len() as u8) << 4));
-                        buf.put_u8(meta.mxscale.to_byte());
+                    Some((mxscale, entries)) => {
+                        buf.put_u8(1 | ((entries.len() as u8) << 4));
+                        buf.put_u8(mxscale);
                         // Permutation payload: Bμ/2 entries × 2·log2(Bμ)
                         // bits, byte-padded (3 bytes at Bμ = 8).
-                        let payload = meta.perm.to_bits(self.micro_block) & ((1 << 56) - 1);
-                        let loc_bits = (self.micro_block as u32).ilog2();
-                        let payload_bytes =
-                            ((self.micro_block as u32 / 2) * 2 * loc_bits).div_ceil(8);
+                        let payload = perm_word(entries, self.micro_block) & ((1 << 56) - 1);
                         for b in 0..payload_bytes {
                             buf.put_u8((payload >> (8 * b)) as u8);
                         }
@@ -506,7 +702,7 @@ impl PackedLayer {
                 // Slot codes, bb bits each, packed little-endian into bytes.
                 let mut acc = 0u32;
                 let mut nbits = 0u32;
-                for &c in &mb.codes {
+                for &c in codes {
                     acc |= ((c as u32) & ((1 << self.inlier_bits) - 1)) << nbits;
                     nbits += self.inlier_bits;
                     while nbits >= 8 {
@@ -569,23 +765,40 @@ impl PackedLayer {
         let d_row = buf.get_u32() as usize;
         let d_col = buf.get_u32() as usize;
         let n_groups = buf.get_u32() as usize;
-        let fmt = TinyFloat::for_outlier_bits(inlier_bits * 2);
-        let mut groups = Vec::with_capacity(n_groups);
-        for _ in 0..n_groups {
+        let mut layer = Self::empty(axis, d_row, d_col, inlier_bits, micro_block, macro_block);
+        // The geometry fixes every group's and micro-block's length, so a
+        // count that disagrees is corrupt — and the arrays are sized from
+        // the geometry only once the payload could hold it.
+        if n_groups != layer.num_groups() {
+            return Err(corrupt(total, "group count does not tile tensor"));
+        }
+        let slots = d_row * d_col;
+        if slots.saturating_mul(inlier_bits as usize) / 8 > buf.remaining() {
+            return Err(corrupt(off(buf), "truncated slot codes"));
+        }
+        let payload_bytes = Self::perm_payload_bytes(micro_block);
+        let mut store = Store::with_capacity(slots, n_groups, layer.micro_block_total());
+        let mut codes = Vec::with_capacity(micro_block);
+        let mut index = 0;
+        for g in 0..n_groups {
             if buf.remaining() < 3 {
                 return Err(corrupt(off(buf), "truncated group header"));
             }
-            let isf = Pow2Scale::from_e8m0_byte(buf.get_u8());
-            let n_micro = buf.get_u16() as usize;
-            let mut micro_blocks = Vec::with_capacity(n_micro);
-            for _ in 0..n_micro {
+            let mab_len = layer.group_span(g).len;
+            store.scales.push(buf.get_u8());
+            if buf.get_u16() as usize != mab_len.div_ceil(micro_block) {
+                return Err(corrupt(off(buf), "micro-block count does not tile group"));
+            }
+            let mut remaining = mab_len;
+            while remaining > 0 {
                 if buf.remaining() < 2 {
                     return Err(corrupt(off(buf), "truncated micro-block header"));
                 }
                 let n_codes = buf.get_u8() as usize;
-                if n_codes == 0 || n_codes > micro_block {
+                if n_codes != remaining.min(micro_block) {
                     return Err(corrupt(off(buf), "bad slot count"));
                 }
+                remaining -= n_codes;
                 let flag = buf.get_u8();
                 let meta = if flag & 1 == 1 {
                     let count = (flag >> 4) as usize;
@@ -595,10 +808,7 @@ impl PackedLayer {
                     if buf.remaining() < 1 {
                         return Err(corrupt(off(buf), "truncated mxscale"));
                     }
-                    let mxscale = MxScale::from_byte(buf.get_u8(), fmt);
-                    let loc_bits = (micro_block as u32).ilog2();
-                    let payload_bytes =
-                        (((micro_block as u32 / 2) * 2 * loc_bits).div_ceil(8)) as usize;
+                    let mxscale = buf.get_u8();
                     if buf.remaining() < payload_bytes {
                         return Err(corrupt(off(buf), "truncated permutation list"));
                     }
@@ -613,7 +823,7 @@ impl PackedLayer {
                             return Err(corrupt(off(buf), "permutation location out of range"));
                         }
                     }
-                    Some(MicroBlockMeta { mxscale, perm })
+                    Some((mxscale, perm))
                 } else {
                     None
                 };
@@ -621,7 +831,7 @@ impl PackedLayer {
                 if buf.remaining() < code_bytes {
                     return Err(corrupt(off(buf), "truncated slot codes"));
                 }
-                let mut codes = Vec::with_capacity(n_codes);
+                codes.clear();
                 let mut acc = 0u32;
                 let mut nbits = 0u32;
                 for _ in 0..n_codes {
@@ -633,45 +843,41 @@ impl PackedLayer {
                     acc >>= inlier_bits;
                     nbits -= inlier_bits;
                 }
-                micro_blocks.push(PackedMicroBlock { codes, meta });
+                let outliers = meta.as_ref().map(|(b, perm)| (*b, perm.entries()));
+                store.push_micro_block(index, &codes, outliers);
+                index += 1;
             }
-            groups.push(PackedMacroBlock { isf, micro_blocks });
         }
-        // Structural validation of group tiling also happens in `new`, but
-        // a corrupt count must surface as an error rather than a panic.
-        let (lines, line_len) = match axis {
-            GroupAxis::DotProduct => (d_row, d_col),
-            GroupAxis::OutputChannel => (d_col, d_row),
-        };
-        if groups.len() != lines * line_len.div_ceil(macro_block) {
-            return Err(corrupt(total, "group count does not tile tensor"));
-        }
-        Ok(Self {
-            axis,
-            d_row,
-            d_col,
-            inlier_bits,
-            micro_block,
-            macro_block,
-            groups,
-            fingerprint: OnceLock::new(),
-            outlier_counts: OnceLock::new(),
-        })
+        layer.store = store.finish();
+        Ok(layer)
     }
 }
 
-/// A borrowed view of one macro-block group: placement plus decode entry
-/// points that write into caller-owned buffers, so kernels walking packed
-/// blocks never allocate per group.
+/// A borrowed view of one macro-block group: placement, the group's slice
+/// of the layer's code array, and decode entry points that write into
+/// caller-owned buffers, so kernels walking packed blocks never allocate
+/// per group. Micro-block `i` of the group is `codes[i·B_μ ..]` (the
+/// group's last one may be short), and its outlier identifier is one bit
+/// of the layer's outlier bitmap.
 ///
 /// Obtained from [`PackedLayer::group`] / [`PackedLayer::iter_groups`].
 #[derive(Debug, Clone, Copy)]
 pub struct GroupView<'a> {
     layer: &'a PackedLayer,
     index: usize,
+    span: GroupSpan,
+    codes: &'a [u8],
+    /// Layout-order number of the group's first micro-block.
+    first_mb: usize,
+    /// Micro-blocks in the group.
+    micro_blocks: usize,
+    /// Outlier bits of the group's first 64 micro-blocks (bit `i` is
+    /// micro-block `i`), copied out of the layer's bitmap so that the
+    /// kernels' per-micro-block test is a shift of a register.
+    outlier_mask: u64,
 }
 
-impl GroupView<'_> {
+impl<'a> GroupView<'a> {
     /// The group's index in layout order.
     pub fn index(&self) -> usize {
         self.index
@@ -680,21 +886,52 @@ impl GroupView<'_> {
     /// Placement of the group within the weight matrix.
     #[inline]
     pub fn span(&self) -> GroupSpan {
-        self.layer.group_span(self.index)
+        self.span
     }
 
     /// The group's shared inlier scale `2^Isf`.
     #[inline]
     pub fn isf(&self) -> Pow2Scale {
-        self.layer.groups[self.index].isf
+        Pow2Scale::from_e8m0_byte(self.layer.store.scales[self.index])
+    }
+
+    /// The raw code bytes of every slot in the group (one byte per slot,
+    /// line order).
+    #[inline]
+    pub fn codes(&self) -> &'a [u8] {
+        self.codes
+    }
+
+    /// Outlier bits of the group's first 64 micro-blocks: bit `i` is set
+    /// iff micro-block `i` carries outlier metadata. Covers the whole group
+    /// when [`Self::micro_block_count`] is at most 64.
+    #[inline]
+    pub fn outlier_mask(&self) -> u64 {
+        self.outlier_mask
     }
 
     /// Whether any micro-block in the group carries outlier metadata.
+    #[inline]
     pub fn has_outliers(&self) -> bool {
-        self.layer.groups[self.index]
-            .micro_blocks
-            .iter()
-            .any(|mb| mb.meta.is_some())
+        self.outlier_mask != 0 || (64..self.micro_blocks).any(|i| self.bit(i))
+    }
+
+    /// MXScale byte and permutation entries of micro-block `i` (in
+    /// range), if it carries outliers.
+    #[inline(always)]
+    fn outliers(&self, i: usize) -> Option<(u8, &'a [PermEntry])> {
+        let store = &self.layer.store;
+        self.bit(i).then(|| store.outlier_meta(self.first_mb + i))
+    }
+
+    /// Outlier bit of micro-block `i` (in range).
+    #[inline(always)]
+    fn bit(&self, i: usize) -> bool {
+        if i < 64 {
+            self.outlier_mask >> i & 1 == 1
+        } else {
+            self.layer.store.has_outliers(self.first_mb + i)
+        }
     }
 
     /// Decodes every slot into `out` (at least [`GroupSpan::len`]
@@ -720,49 +957,34 @@ impl GroupView<'_> {
     ///
     /// Panics if `out` is shorter than [`GroupSpan::len`].
     pub fn decode_codes_f32(&self, out: &mut [f32], mut on_outlier: impl FnMut(usize, f64)) {
-        let group = &self.layer.groups[self.index];
-        let bb = self.layer.inlier_bits;
-        // Group length comes from the layer geometry (validated to match
-        // the micro-block contents at construction) — no re-walk needed.
-        assert!(out.len() >= self.span().len, "decode buffer too small");
-        let shift = 8 - bb;
-        let mut base = 0usize;
-        for mb in &group.micro_blocks {
-            for (o, &c) in out[base..].iter_mut().zip(mb.codes.iter()) {
-                *o = ((c << shift) as i8 >> shift) as f32;
-            }
-            if let Some(meta) = &mb.meta {
-                for e in meta.perm.entries() {
-                    let up = mb.codes[e.upper_loc as usize];
-                    let lo = mb.codes[e.lower_loc as usize];
-                    out[base + e.upper_loc as usize] = 0.0;
-                    out[base + e.lower_loc as usize] = 0.0;
-                    on_outlier(
-                        base + e.upper_loc as usize,
-                        self.layer.outlier_value(meta, group.isf, up, lo),
-                    );
-                }
-            }
-            base += mb.codes.len();
+        assert!(out.len() >= self.codes.len(), "decode buffer too small");
+        let shift = 8 - self.layer.inlier_bits;
+        for (o, &c) in out.iter_mut().zip(self.codes) {
+            *o = ((c << shift) as i8 >> shift) as f32;
+        }
+        if !self.has_outliers() {
+            return;
+        }
+        for i in 0..self.micro_block_count() {
+            let base = i * self.layer.micro_block;
+            self.fix_outliers(i, &mut out[base..], |slot, v| on_outlier(base + slot, v));
         }
     }
 
     /// Number of micro-blocks in the group.
     #[inline]
     pub fn micro_block_count(&self) -> usize {
-        self.layer.groups[self.index].micro_blocks.len()
+        self.micro_blocks
     }
 
     /// Iterates `(codes, has_outliers)` over the group's micro-blocks in
-    /// slot order — one walk of the micro-block array, for kernels whose
-    /// inner loop would otherwise pay the `groups[g].micro_blocks[i]`
-    /// index chain once per accessor call.
+    /// slot order: a chunk of the group's code slice and one bit each.
     #[inline]
-    pub fn micro_blocks_raw(&self) -> impl Iterator<Item = (&[u8], bool)> + '_ {
-        self.layer.groups[self.index]
-            .micro_blocks
-            .iter()
-            .map(|mb| (mb.codes.as_slice(), mb.meta.is_some()))
+    pub fn micro_blocks_raw(&self) -> impl Iterator<Item = (&'a [u8], bool)> + '_ {
+        self.codes
+            .chunks(self.layer.micro_block)
+            .enumerate()
+            .map(|(i, codes)| (codes, self.bit(i)))
     }
 
     /// The raw code bytes of micro-block `i` (one byte per slot).
@@ -771,8 +993,10 @@ impl GroupView<'_> {
     ///
     /// Panics if `i` is out of range.
     #[inline]
-    pub fn micro_block_codes(&self, i: usize) -> &[u8] {
-        &self.layer.groups[self.index].micro_blocks[i].codes
+    pub fn micro_block_codes(&self, i: usize) -> &'a [u8] {
+        let mb = self.layer.micro_block;
+        assert!(i * mb < self.codes.len(), "micro-block index out of range");
+        &self.codes[i * mb..((i + 1) * mb).min(self.codes.len())]
     }
 
     /// Whether micro-block `i` carries outlier metadata. When `false`,
@@ -785,7 +1009,46 @@ impl GroupView<'_> {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn micro_block_has_outliers(&self, i: usize) -> bool {
-        self.layer.groups[self.index].micro_blocks[i].meta.is_some()
+        assert!(i < self.micro_blocks, "micro-block index out of range");
+        self.bit(i)
+    }
+
+    /// Iterates `(codes, outliers)` over the group's micro-blocks in slot
+    /// order, `outliers` being the MXScale and permutation entries of an
+    /// outlier-bearing micro-block, borrowed from the layer.
+    pub fn micro_blocks(
+        &self,
+    ) -> impl Iterator<Item = (&'a [u8], Option<(MxScale, &'a [PermEntry])>)> + '_ {
+        let fmt = self.layer.outlier_format();
+        self.codes
+            .chunks(self.layer.micro_block)
+            .enumerate()
+            .map(move |(i, codes)| {
+                let outliers = self.outliers(i);
+                (
+                    codes,
+                    outliers.map(|(b, e)| (MxScale::from_byte(b, fmt), e)),
+                )
+            })
+    }
+
+    /// Zeroes micro-block `i`'s outlier host and pruned slots in `out`
+    /// (micro-block-relative) and reports each outlier's exact value.
+    #[inline(always)]
+    fn fix_outliers(&self, i: usize, out: &mut [f32], mut on_outlier: impl FnMut(usize, f64)) {
+        if let Some((mxscale, entries)) = self.outliers(i) {
+            let codes = self.micro_block_codes(i);
+            let isf = self.isf();
+            for e in entries {
+                let (up, lo) = (e.upper_loc as usize, e.lower_loc as usize);
+                out[up] = 0.0;
+                out[lo] = 0.0;
+                on_outlier(
+                    up,
+                    self.layer.outlier_value(mxscale, isf, codes[up], codes[lo]),
+                );
+            }
+        }
     }
 
     /// Decodes micro-block `i`'s **unscaled** inlier codes as `f32` into
@@ -798,32 +1061,20 @@ impl GroupView<'_> {
     ///
     /// Panics if `i` is out of range or `out` is shorter than the
     /// micro-block.
+    #[inline(always)]
     pub fn decode_micro_block_codes_f32(
         &self,
         i: usize,
         out: &mut [f32],
-        mut on_outlier: impl FnMut(usize, f64),
+        on_outlier: impl FnMut(usize, f64),
     ) {
-        let group = &self.layer.groups[self.index];
-        let mb = &group.micro_blocks[i];
-        let bb = self.layer.inlier_bits;
-        assert!(out.len() >= mb.codes.len(), "decode buffer too small");
-        let shift = 8 - bb;
-        for (o, &c) in out.iter_mut().zip(mb.codes.iter()) {
+        let codes = self.micro_block_codes(i);
+        assert!(out.len() >= codes.len(), "decode buffer too small");
+        let shift = 8 - self.layer.inlier_bits;
+        for (o, &c) in out.iter_mut().zip(codes) {
             *o = ((c << shift) as i8 >> shift) as f32;
         }
-        if let Some(meta) = &mb.meta {
-            for e in meta.perm.entries() {
-                let up = mb.codes[e.upper_loc as usize];
-                let lo = mb.codes[e.lower_loc as usize];
-                out[e.upper_loc as usize] = 0.0;
-                out[e.lower_loc as usize] = 0.0;
-                on_outlier(
-                    e.upper_loc as usize,
-                    self.layer.outlier_value(meta, group.isf, up, lo),
-                );
-            }
-        }
+        self.fix_outliers(i, out, on_outlier);
     }
 }
 
@@ -907,10 +1158,51 @@ mod tests {
         assert_eq!(w[(0, 5)], 0.0, "pruned slot decodes to zero");
     }
 
+    /// One 256-slot group of 2-slot micro-blocks: 128 micro-blocks, more
+    /// than a view's 64-bit outlier mask holds, with outliers on both
+    /// sides of that boundary.
+    fn wide_group_layer() -> PackedLayer {
+        let micro_blocks = (0..128)
+            .map(|i| PackedMicroBlock {
+                codes: vec![(i % 4) as u8, 1],
+                meta: [3, 100].contains(&i).then(|| MicroBlockMeta {
+                    mxscale: MxScale::new(1, 0, TinyFloat::E1M2),
+                    perm: PermutationList::new(
+                        vec![PermEntry {
+                            upper_loc: 0,
+                            lower_loc: 1,
+                        }],
+                        2,
+                    ),
+                }),
+            })
+            .collect();
+        let group = PackedMacroBlock {
+            isf: Pow2Scale::new(-2),
+            micro_blocks,
+        };
+        PackedLayer::new(GroupAxis::DotProduct, 1, 256, 2, 2, 256, vec![group])
+    }
+
+    #[test]
+    fn wide_group_outlier_bits_past_the_mask() {
+        let layer = wide_group_layer();
+        let view = layer.group(0);
+        let flagged: Vec<usize> = (0..view.micro_block_count())
+            .filter(|&i| view.micro_block_has_outliers(i))
+            .collect();
+        assert_eq!(flagged, vec![3, 100]);
+        assert_eq!(view.outlier_mask(), 1 << 3);
+        assert!(view.has_outliers());
+        let back = PackedLayer::from_bytes(&layer.to_bytes()).unwrap();
+        assert_eq!(back, layer);
+        assert_eq!(back.dequantize(), layer.dequantize());
+    }
+
     #[test]
     fn per_micro_block_decode_composes_to_group_decode() {
-        let layer = sample_layer();
-        for view in layer.iter_groups() {
+        let (narrow, wide) = (sample_layer(), wide_group_layer());
+        for view in narrow.iter_groups().chain(wide.iter_groups()) {
             let len = view.span().len;
             let mut whole = vec![f32::NAN; len];
             let mut whole_outliers = Vec::new();

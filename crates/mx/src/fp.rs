@@ -80,6 +80,7 @@ impl TinyFloat {
     /// # Panics
     ///
     /// Panics for widths other than 4 or 8.
+    #[inline]
     pub fn for_outlier_bits(bits: u32) -> Self {
         match bits {
             4 => Self::E1M2,
@@ -89,11 +90,13 @@ impl TinyFloat {
     }
 
     /// Exponent field width.
+    #[inline]
     pub fn exponent_bits(&self) -> u32 {
         self.exponent_bits
     }
 
     /// Mantissa field width.
+    #[inline]
     pub fn mantissa_bits(&self) -> u32 {
         self.mantissa_bits
     }
@@ -109,6 +112,7 @@ impl TinyFloat {
     }
 
     /// Number of distinct mantissa values.
+    #[inline]
     pub fn mantissa_levels(&self) -> u32 {
         1 << self.mantissa_bits
     }

@@ -90,6 +90,7 @@ fn pack_sign_mag(sign: bool, mag: u32, slot_bits: u32) -> u8 {
 }
 
 /// Unpacks a `{s, mag}` sign-magnitude field into its signed value.
+#[inline]
 pub fn unpack_sign_mag(bits: u8, slot_bits: u32) -> i32 {
     let sign = (bits >> (slot_bits - 1)) & 1 == 1;
     let mag = (bits & ((1 << (slot_bits - 1)) - 1)) as i32;

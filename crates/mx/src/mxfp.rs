@@ -72,6 +72,7 @@ impl MxScale {
     }
 
     /// The total exponent applied to every element: `Ol1sf + μX`.
+    #[inline]
     pub fn total_exponent(&self) -> i32 {
         self.level1 + self.micro as i32
     }
@@ -85,6 +86,7 @@ impl MxScale {
     }
 
     /// Unpacks from the 8-bit stored form.
+    #[inline]
     pub fn from_byte(byte: u8, format: TinyFloat) -> Self {
         let eb = format.exponent_bits();
         let field_bits = 8 - eb;

@@ -28,6 +28,7 @@ pub struct Pow2Scale(i32);
 
 impl Pow2Scale {
     /// Creates a scale `2^exponent`, clamping into the representable range.
+    #[inline]
     pub fn new(exponent: i32) -> Self {
         Self(exponent.clamp(MIN_EXPONENT, MAX_EXPONENT))
     }
@@ -56,13 +57,18 @@ impl Pow2Scale {
     }
 
     /// The exponent `e` of `2^e`.
+    #[inline]
     pub fn exponent(&self) -> i32 {
         self.0
     }
 
-    /// The scale as a float, `2^e`.
+    /// The scale as a float, `2^e`: the exponent field of an `f64` with a
+    /// zero mantissa, which every E8M0 exponent fits as a normal number.
+    /// Kernels call this once per group, so it is built from bits rather
+    /// than through `exp2`; both give the same value.
+    #[inline]
     pub fn value(&self) -> f64 {
-        (self.0 as f64).exp2()
+        f64::from_bits(((self.0 + 1023) as u64) << 52)
     }
 
     /// Divides a value by the scale (the forward direction of Eq. 2).
@@ -71,6 +77,7 @@ impl Pow2Scale {
     }
 
     /// Multiplies a value by the scale (dequantization direction).
+    #[inline]
     pub fn unapply(&self, q: f64) -> f64 {
         q * self.value()
     }
@@ -87,11 +94,13 @@ impl Pow2Scale {
 
     /// The raw biased byte as it would be stored in an E8M0 field
     /// (bias 127; exponent −127 encodes as 0).
+    #[inline]
     pub fn to_e8m0_byte(&self) -> u8 {
         (self.0 + 127) as u8
     }
 
     /// Reconstructs a scale from a stored E8M0 byte.
+    #[inline]
     pub fn from_e8m0_byte(byte: u8) -> Self {
         Self::new(byte as i32 - 127)
     }
@@ -169,6 +178,14 @@ mod tests {
         for e in MIN_EXPONENT..=MAX_EXPONENT {
             let s = Pow2Scale::new(e);
             assert_eq!(Pow2Scale::from_e8m0_byte(s.to_e8m0_byte()), s);
+        }
+    }
+
+    #[test]
+    fn value_is_bitwise_exp2_for_every_exponent() {
+        for e in MIN_EXPONENT..=MAX_EXPONENT {
+            let want = (e as f64).exp2();
+            assert_eq!(Pow2Scale::new(e).value().to_bits(), want.to_bits(), "2^{e}");
         }
     }
 

@@ -187,13 +187,12 @@ pub struct BucketTile {
 impl BucketTile {
     /// Decodes group `g` of a layer into bucketed form.
     pub fn build(layer: &PackedLayer, g: usize) -> Self {
-        let span = layer.group_span(g);
-        let group = &layer.groups()[g];
-        let scale = group.isf.value();
+        let view = layer.group(g);
+        let scale = view.isf().value();
         let bb = layer.inlier_bits();
         // Exact decoded values (for outliers) via the core decode path.
-        let mut values = vec![0.0_f64; span.len];
-        layer.decode_group_into(g, &mut values);
+        let mut values = vec![0.0_f64; view.span().len];
+        view.decode_into(&mut values);
 
         let n_codes = 1usize << bb;
         // buckets[c] collects slot indices whose inlier code is `c`
@@ -201,27 +200,27 @@ impl BucketTile {
         let mut buckets: Vec<Vec<u16>> = vec![Vec::new(); n_codes];
         let mut outliers = Vec::new();
         let mut base = 0usize;
-        for mb in &group.micro_blocks {
-            let mut special = vec![false; mb.codes.len()];
-            if let Some(meta) = &mb.meta {
-                for e in meta.perm.entries() {
+        for (codes, meta) in view.micro_blocks() {
+            let mut special = vec![false; codes.len()];
+            if let Some((_, entries)) = meta {
+                for e in entries {
                     let up = base + e.upper_loc as usize;
                     special[e.upper_loc as usize] = true;
                     special[e.lower_loc as usize] = true; // pruned ⇒ zero
                     outliers.push((up as u16, values[up]));
                 }
             }
-            for (i, &c) in mb.codes.iter().enumerate() {
-                if special[i] {
+            for (k, &c) in codes.iter().enumerate() {
+                if special[k] {
                     continue;
                 }
                 let shift = 8 - bb;
                 let signed = ((c << shift) as i8 >> shift) as i32;
                 if signed != 0 {
-                    buckets[(signed + (n_codes as i32 / 2)) as usize].push((base + i) as u16);
+                    buckets[(signed + (n_codes as i32 / 2)) as usize].push((base + k) as u16);
                 }
             }
-            base += mb.codes.len();
+            base += codes.len();
         }
 
         let mut codes = Vec::new();

@@ -251,10 +251,27 @@ mod avx2 {
         _mm256_cvtepi32_ps(ext)
     }
 
-    /// Decodes one whole group's unscaled codes into `plane` with SIMD
-    /// (8 bytes per step), routing outlier-bearing micro-blocks through
-    /// the exact scalar decode and reporting each outlier's exact value
-    /// (group-relative slot) through `on_outlier`.
+    /// Decodes `codes` (plain inliers) into `plane` with SIMD, 8 bytes per
+    /// step, and the remainder one at a time.
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn decode_inliers(codes: &[u8], bb: u32, shift: __m128i, plane: &mut [f32]) {
+        assert!(plane.len() >= codes.len(), "plane too short");
+        let mut j = 0usize;
+        while j + 8 <= codes.len() {
+            let w = decode8(codes.as_ptr().add(j), shift);
+            _mm256_storeu_ps(plane.as_mut_ptr().add(j), w);
+            j += 8;
+        }
+        for (k, &c) in codes.iter().enumerate().skip(j) {
+            plane[k] = decode_code(c, bb);
+        }
+    }
+
+    /// Decodes one whole group's unscaled codes into `plane` with SIMD,
+    /// routing outlier-bearing micro-blocks through the exact scalar
+    /// decode and reporting each outlier's exact value (group-relative
+    /// slot) through `on_outlier`. A group without outliers is one run of
+    /// the layer's code array and decodes in one pass.
     #[target_feature(enable = "avx2,fma")]
     unsafe fn decode_group_plane(
         view: &GroupView<'_>,
@@ -263,25 +280,105 @@ mod avx2 {
         plane: &mut [f32],
         mut on_outlier: impl FnMut(usize, f64),
     ) {
+        if !view.has_outliers() {
+            decode_inliers(view.codes(), bb, shift, plane);
+            return;
+        }
         let mut base = 0usize;
-        for i in 0..view.micro_block_count() {
-            let codes = view.micro_block_codes(i);
-            if view.micro_block_has_outliers(i) {
+        for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
+            if has_outliers {
                 view.decode_micro_block_codes_f32(i, &mut plane[base..], |slot, v| {
                     on_outlier(base + slot, v);
                 });
             } else {
-                let mut j = 0usize;
-                while j + 8 <= codes.len() {
-                    let w = decode8(codes.as_ptr().add(j), shift);
-                    _mm256_storeu_ps(plane.as_mut_ptr().add(base + j), w);
-                    j += 8;
-                }
-                for (k, &c) in codes.iter().enumerate().skip(j) {
-                    plane[base + k] = decode_code(c, bb);
-                }
+                decode_inliers(codes, bb, shift, &mut plane[base..]);
             }
             base += codes.len();
+        }
+    }
+
+    /// Accumulates plain inlier `codes` against `x32` (same offset): 16
+    /// codes per step over `acc0`/`acc1`, a spare 8-wide block into `acc1`
+    /// if `spare_odd` else `acc0`, and the remainder into `tail`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn fma_inliers(
+        codes: &[u8],
+        x32: &[f32],
+        bb: u32,
+        shift: __m128i,
+        spare_odd: bool,
+        acc: &mut [__m256; 2],
+        tail: &mut f32,
+    ) {
+        assert!(x32.len() >= codes.len(), "activation slice too short");
+        let mut j = 0usize;
+        while j + 16 <= codes.len() {
+            let w0 = decode8(codes.as_ptr().add(j), shift);
+            let a0 = _mm256_loadu_ps(x32.as_ptr().add(j));
+            acc[0] = _mm256_fmadd_ps(w0, a0, acc[0]);
+            let w1 = decode8(codes.as_ptr().add(j + 8), shift);
+            let a1 = _mm256_loadu_ps(x32.as_ptr().add(j + 8));
+            acc[1] = _mm256_fmadd_ps(w1, a1, acc[1]);
+            j += 16;
+        }
+        if j + 8 <= codes.len() {
+            let w = decode8(codes.as_ptr().add(j), shift);
+            let a = _mm256_loadu_ps(x32.as_ptr().add(j));
+            // Constant indices (not `acc[spare_odd as usize]`) keep both
+            // accumulators in registers.
+            if spare_odd {
+                acc[1] = _mm256_fmadd_ps(w, a, acc[1]);
+            } else {
+                acc[0] = _mm256_fmadd_ps(w, a, acc[0]);
+            }
+            j += 8;
+        }
+        for (k, &c) in codes.iter().enumerate().skip(j) {
+            *tail += decode_code(c, bb) * x32[k];
+        }
+    }
+
+    /// [`fma_inliers`] over a whole group of 8-slot micro-blocks, leaving
+    /// out micro-block `i` wherever bit `i` of `skip` is set: a left-out
+    /// block's FMA result is discarded by a blend, so every accumulator
+    /// sees exactly the operations of the per-micro-block walk.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn fma_inliers_skipping(
+        codes: &[u8],
+        x32: &[f32],
+        bb: u32,
+        shift: __m128i,
+        skip: u64,
+        acc: &mut [__m256; 2],
+        tail: &mut f32,
+    ) {
+        assert!(x32.len() >= codes.len(), "activation slice too short");
+        // All ones (take the FMA) for a kept micro-block, zero to skip it.
+        let keep = |i: usize| _mm256_castsi256_ps(_mm256_set1_epi32((skip >> i & 1) as i32 - 1));
+        let mut j = 0usize;
+        while j + 16 <= codes.len() {
+            let w0 = decode8(codes.as_ptr().add(j), shift);
+            let a0 = _mm256_loadu_ps(x32.as_ptr().add(j));
+            acc[0] = _mm256_blendv_ps(acc[0], _mm256_fmadd_ps(w0, a0, acc[0]), keep(j / 8));
+            let w1 = decode8(codes.as_ptr().add(j + 8), shift);
+            let a1 = _mm256_loadu_ps(x32.as_ptr().add(j + 8));
+            acc[1] = _mm256_blendv_ps(acc[1], _mm256_fmadd_ps(w1, a1, acc[1]), keep(j / 8 + 1));
+            j += 16;
+        }
+        if j + 8 <= codes.len() {
+            let w = decode8(codes.as_ptr().add(j), shift);
+            let a = _mm256_loadu_ps(x32.as_ptr().add(j));
+            acc[0] = _mm256_blendv_ps(acc[0], _mm256_fmadd_ps(w, a, acc[0]), keep(j / 8));
+            j += 8;
+        }
+        // A short last micro-block (at most the 64th) runs scalar, unless
+        // it is left out.
+        if j < codes.len() && skip >> (j / 8) & 1 == 0 {
+            for (k, &c) in codes.iter().enumerate().skip(j) {
+                *tail += decode_code(c, bb) * x32[k];
+            }
         }
     }
 
@@ -292,10 +389,16 @@ mod avx2 {
     /// spans. Each output element's contributions still arrive in
     /// ascending-mab order — exactly the order [`groups_for_rows`]
     /// produces for that element — so results are
-    /// bitwise identical to the generic walk, but the groups array and
-    /// the code bytes stream sequentially, there is no per-group
-    /// `div`/`mod` span math, and the FMA stream splits over two
-    /// accumulators to break the loop-carried dependency chain.
+    /// bitwise identical to the generic walk, but the code bytes stream
+    /// sequentially, there is no per-group `div`/`mod` span math, and the
+    /// FMA stream splits over two accumulators to break the loop-carried
+    /// dependency chain.
+    ///
+    /// Per micro-block, the spare 8-wide block left after the 16-wide
+    /// steps alternates between the accumulators by micro-block parity,
+    /// so back-to-back micro-blocks don't stall on one FMA chain. With
+    /// 8-slot micro-blocks that is exactly the 16-wide walk of the whole
+    /// group, so an outlier-free group runs as one pass over its codes.
     #[target_feature(enable = "avx2,fma")]
     pub(super) unsafe fn gemv_rows(
         layer: &PackedLayer,
@@ -312,58 +415,60 @@ mod avx2 {
         let per_line = layer.groups_per_line();
         let line_len = layer.line_len();
         let macro_block = layer.macro_block();
+        let whole_groups = layer.micro_block() == 8;
         for line in row_lo..row_hi {
             let r = line - row_lo;
             for mab in 0..per_line {
                 let offset = mab * macro_block;
-                let view = layer.group(line * per_line + mab);
+                let view = layer.group_at(line, mab);
                 let scale = view.isf().value() as f32;
-                let mut acc0 = _mm256_setzero_ps();
-                let mut acc1 = _mm256_setzero_ps();
+                let mut acc = [_mm256_setzero_ps(); 2];
                 let mut tail = 0.0_f32;
-                let mut base = offset;
-                for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
-                    if has_outliers {
-                        let buf = &mut mb_buf[..codes.len()];
+                if whole_groups && view.micro_block_count() <= 64 {
+                    // Outlier micro-blocks first, in order: their slots go
+                    // to `tail` and their outliers to `out`, as in the walk
+                    // below; then one pass over the group's codes that
+                    // leaves those micro-blocks out.
+                    let skip = view.outlier_mask();
+                    let mut rest = skip;
+                    while rest != 0 {
+                        let i = rest.trailing_zeros() as usize;
+                        rest &= rest - 1;
+                        let base = offset + i * 8;
+                        let buf = &mut mb_buf[..view.micro_block_codes(i).len()];
                         view.decode_micro_block_codes_f32(i, buf, |slot, v| {
                             out[r] += v * x[base + slot];
                         });
                         for (k, &w) in buf.iter().enumerate() {
                             tail += w * x32[base + k];
                         }
-                    } else {
-                        let mut j = 0usize;
-                        while j + 16 <= codes.len() {
-                            let w0 = decode8(codes.as_ptr().add(j), shift);
-                            let a0 = _mm256_loadu_ps(x32.as_ptr().add(base + j));
-                            acc0 = _mm256_fmadd_ps(w0, a0, acc0);
-                            let w1 = decode8(codes.as_ptr().add(j + 8), shift);
-                            let a1 = _mm256_loadu_ps(x32.as_ptr().add(base + j + 8));
-                            acc1 = _mm256_fmadd_ps(w1, a1, acc1);
-                            j += 16;
-                        }
-                        if j + 8 <= codes.len() {
-                            let w = decode8(codes.as_ptr().add(j), shift);
-                            let a = _mm256_loadu_ps(x32.as_ptr().add(base + j));
-                            // Alternate the spare 8-wide block between
-                            // accumulators by micro-block parity so
-                            // back-to-back micro-blocks don't stall on
-                            // one FMA chain.
-                            if i & 1 == 0 {
-                                acc0 = _mm256_fmadd_ps(w, a, acc0);
-                            } else {
-                                acc1 = _mm256_fmadd_ps(w, a, acc1);
-                            }
-                            j += 8;
-                        }
-                        for (k, &c) in codes.iter().enumerate().skip(j) {
-                            tail += decode_code(c, bb) * x32[base + k];
-                        }
                     }
-                    base += codes.len();
+                    let (codes, x) = (view.codes(), &x32[offset..]);
+                    if skip == 0 {
+                        fma_inliers(codes, x, bb, shift, false, &mut acc, &mut tail);
+                    } else {
+                        fma_inliers_skipping(codes, x, bb, shift, skip, &mut acc, &mut tail);
+                    }
+                } else {
+                    let mut base = offset;
+                    for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
+                        if has_outliers {
+                            let buf = &mut mb_buf[..codes.len()];
+                            view.decode_micro_block_codes_f32(i, buf, |slot, v| {
+                                out[r] += v * x[base + slot];
+                            });
+                            for (k, &w) in buf.iter().enumerate() {
+                                tail += w * x32[base + k];
+                            }
+                        } else {
+                            let x = &x32[base..];
+                            fma_inliers(codes, x, bb, shift, i & 1 == 1, &mut acc, &mut tail);
+                        }
+                        base += codes.len();
+                    }
+                    debug_assert_eq!(base - offset, (line_len - offset).min(macro_block));
                 }
-                debug_assert_eq!(base - offset, (line_len - offset).min(macro_block));
-                lane_acc[r] += scale * (hsum256(_mm256_add_ps(acc0, acc1)) + tail);
+                lane_acc[r] += scale * (hsum256(_mm256_add_ps(acc[0], acc[1])) + tail);
             }
         }
         for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
@@ -412,7 +517,7 @@ mod avx2 {
                 for (j, (plane, scale)) in
                     planes.iter_mut().zip(&mut scales).take(lines).enumerate()
                 {
-                    let view = layer.group((line + j) * per_line + mab);
+                    let view = layer.group_at(line + j, mab);
                     debug_assert_eq!((view.span().offset, view.span().len), (offset, len));
                     *scale = view.isf().value() as f32;
                     let orow64 = &mut out[(r0 + j) * n..(r0 + j + 1) * n];
@@ -658,7 +763,7 @@ mod neon {
             let r = line - row_lo;
             for mab in 0..per_line {
                 let offset = mab * macro_block;
-                let view = layer.group(line * per_line + mab);
+                let view = layer.group_at(line, mab);
                 let scale = view.isf().value() as f32;
                 let mut acc0 = vdupq_n_f32(0.0);
                 let mut acc1 = vdupq_n_f32(0.0);
