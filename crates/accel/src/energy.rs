@@ -1,9 +1,8 @@
 //! Energy model (§7.5): per-operation energy constants at a 7 nm-class
 //! process, composed over the workload's compute, NoC, and memory events.
 //!
-//! Constants are standard published estimates (documented per DESIGN.md §2:
-//! the paper's own energy numbers come from PnR + CACTI which are
-//! unavailable here); all cross-accelerator comparisons use the same
+//! Constants are standard published estimates (the paper's own energy
+//! numbers come from PnR + CACTI, which are unavailable here); all cross-accelerator comparisons use the same
 //! constants, so relative energy — the quantity the paper reports — depends
 //! only on each design's traffic and precision mix.
 

@@ -8,7 +8,8 @@
 //! executes Merge: `iAcc + (-1)^s·iAct + upper·iAct·2^(−mb/2) +
 //! lower·iAct·2^(−mb)` — the exact FP outlier partial sum.
 //!
-//! The functional result here is exact (fixed-point, DESIGN.md §7). Switch
+//! The functional result here is exact: halves merge in fixed point with
+//! `mb` fractional bits, so no shift drops a bit. Switch
 //! occupancy is modelled per stage along the butterfly bit-correction
 //! paths; the per-row switch-op counters are used by the energy model, and
 //! cross-row arbitration (the sync-buffer contention of Fig. 16(b)) lives

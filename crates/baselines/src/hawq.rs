@@ -3,7 +3,7 @@
 //! HAWQ assigns per-layer/per-channel widths by Hessian sensitivity. This
 //! reproduction scores output channels by `‖w_c‖² · E‖x‖²` (a standard
 //! Hessian-trace surrogate) and gives the most sensitive half the higher
-//! width — enough fidelity for its single reference row (DESIGN.md §2).
+//! width — enough fidelity for its single reference row.
 
 use crate::util::rtn_slice;
 use microscopiq_core::error::QuantError;

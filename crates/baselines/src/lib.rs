@@ -15,7 +15,7 @@
 //! | [`hawq`] | HAWQ-like — Hessian-trace mixed precision (CNN rows) | — |
 //!
 //! Faithfulness notes and deliberate simplifications are documented in
-//! each module header (per DESIGN.md §2).
+//! each module header (see also README, "Stand-ins and simplifications").
 
 pub mod atom;
 pub mod awq;

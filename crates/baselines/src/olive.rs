@@ -9,7 +9,7 @@
 //! The victim rule is the failure mode §3.2 dissects: when two outliers are
 //! adjacent — common in modern FMs — one of them is destroyed.
 //!
-//! Simplifications vs the RTL paper (documented per DESIGN.md): encoding
+//! Simplifications vs the RTL paper: encoding
 //! tables are value-level rather than bit-level, and scales are per
 //! macro-block rather than per tensor-core tile.
 

@@ -3,7 +3,7 @@
 //! OmniQuant learns two things by gradient descent: per-group weight
 //! clipping (LWC) and an equivalent transformation migrating activation
 //! difficulty to weights (LET). Both are low-dimensional, so grid search
-//! finds near-identical optima at PTQ scale (DESIGN.md §2): LWC becomes a
+//! finds near-identical optima at PTQ scale: LWC becomes a
 //! per-group clip-ratio search minimizing group reconstruction MSE; LET is
 //! the α-migration applied by the evaluation driver.
 

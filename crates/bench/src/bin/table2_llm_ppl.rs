@@ -5,7 +5,7 @@
 //! reported as proxy perplexity via a κ calibrated once on the GPTQ-W4A16
 //! anchor for LLaMA-3-8B (see `microscopiq_fm::metrics`). Orderings and
 //! ratios between methods are measurement-driven; absolute values are not
-//! expected to match the paper (DESIGN.md §2).
+//! expected to match the paper (README, "Stand-ins and simplifications").
 
 use microscopiq_bench::methods::{weight_activation_methods, weight_only_methods};
 use microscopiq_bench::{f2, f3, Table};

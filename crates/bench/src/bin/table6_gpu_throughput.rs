@@ -39,6 +39,6 @@ fn main() {
     table.write_csv("table6_gpu_throughput");
     println!(
         "\nnote: the simulated modified-TC row removes all dequantization;\n\
-         absolute ratios differ from the paper's GPGPU-Sim setup (see EXPERIMENTS.md)."
+         absolute ratios differ from the paper's GPGPU-Sim setup (execution-path models)."
     );
 }

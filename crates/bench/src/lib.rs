@@ -1,6 +1,6 @@
 //! Experiment harness for the MicroScopiQ reproduction: shared reporting
 //! and the method line-ups used by the table/figure binaries in
-//! `src/bin/` (see DESIGN.md §5 for the per-experiment index).
+//! `src/bin/`, one per paper table or figure and named after it.
 
 pub mod methods;
 pub mod report;

@@ -1,5 +1,6 @@
 //! Shared experiment reporting: aligned stdout tables plus CSV artifacts
-//! under `results/` so EXPERIMENTS.md can cite exact measured values.
+//! under `results/`, so a reported number can be traced to the run that
+//! measured it.
 
 use std::fs;
 use std::io::Write;

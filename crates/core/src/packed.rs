@@ -12,8 +12,9 @@
 //! so it costs no allocation per group or micro-block: one code byte per
 //! slot in group order, one E8M0 byte per group, one outlier bit per
 //! micro-block, and a side table for the outlier-bearing micro-blocks
-//! only. [`PackedMacroBlock`] is the construction form that
-//! [`PackedLayer::new`] flattens.
+//! only. A layer is built in that form directly: [`PackedLayerBuilder`]
+//! sizes the arrays once from the geometry and writes each group in
+//! place, in whatever order the groups come.
 
 use crate::config::GroupAxis;
 use crate::error::QuantError;
@@ -28,36 +29,6 @@ use std::sync::OnceLock;
 
 const MAGIC: &[u8; 4] = b"MSPQ";
 const VERSION: u8 = 1;
-
-/// Metadata attached to an outlier-bearing micro-block.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MicroBlockMeta {
-    /// Shared MXScale (level-1 scale ‖ μX).
-    pub mxscale: MxScale,
-    /// Permutation list locating the outlier halves.
-    pub perm: PermutationList,
-}
-
-/// One micro-block in construction form: `B_μ` fixed-width slots plus
-/// optional metadata.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedMicroBlock {
-    /// Raw slot bit patterns (`bb` significant bits each).
-    pub codes: Vec<u8>,
-    /// Present iff the block contains outliers.
-    pub meta: Option<MicroBlockMeta>,
-}
-
-/// One macro-block in construction form: shared inlier scale plus its
-/// micro-blocks. [`PackedLayer::new`] flattens these; a built layer hands
-/// out [`GroupView`]s instead.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PackedMacroBlock {
-    /// Shared inlier scale `2^Isf`.
-    pub isf: Pow2Scale,
-    /// Micro-blocks in order.
-    pub micro_blocks: Vec<PackedMicroBlock>,
-}
 
 /// Placement of one macro-block group within the weight matrix (see
 /// [`PackedLayer::group_span`]).
@@ -100,27 +71,29 @@ struct Store {
 }
 
 impl Store {
-    /// An empty store with exact room for `slots` codes, `groups` scales
-    /// and `micro_blocks` outlier bits.
-    fn with_capacity(slots: usize, groups: usize, micro_blocks: usize) -> Self {
+    /// A store of `slots` zero codes, `groups` zero scales and
+    /// `micro_blocks` clear outlier bits, with an empty side table.
+    fn zeroed(slots: usize, groups: usize, micro_blocks: usize) -> Self {
         Self {
-            codes: Vec::with_capacity(slots),
-            scales: Vec::with_capacity(groups),
+            codes: vec![0; slots],
+            scales: vec![0; groups],
             outlier_bits: vec![0; micro_blocks.div_ceil(64)],
             perm_start: vec![0],
             ..Self::default()
         }
     }
 
-    /// Appends micro-block number `index` (layout order): its codes and,
-    /// if it carries outliers, its MXScale byte and permutation entries.
-    fn push_micro_block(
+    /// Writes micro-block number `index` (layout order), whose codes start
+    /// at slot `start`: its codes and, if it carries outliers, its
+    /// MXScale byte and permutation entries as the side table's next row.
+    fn put_micro_block(
         &mut self,
         index: usize,
+        start: usize,
         codes: &[u8],
         outliers: Option<(u8, &[PermEntry])>,
     ) {
-        self.codes.extend_from_slice(codes);
+        self.codes[start..start + codes.len()].copy_from_slice(codes);
         if let Some((mxscale, entries)) = outliers {
             self.outlier_bits[index / 64] |= 1 << (index % 64);
             self.mxscales.push(mxscale);
@@ -129,7 +102,28 @@ impl Store {
         }
     }
 
-    /// Trims the side table to its length and fills the rank index.
+    /// Reorders the side table into layout order, given the micro-block
+    /// number of each row as written.
+    fn sort_side_table(&mut self, row_micro_blocks: &[u32]) {
+        let mut order: Vec<usize> = (0..row_micro_blocks.len()).collect();
+        order.sort_unstable_by_key(|&r| row_micro_blocks[r]);
+        let mut mxscales = Vec::with_capacity(order.len());
+        let mut perm_start = Vec::with_capacity(order.len() + 1);
+        let mut perm_entries = Vec::with_capacity(self.perm_entries.len());
+        perm_start.push(0);
+        for r in order {
+            mxscales.push(self.mxscales[r]);
+            let (lo, hi) = (self.perm_start[r] as usize, self.perm_start[r + 1] as usize);
+            perm_entries.extend_from_slice(&self.perm_entries[lo..hi]);
+            perm_start.push(perm_entries.len() as u32);
+        }
+        self.mxscales = mxscales;
+        self.perm_start = perm_start;
+        self.perm_entries = perm_entries;
+    }
+
+    /// Trims the side table, which must be in layout order, to its length
+    /// and fills the rank index.
     fn finish(mut self) -> Self {
         self.mxscales.shrink_to_fit();
         self.perm_start.shrink_to_fit();
@@ -234,76 +228,6 @@ impl PartialEq for PackedLayer {
 }
 
 impl PackedLayer {
-    /// Assembles a packed layer, flattening the macro-blocks into the
-    /// layer's in-memory layout.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the group/micro-block structure does not tile the tensor
-    /// dimensions (groups per line, blocks per group, slots per block), if
-    /// the macro-block is not a multiple of the micro-block, if a
-    /// permutation entry addresses a slot past its micro-block, or if an
-    /// MXScale is not in the layer's outlier format.
-    pub fn new(
-        axis: GroupAxis,
-        d_row: usize,
-        d_col: usize,
-        inlier_bits: u32,
-        micro_block: usize,
-        macro_block: usize,
-        groups: Vec<PackedMacroBlock>,
-    ) -> Self {
-        assert!(
-            micro_block > 0 && macro_block.is_multiple_of(micro_block),
-            "macro-block must be a whole number of micro-blocks"
-        );
-        let mut layer = Self::empty(axis, d_row, d_col, inlier_bits, micro_block, macro_block);
-        let mabs_per_line = layer.groups_per_line();
-        assert_eq!(
-            groups.len(),
-            layer.lines() * mabs_per_line,
-            "group count does not tile the tensor"
-        );
-        let fmt = layer.outlier_format();
-        let mut store =
-            Store::with_capacity(d_row * d_col, groups.len(), layer.micro_block_total());
-        let mut index = 0;
-        for (g, group) in groups.iter().enumerate() {
-            let mab_len = layer.group_span(g).len;
-            assert_eq!(
-                group.micro_blocks.len(),
-                mab_len.div_ceil(micro_block),
-                "micro-block count mismatch in group {g}"
-            );
-            store.scales.push(group.isf.to_e8m0_byte());
-            let mut remaining = mab_len;
-            for mb in &group.micro_blocks {
-                let expect = remaining.min(micro_block);
-                assert_eq!(mb.codes.len(), expect, "slot count mismatch in group {g}");
-                remaining -= expect;
-                let outliers = mb.meta.as_ref().map(|meta| {
-                    let byte = meta.mxscale.to_byte();
-                    assert_eq!(
-                        MxScale::from_byte(byte, fmt),
-                        meta.mxscale,
-                        "MXScale not in the layer's outlier format in group {g}"
-                    );
-                    for e in meta.perm.entries() {
-                        assert!(
-                            (e.upper_loc.max(e.lower_loc) as usize) < expect,
-                            "permutation location out of range in group {g}"
-                        );
-                    }
-                    (byte, meta.perm.entries())
-                });
-                store.push_micro_block(index, &mb.codes, outliers);
-                index += 1;
-            }
-        }
-        layer.store = store.finish();
-        layer
-    }
-
     /// A layer with the given geometry and no contents yet. The
     /// macro-block must be a positive multiple of the micro-block.
     fn empty(
@@ -777,15 +701,17 @@ impl PackedLayer {
             return Err(corrupt(off(buf), "truncated slot codes"));
         }
         let payload_bytes = Self::perm_payload_bytes(micro_block);
-        let mut store = Store::with_capacity(slots, n_groups, layer.micro_block_total());
+        let mut store = Store::zeroed(slots, n_groups, layer.micro_block_total());
         let mut codes = Vec::with_capacity(micro_block);
-        let mut index = 0;
+        // Groups arrive in layout order, so micro-blocks and their codes
+        // do too.
+        let (mut index, mut start) = (0, 0);
         for g in 0..n_groups {
             if buf.remaining() < 3 {
                 return Err(corrupt(off(buf), "truncated group header"));
             }
             let mab_len = layer.group_span(g).len;
-            store.scales.push(buf.get_u8());
+            store.scales[g] = buf.get_u8();
             if buf.get_u16() as usize != mab_len.div_ceil(micro_block) {
                 return Err(corrupt(off(buf), "micro-block count does not tile group"));
             }
@@ -844,12 +770,157 @@ impl PackedLayer {
                     nbits -= inlier_bits;
                 }
                 let outliers = meta.as_ref().map(|(b, perm)| (*b, perm.entries()));
-                store.push_micro_block(index, &codes, outliers);
+                store.put_micro_block(index, start, &codes, outliers);
                 index += 1;
+                start += n_codes;
             }
         }
         layer.store = store.finish();
         Ok(layer)
+    }
+}
+
+/// Builds a [`PackedLayer`] in its in-memory layout: the flat arrays are
+/// sized once from the geometry, and each group's scale, codes and outlier
+/// metadata are written in place. Groups may be set in any order (the
+/// `DotProduct` solver sets one macro-block position across every line
+/// before the next), each exactly once; the outlier side table is put in
+/// layout order by [`Self::finish`].
+///
+/// ```
+/// use microscopiq_core::config::GroupAxis;
+/// use microscopiq_core::packed::PackedLayerBuilder;
+/// use microscopiq_mx::scale::Pow2Scale;
+///
+/// // One row of 8 two-bit slots: one group of one micro-block.
+/// let mut builder = PackedLayerBuilder::new(GroupAxis::DotProduct, 1, 8, 2, 8, 8);
+/// let codes = [1, 3, 0, 1, 0, 0, 1, 0];
+/// builder.set_group(0, Pow2Scale::new(-3), [(&codes[..], None)]);
+/// let layer = builder.finish();
+/// assert_eq!(layer.dequantize()[(0, 1)], -0.125);
+/// ```
+#[derive(Debug)]
+pub struct PackedLayerBuilder {
+    layer: PackedLayer,
+    /// Whether each group has been set.
+    set: Vec<bool>,
+    /// Micro-block number of each side-table row, in the order written.
+    row_micro_blocks: Vec<u32>,
+}
+
+impl PackedLayerBuilder {
+    /// A builder for a layer of the given geometry, with every group
+    /// unset.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the macro-block is a positive multiple of the
+    /// micro-block.
+    pub fn new(
+        axis: GroupAxis,
+        d_row: usize,
+        d_col: usize,
+        inlier_bits: u32,
+        micro_block: usize,
+        macro_block: usize,
+    ) -> Self {
+        assert!(
+            micro_block > 0 && macro_block > 0 && macro_block.is_multiple_of(micro_block),
+            "macro-block must be a whole number of micro-blocks"
+        );
+        let mut layer =
+            PackedLayer::empty(axis, d_row, d_col, inlier_bits, micro_block, macro_block);
+        let groups = layer.num_groups();
+        layer.store = Store::zeroed(d_row * d_col, groups, layer.micro_block_total());
+        Self {
+            layer,
+            set: vec![false; groups],
+            row_micro_blocks: Vec::new(),
+        }
+    }
+
+    /// Sets group `g` (numbered as in [`PackedLayer::group`]): its shared
+    /// inlier scale, and its micro-blocks in slot order, each as its codes
+    /// plus, if it carries outliers, its MXScale and permutation entries —
+    /// the items [`GroupView::micro_blocks`] yields.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `g` is out of range or already set, if the micro-blocks
+    /// do not tile the group (their count or a slot count is wrong), if a
+    /// micro-block has more than `B_μ / 2` permutation entries or one that
+    /// addresses a slot past its end, or if an MXScale is not in the
+    /// layer's outlier format.
+    pub fn set_group<'a>(
+        &mut self,
+        g: usize,
+        isf: Pow2Scale,
+        micro_blocks: impl IntoIterator<Item = (&'a [u8], Option<(MxScale, &'a [PermEntry])>)>,
+    ) {
+        let layer = &mut self.layer;
+        assert!(g < layer.num_groups(), "group index out of range");
+        assert!(!self.set[g], "group {g} set twice");
+        self.set[g] = true;
+        let (line, mab) = (g / layer.groups_per_line, g % layer.groups_per_line);
+        let span = layer.span_at(line, mab);
+        let mut start = line * layer.line_len + span.offset;
+        let end = start + span.len;
+        let first_mb = line * layer.micro_blocks_per_line + mab * layer.micro_blocks_per_group;
+        let (micro_block, fmt) = (layer.micro_block, layer.outlier_format());
+        layer.store.scales[g] = isf.to_e8m0_byte();
+        for (index, (codes, outliers)) in (first_mb..).zip(micro_blocks) {
+            let expect = (end - start).min(micro_block);
+            assert!(expect > 0, "micro-block count mismatch in group {g}");
+            assert_eq!(codes.len(), expect, "slot count mismatch in group {g}");
+            let outliers = match outliers {
+                None => None,
+                Some((mxscale, entries)) => {
+                    let byte = mxscale.to_byte();
+                    assert_eq!(
+                        MxScale::from_byte(byte, fmt),
+                        mxscale,
+                        "MXScale not in the layer's outlier format in group {g}"
+                    );
+                    assert!(
+                        entries.len() <= micro_block / 2,
+                        "more than Bμ/2 permutation entries in group {g}"
+                    );
+                    for e in entries {
+                        assert!(
+                            (e.upper_loc.max(e.lower_loc) as usize) < expect,
+                            "permutation location out of range in group {g}"
+                        );
+                    }
+                    self.row_micro_blocks.push(index as u32);
+                    Some((byte, entries))
+                }
+            };
+            layer.store.put_micro_block(index, start, codes, outliers);
+            start += expect;
+        }
+        assert_eq!(start, end, "micro-block count mismatch in group {g}");
+    }
+
+    /// The built layer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a group was never set.
+    pub fn finish(self) -> PackedLayer {
+        let Self {
+            mut layer,
+            set,
+            row_micro_blocks,
+        } = self;
+        if let Some(g) = set.iter().position(|&s| !s) {
+            panic!("group {g} never set");
+        }
+        let mut store = std::mem::take(&mut layer.store);
+        if !row_micro_blocks.is_sorted() {
+            store.sort_side_table(&row_micro_blocks);
+        }
+        layer.store = store.finish();
+        layer
     }
 }
 
@@ -1081,41 +1152,31 @@ impl<'a> GroupView<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::microblock::PermEntry;
+
+    /// Two-bit inlier codes of a micro-block without outliers.
+    const PLAIN: [u8; 8] = [0b01, 0b11, 0b00, 0b01, 0b11, 0b00, 0b01, 0b00];
+    /// Slot 2 = Upper {s=0, m1=1} → 0b01; slot 5 = Lower {s=0, m0=0} → 0b00.
+    const OUTLIER: [u8; 8] = [0b01, 0b11, 0b01, 0b01, 0b11, 0b00, 0b01, 0b00];
+    const PAIR: [PermEntry; 1] = [PermEntry {
+        upper_loc: 2,
+        lower_loc: 5,
+    }];
+
+    fn outlier_meta() -> Option<(MxScale, &'static [PermEntry])> {
+        Some((MxScale::new(2, 0, TinyFloat::E1M2), &PAIR))
+    }
+
+    /// A builder for `lines` rows × 16 cols, macro=16, micro=8, bb=2.
+    fn sample_builder(lines: usize) -> PackedLayerBuilder {
+        PackedLayerBuilder::new(GroupAxis::DotProduct, lines, 16, 2, 8, 16)
+    }
 
     fn sample_layer() -> PackedLayer {
-        // 2 rows × 16 cols, macro=16, micro=8, bb=2.
-        let mk_plain = || PackedMicroBlock {
-            codes: vec![0b01, 0b11, 0b00, 0b01, 0b11, 0b00, 0b01, 0b00],
-            meta: None,
-        };
-        let mk_outlier = || PackedMicroBlock {
-            // Slot 2 = Upper {s=0, m1=1} → 0b01; slot 5 = Lower {s=0, m0=0} → 0b00.
-            codes: vec![0b01, 0b11, 0b01, 0b01, 0b11, 0b00, 0b01, 0b00],
-            meta: Some(MicroBlockMeta {
-                mxscale: MxScale::new(2, 0, TinyFloat::E1M2),
-                perm: PermutationList::new(
-                    vec![PermEntry {
-                        upper_loc: 2,
-                        lower_loc: 5,
-                    }],
-                    8,
-                ),
-            }),
-        };
-        let group = |outlier: bool| PackedMacroBlock {
-            isf: Pow2Scale::new(-3),
-            micro_blocks: vec![if outlier { mk_outlier() } else { mk_plain() }, mk_plain()],
-        };
-        PackedLayer::new(
-            GroupAxis::DotProduct,
-            2,
-            16,
-            2,
-            8,
-            16,
-            vec![group(true), group(false)],
-        )
+        let mut b = sample_builder(2);
+        let isf = Pow2Scale::new(-3);
+        b.set_group(0, isf, [(&OUTLIER[..], outlier_meta()), (&PLAIN, None)]);
+        b.set_group(1, isf, [(&PLAIN[..], None), (&PLAIN, None)]);
+        b.finish()
     }
 
     #[test]
@@ -1162,26 +1223,22 @@ mod tests {
     /// than a view's 64-bit outlier mask holds, with outliers on both
     /// sides of that boundary.
     fn wide_group_layer() -> PackedLayer {
-        let micro_blocks = (0..128)
-            .map(|i| PackedMicroBlock {
-                codes: vec![(i % 4) as u8, 1],
-                meta: [3, 100].contains(&i).then(|| MicroBlockMeta {
-                    mxscale: MxScale::new(1, 0, TinyFloat::E1M2),
-                    perm: PermutationList::new(
-                        vec![PermEntry {
-                            upper_loc: 0,
-                            lower_loc: 1,
-                        }],
-                        2,
-                    ),
-                }),
-            })
-            .collect();
-        let group = PackedMacroBlock {
-            isf: Pow2Scale::new(-2),
-            micro_blocks,
-        };
-        PackedLayer::new(GroupAxis::DotProduct, 1, 256, 2, 2, 256, vec![group])
+        let codes: Vec<[u8; 2]> = (0..128).map(|i| [(i % 4) as u8, 1]).collect();
+        let pair = [PermEntry {
+            upper_loc: 0,
+            lower_loc: 1,
+        }];
+        let meta = (MxScale::new(1, 0, TinyFloat::E1M2), &pair[..]);
+        let mut b = PackedLayerBuilder::new(GroupAxis::DotProduct, 1, 256, 2, 2, 256);
+        b.set_group(
+            0,
+            Pow2Scale::new(-2),
+            codes
+                .iter()
+                .enumerate()
+                .map(|(i, c)| (&c[..], [3, 100].contains(&i).then_some(meta))),
+        );
+        b.finish()
     }
 
     #[test]
@@ -1291,14 +1348,9 @@ mod tests {
         // into a tail word; codes [2,5,0,1] and [3,5,0,1] (differing only
         // in the low bit of a non-final byte) must not collide.
         let mk = |c0: u8| {
-            let group = PackedMacroBlock {
-                isf: Pow2Scale::new(-3),
-                micro_blocks: vec![PackedMicroBlock {
-                    codes: vec![c0, 1, 0, 1],
-                    meta: None,
-                }],
-            };
-            PackedLayer::new(GroupAxis::DotProduct, 1, 4, 2, 4, 4, vec![group])
+            let mut b = PackedLayerBuilder::new(GroupAxis::DotProduct, 1, 4, 2, 4, 4);
+            b.set_group(0, Pow2Scale::new(-3), [(&[c0, 1, 0, 1][..], None)]);
+            b.finish()
         };
         assert_ne!(mk(2).content_fingerprint(), mk(3).content_fingerprint());
         assert_eq!(mk(2).content_fingerprint(), mk(2).content_fingerprint());
@@ -1353,20 +1405,16 @@ mod tests {
     #[test]
     fn output_channel_axis_roundtrip() {
         // 16 rows × 1 col, grouped along output channels.
-        let group = PackedMacroBlock {
-            isf: Pow2Scale::new(-2),
-            micro_blocks: vec![
-                PackedMicroBlock {
-                    codes: vec![1, 0, 3, 1, 0, 0, 1, 3],
-                    meta: None,
-                },
-                PackedMicroBlock {
-                    codes: vec![0, 1, 0, 0, 1, 0, 0, 0],
-                    meta: None,
-                },
+        let mut b = PackedLayerBuilder::new(GroupAxis::OutputChannel, 16, 1, 2, 8, 16);
+        b.set_group(
+            0,
+            Pow2Scale::new(-2),
+            [
+                (&[1, 0, 3, 1, 0, 0, 1, 3][..], None),
+                (&[0, 1, 0, 0, 1, 0, 0, 0], None),
             ],
-        };
-        let layer = PackedLayer::new(GroupAxis::OutputChannel, 16, 1, 2, 8, 16, vec![group]);
+        );
+        let layer = b.finish();
         let w = layer.dequantize();
         assert_eq!(w.rows(), 16);
         assert_eq!(w.cols(), 1);
@@ -1374,5 +1422,87 @@ mod tests {
         assert_eq!(w[(2, 0)], -0.25); // code 3 = −1 in 2-bit two's complement
         let back = PackedLayer::from_bytes(&layer.to_bytes()).unwrap();
         assert_eq!(back, layer);
+    }
+
+    #[test]
+    fn builder_accepts_groups_in_any_order() {
+        // Three rows of two groups, outliers in four of them: every order
+        // of setting the groups builds the same layer, with the side table
+        // in layout order (as `from_bytes` reads it back).
+        let isf = |g: usize| Pow2Scale::new(-(g as i32) - 1);
+        let first = |g: usize| if g == 3 { None } else { outlier_meta() };
+        let second = |g: usize| {
+            if g.is_multiple_of(2) {
+                outlier_meta()
+            } else {
+                None
+            }
+        };
+        let build = |order: &[usize]| {
+            let mut b = PackedLayerBuilder::new(GroupAxis::DotProduct, 3, 32, 2, 8, 16);
+            for &g in order {
+                b.set_group(g, isf(g), [(&OUTLIER[..], first(g)), (&OUTLIER, second(g))]);
+            }
+            b.finish()
+        };
+        let in_order = build(&[0, 1, 2, 3, 4, 5]);
+        assert_eq!(
+            PackedLayer::from_bytes(&in_order.to_bytes()).unwrap(),
+            in_order
+        );
+        // Macro-block-outer, as the DotProduct solver sets them, and reversed.
+        for order in [[0, 2, 4, 1, 3, 5], [5, 4, 3, 2, 1, 0]] {
+            let layer = build(&order);
+            assert_eq!(layer, in_order, "order {order:?}");
+            assert_eq!(layer.to_bytes(), in_order.to_bytes());
+            assert_eq!(layer.content_fingerprint(), in_order.content_fingerprint());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "group 1 set twice")]
+    fn builder_rejects_a_group_set_twice() {
+        let mut b = sample_builder(2);
+        for g in [0, 1, 1] {
+            b.set_group(g, Pow2Scale::one(), [(&PLAIN[..], None), (&PLAIN, None)]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "group 1 never set")]
+    fn builder_rejects_a_group_never_set() {
+        let mut b = sample_builder(2);
+        b.set_group(0, Pow2Scale::one(), [(&PLAIN[..], None), (&PLAIN, None)]);
+        b.finish();
+    }
+
+    #[test]
+    #[should_panic(expected = "slot count mismatch in group 0")]
+    fn builder_rejects_a_wrong_slot_count() {
+        let mut b = sample_builder(1);
+        b.set_group(
+            0,
+            Pow2Scale::one(),
+            [(&PLAIN[..], None), (&PLAIN[..7], None)],
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "micro-block count mismatch in group 0")]
+    fn builder_rejects_a_missing_micro_block() {
+        let mut b = sample_builder(1);
+        b.set_group(0, Pow2Scale::one(), [(&PLAIN[..], None)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "permutation location out of range in group 0")]
+    fn builder_rejects_a_permutation_entry_out_of_range() {
+        let past_end = [PermEntry {
+            upper_loc: 2,
+            lower_loc: 8,
+        }];
+        let meta = Some((MxScale::new(2, 0, TinyFloat::E1M2), &past_end[..]));
+        let mut b = sample_builder(1);
+        b.set_group(0, Pow2Scale::one(), [(&OUTLIER[..], meta), (&PLAIN, None)]);
     }
 }

@@ -18,7 +18,7 @@ use crate::error::QuantError;
 use crate::hessian::HessianState;
 use crate::microblock::{MicroBlockPlan, SlotRole};
 use crate::outlier::classify_outliers;
-use crate::packed::{MicroBlockMeta, PackedLayer, PackedMacroBlock, PackedMicroBlock};
+use crate::packed::{PackedLayer, PackedLayerBuilder};
 use crate::traits::{LayerTensors, QuantStats};
 use microscopiq_linalg::Matrix;
 use microscopiq_mx::fp::TinyFloat;
@@ -292,6 +292,40 @@ pub fn solve(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOutput, Qu
     }
 }
 
+/// A builder for the packed layer when this configuration produces the
+/// hardware layout.
+fn packed_builder(
+    layer: &LayerTensors,
+    cfg: &QuantConfig,
+    axis: GroupAxis,
+) -> Option<PackedLayerBuilder> {
+    packable(cfg).then(|| {
+        PackedLayerBuilder::new(
+            axis,
+            layer.d_row(),
+            layer.d_col(),
+            cfg.inlier_bits,
+            cfg.micro_block,
+            cfg.macro_block,
+        )
+    })
+}
+
+/// Writes a quantized segment, whose slot codes are `codes`, as group `g`.
+fn pack_segment(
+    builder: &mut PackedLayerBuilder,
+    g: usize,
+    seg: &SegmentQuant,
+    codes: &[u8],
+    micro_block: usize,
+) {
+    let micro_blocks = codes.chunks(micro_block).zip(&seg.micro).map(|(c, mbq)| {
+        let outliers = mbq.mxscale.map(|m| (m, mbq.plan.perm.entries()));
+        (c, outliers)
+    });
+    builder.set_group(g, seg.isf, micro_blocks);
+}
+
 fn make_hessian(layer: &LayerTensors, cfg: &QuantConfig) -> Result<HessianState, QuantError> {
     if cfg.error_compensation {
         HessianState::from_calibration(&layer.calibration, cfg.percdamp)
@@ -309,7 +343,10 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
     let mut counters = Counters::default();
 
     let mabs_per_line = d_col.div_ceil(cfg.macro_block);
-    let mut packed_groups: Vec<Option<PackedMacroBlock>> = vec![None; d_row * mabs_per_line];
+    let mut packed = packed_builder(layer, cfg, GroupAxis::DotProduct);
+    // Slot codes of the macro-block position being quantized, row after
+    // row (`mab_len` per row), filled during phase B.
+    let mut codes = vec![0u8; d_row * cfg.macro_block];
 
     let mut comp_start = 0;
     while comp_start < d_col {
@@ -338,11 +375,7 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
                 counters.absorb_segment(seg);
             }
 
-            // Packed skeleton: codes filled during phase B.
-            let mut codes: Vec<Vec<u8>> = (0..d_row).map(|_| vec![0u8; mab_len]).collect();
-
             // Phase B: column pass with in-block compensation.
-            #[allow(clippy::needless_range_loop)] // jj also offsets into `codes` rows below
             for jj in 0..mab_len {
                 let j = mab_start + jj;
                 let urow = if cfg.error_compensation {
@@ -355,7 +388,7 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
                     let (mb, role) = seg.slot_role(jj, cfg.micro_block);
                     let (dq, bits) = quantize_slot(role, work[(r, j)], seg, mb, cfg);
                     deq[(r, j)] = dq;
-                    codes[r][jj] = bits;
+                    codes[r * mab_len + jj] = bits;
                     let e = (work[(r, j)] - dq) / hessian.diag(j);
                     err_block[(r, j - comp_start)] = e;
                     if !urow.is_empty() {
@@ -367,27 +400,11 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
                 }
             }
 
-            // Assemble packed macro-blocks for this MaB.
-            if packable(cfg) {
+            if let Some(builder) = packed.as_mut() {
                 for (r, seg) in segments.iter().enumerate() {
-                    let mut micro_blocks = Vec::with_capacity(seg.micro.len());
-                    let mut off = 0;
-                    for mbq in &seg.micro {
-                        let len = mbq.plan.roles.len();
-                        let meta = mbq.mxscale.map(|mxscale| MicroBlockMeta {
-                            mxscale,
-                            perm: mbq.plan.perm.clone(),
-                        });
-                        micro_blocks.push(PackedMicroBlock {
-                            codes: codes[r][off..off + len].to_vec(),
-                            meta,
-                        });
-                        off += len;
-                    }
-                    packed_groups[r * mabs_per_line + mab_index] = Some(PackedMacroBlock {
-                        isf: seg.isf,
-                        micro_blocks,
-                    });
+                    let row_codes = &codes[r * mab_len..(r + 1) * mab_len];
+                    let g = r * mabs_per_line + mab_index;
+                    pack_segment(builder, g, seg, row_codes, cfg.micro_block);
                 }
             }
             mab_start = mab_end;
@@ -400,14 +417,7 @@ fn solve_dot_product(layer: &LayerTensors, cfg: &QuantConfig) -> Result<SolverOu
         comp_start = comp_end;
     }
 
-    finish(
-        layer,
-        cfg,
-        deq,
-        packed_groups,
-        counters,
-        GroupAxis::DotProduct,
-    )
+    finish(cfg, deq, packed, counters)
 }
 
 fn solve_output_channel(
@@ -422,7 +432,8 @@ fn solve_output_channel(
     let mut counters = Counters::default();
 
     let mabs_per_line = d_row.div_ceil(cfg.macro_block);
-    let mut packed_groups: Vec<Option<PackedMacroBlock>> = vec![None; d_col * mabs_per_line];
+    let mut packed = packed_builder(layer, cfg, GroupAxis::OutputChannel);
+    let mut codes = vec![0u8; cfg.macro_block];
 
     let mut comp_start = 0;
     while comp_start < d_col {
@@ -446,7 +457,7 @@ fn solve_output_channel(
                 let seg =
                     plan_segment(&col[mab_start..mab_end], &saliency[mab_start..mab_end], cfg);
                 counters.absorb_segment(&seg);
-                let mut codes = vec![0u8; mab_end - mab_start];
+                let codes = &mut codes[..mab_end - mab_start];
                 for (i, r) in (mab_start..mab_end).enumerate() {
                     let (mb, role) = seg.slot_role(i, cfg.micro_block);
                     let (dq, bits) = quantize_slot(role, work[(r, j)], &seg, mb, cfg);
@@ -461,25 +472,9 @@ fn solve_output_channel(
                         }
                     }
                 }
-                if packable(cfg) {
-                    let mut micro_blocks = Vec::with_capacity(seg.micro.len());
-                    let mut off = 0;
-                    for mbq in &seg.micro {
-                        let len = mbq.plan.roles.len();
-                        let meta = mbq.mxscale.map(|mxscale| MicroBlockMeta {
-                            mxscale,
-                            perm: mbq.plan.perm.clone(),
-                        });
-                        micro_blocks.push(PackedMicroBlock {
-                            codes: codes[off..off + len].to_vec(),
-                            meta,
-                        });
-                        off += len;
-                    }
-                    packed_groups[j * mabs_per_line + mab_index] = Some(PackedMacroBlock {
-                        isf: seg.isf,
-                        micro_blocks,
-                    });
+                if let Some(builder) = packed.as_mut() {
+                    let g = j * mabs_per_line + mab_index;
+                    pack_segment(builder, g, &seg, codes, cfg.micro_block);
                 }
             }
         }
@@ -490,41 +485,16 @@ fn solve_output_channel(
         comp_start = comp_end;
     }
 
-    finish(
-        layer,
-        cfg,
-        deq,
-        packed_groups,
-        counters,
-        GroupAxis::OutputChannel,
-    )
+    finish(cfg, deq, packed, counters)
 }
 
 fn finish(
-    layer: &LayerTensors,
     cfg: &QuantConfig,
     deq: Matrix,
-    packed_groups: Vec<Option<PackedMacroBlock>>,
+    packed: Option<PackedLayerBuilder>,
     counters: Counters,
-    axis: GroupAxis,
 ) -> Result<SolverOutput, QuantError> {
-    let packed = if packable(cfg) {
-        let groups: Vec<PackedMacroBlock> = packed_groups
-            .into_iter()
-            .map(|g| g.expect("all groups filled"))
-            .collect();
-        Some(PackedLayer::new(
-            axis,
-            layer.d_row(),
-            layer.d_col(),
-            cfg.inlier_bits,
-            cfg.micro_block,
-            cfg.macro_block,
-            groups,
-        ))
-    } else {
-        None
-    };
+    let packed = packed.map(PackedLayerBuilder::finish);
     let ebw = packed
         .as_ref()
         .map(|p| p.effective_bit_width())

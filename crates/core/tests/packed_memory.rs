@@ -1,5 +1,6 @@
-//! Heap bytes a packed layer holds, counted by a global allocator that
-//! tallies what each thread has requested and not yet freed.
+//! Heap bytes a packed layer holds, and the heap's high-water mark while
+//! the solver builds one, counted by a global allocator that tallies what
+//! each thread has requested and not yet freed.
 //!
 //! The packed format's point is to move fewer weight bytes; a layer held
 //! in memory must therefore stay near its serialized size (≈ 0.85 B per
@@ -8,8 +9,13 @@
 //! per slot plus the per-group scale, the outlier bits and the outlier
 //! side table.
 //!
-//! This file holds one test, so no other test's allocations share the
-//! process while it counts (the tally is per thread regardless).
+//! Building the layer must not need a second, larger form of it either:
+//! the solver writes codes, scales and outlier metadata straight into the
+//! layer's flat arrays, so its peak heap is the working matrices, the
+//! Hessian state and about one byte per weight of packed layer.
+//!
+//! The tally is per thread, so tests running side by side in this
+//! process do not see each other's allocations.
 
 use microscopiq_core::config::QuantConfig;
 use microscopiq_core::solver::solve;
@@ -20,18 +26,23 @@ use std::cell::Cell;
 
 thread_local! {
     static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 fn note(delta: isize) {
-    let _ = LIVE.try_with(|live| live.set(live.get() + delta));
+    let _ = LIVE.try_with(|live| {
+        let now = live.get() + delta;
+        live.set(now);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(now)));
+    });
 }
 
 /// Forwards to the system allocator and tallies requested bytes per thread.
 struct Counting;
 
 // SAFETY: every call forwards unchanged to `System`; the tally touches
-// only a const-initialized thread-local without a destructor, which
-// neither allocates nor re-enters the allocator.
+// only const-initialized thread-locals without a destructor, which
+// neither allocate nor re-enter the allocator.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         note(layout.size() as isize);
@@ -51,9 +62,28 @@ fn live_bytes() -> isize {
     LIVE.with(Cell::get)
 }
 
+/// Restarts this thread's high-water mark at the bytes live now.
+fn reset_peak() {
+    PEAK.with(|peak| peak.set(live_bytes()));
+}
+
+fn peak_bytes() -> isize {
+    PEAK.with(Cell::get)
+}
+
+/// Heap bytes per weight of one solver run.
+struct Measured {
+    /// Held by the packed layer `solve` returns.
+    held: f64,
+    /// The high-water mark above the heap in use before `solve`.
+    peak: f64,
+    /// The layer's outlier micro-block fraction.
+    fraction: f64,
+}
+
 /// A 256 × 256 layer with a normal body and ≈ 1% large weights, packed by
 /// the solver at block 64 (the served models' geometry).
-fn held_bytes_per_weight(bits: u32, seed: u64) -> (f64, f64) {
+fn measure_solve(bits: u32, seed: u64) -> Measured {
     let (d_row, d_col) = (256, 256);
     let mut rng = SeededRng::new(seed);
     let mut w = Matrix::from_fn(d_row, d_col, |_, _| rng.normal(0.0, 0.02));
@@ -69,25 +99,51 @@ fn held_bytes_per_weight(bits: u32, seed: u64) -> (f64, f64) {
         .build()
         .unwrap();
     let before = live_bytes();
+    reset_peak();
     let packed = solve(&tensors, &cfg).unwrap().packed.unwrap();
     let held = live_bytes() - before;
+    let peak = peak_bytes() - before;
     let fraction = packed.outlier_micro_block_fraction();
     drop(packed);
-    (held as f64 / (d_row * d_col) as f64, fraction)
+    let weights = (d_row * d_col) as f64;
+    Measured {
+        held: held as f64 / weights,
+        peak: peak as f64 / weights,
+        fraction,
+    }
 }
 
 #[test]
 fn packed_layer_holds_at_most_one_and_a_half_bytes_per_weight() {
     for bits in [4, 2] {
-        let (per_weight, fraction) = held_bytes_per_weight(bits, 17);
-        println!("w{bits}: {per_weight:.3} heap B/weight, outlier micro-blocks {fraction:.3}");
-        assert!(
-            fraction > 0.02,
-            "w{bits}: the layer should carry outliers ({fraction})"
+        let m = measure_solve(bits, 17);
+        println!(
+            "w{bits}: {:.3} heap B/weight held, outlier micro-blocks {:.3}",
+            m.held, m.fraction
         );
         assert!(
-            per_weight <= 1.5,
-            "w{bits}: {per_weight:.2} heap bytes per weight (outlier micro-blocks {fraction:.3})"
+            m.fraction > 0.02,
+            "w{bits}: the layer should carry outliers ({})",
+            m.fraction
+        );
+        assert!(
+            m.held <= 1.5,
+            "w{bits}: {:.2} heap bytes per weight (outlier micro-blocks {:.3})",
+            m.held,
+            m.fraction
+        );
+    }
+}
+
+#[test]
+fn solve_peak_heap_has_no_second_copy_of_the_layer() {
+    for bits in [4, 2] {
+        let m = measure_solve(bits, 17);
+        println!("w{bits}: {:.2} heap B/weight at solve's peak", m.peak);
+        assert!(
+            m.peak <= 41.0,
+            "w{bits}: solve's heap peaked at {:.2} bytes per weight",
+            m.peak
         );
     }
 }

@@ -1,7 +1,7 @@
 //! Synthetic foundational-model substrate for the MicroScopiQ reproduction.
 //!
 //! Real FM checkpoints cannot be loaded in this environment; this crate
-//! provides the calibrated stand-ins described in DESIGN.md §2:
+//! provides calibrated stand-ins (README, "Stand-ins and simplifications"):
 //!
 //! * [`zoo`] — the paper's model inventory (Table 2 LLMs, Fig. 10 VLMs,
 //!   Table 4 CNN/SSMs) with true architecture dimensions, proxy-scaled

@@ -1,5 +1,6 @@
-//! Accuracy proxies (DESIGN.md §2): mapping measured layer output error to
-//! paper-style perplexity and benchmark-accuracy numbers.
+//! Accuracy proxies (README, "Stand-ins and simplifications"): mapping
+//! measured layer output error to paper-style perplexity and
+//! benchmark-accuracy numbers.
 //!
 //! Absolute paper numbers are not reproducible without real checkpoints;
 //! the maps below are monotone in the measured error, so *orderings and

@@ -1,5 +1,6 @@
 //! TinyFM: a small, fully functional pure-Rust transformer LM used for
-//! honest end-to-end perplexity measurements (DESIGN.md §2).
+//! honest end-to-end perplexity measurements, where the model zoo's
+//! large-model numbers are proxies.
 //!
 //! A randomly initialized *teacher* (with FM-style weight outliers
 //! injected) generates token sequences; a quantized *student* is evaluated

@@ -1,7 +1,7 @@
 //! The evaluated model zoo (§7.1): layer inventories and outlier profiles
 //! for every model family the paper reports on.
 //!
-//! Real checkpoints cannot be loaded here (DESIGN.md §2); each spec instead
+//! Real checkpoints cannot be loaded here; each spec instead
 //! records the model's true architecture dimensions, a proxy scale divisor
 //! that keeps pure-Rust GPTQ tractable, and an *outlier profile* calibrated
 //! to the statistics in Fig. 2(a): modern FMs carry up to ~5% outliers
@@ -85,8 +85,8 @@ pub struct ModelSpec {
     pub seed: u64,
 }
 
-/// Proxy scale divisor applied to real hidden sizes (documented in
-/// DESIGN.md; keeps the Cholesky/GPTQ cost tractable in pure Rust while
+/// Proxy scale divisor applied to real hidden sizes (keeps the
+/// Cholesky/GPTQ cost tractable in pure Rust while
 /// preserving block-structure ratios: proxy dims stay multiples of 128).
 pub const PROXY_DIVISOR: usize = 16;
 

@@ -16,7 +16,8 @@
 //! merges: `psum += iAcc + (-1)^s·iAct  +  Upper·iAct ≫ mb/2  +
 //! Lower·iAct ≫ mb` — the first term is the hidden bit, the shifts restore
 //! each half's binary point. We carry partial sums in fixed point with `mb`
-//! fractional bits so the shifts are lossless (DESIGN.md §7).
+//! fractional bits so the shifts are lossless, and the merged partial sum
+//! is exact.
 
 /// The two sign-magnitude halves of a split outlier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -536,17 +536,16 @@ mod tests {
     #[test]
     fn layer_id_sees_code_changes() {
         // Two layers identical except one slot code must not collide.
-        use microscopiq_core::packed::{PackedMacroBlock, PackedMicroBlock};
+        use microscopiq_core::packed::PackedLayerBuilder;
         use microscopiq_mx::scale::Pow2Scale;
         let mk = |c: u8| {
-            let group = PackedMacroBlock {
-                isf: Pow2Scale::new(-3),
-                micro_blocks: vec![PackedMicroBlock {
-                    codes: vec![c, 1, 0, 1, 0, 0, 1, 0],
-                    meta: None,
-                }],
-            };
-            PackedLayer::new(GroupAxis::DotProduct, 1, 8, 2, 8, 8, vec![group])
+            let mut b = PackedLayerBuilder::new(GroupAxis::DotProduct, 1, 8, 2, 8, 8);
+            b.set_group(
+                0,
+                Pow2Scale::new(-3),
+                [(&[c, 1, 0, 1, 0, 0, 1, 0][..], None)],
+            );
+            b.finish()
         };
         assert_ne!(mk(0).content_fingerprint(), mk(1).content_fingerprint());
     }

@@ -38,7 +38,7 @@
 //! to `dequantize().matmul(..)` for any thread count or tile size) and
 //! the cached path runs the bucketed kernel (within the runtime's 1e-9
 //! contract, ~1e-12 observed); opting into [`KernelPolicy::Fast`] adds
-//! the `simd-f32` kernel (AVX2+FMA or NEON detected) or else the
+//! the `simd-f32` kernel (AVX2+FMA detected) or else the
 //! lane-blocked `lane-f32` kernel, each at its own pinned relative
 //! tolerance. Those three kernels run `DotProduct` layers only, the
 //! layout every served model uses: an `OutputChannel` layer runs on the
@@ -111,17 +111,17 @@ impl EngineConfig {
     /// `RuntimeEngine::new(EngineConfig::scalar())`).
     ///
     /// Knobs the scalar engine honors: none beyond what this constructor
-    /// pins. `policy: Scalar` forces the bit-exact oracle kernel on every
-    /// call, `threads: 1` disables tiling entirely, `cache_bytes: 0`
-    /// disables the decoded cache (the oracle would ignore it anyway),
-    /// and `parallel_threshold` is moot once `threads == 1` (kept at
-    /// `usize::MAX` for belt-and-braces).
+    /// pins. `cache_bytes: 0` leaves the default policy no decoded cache,
+    /// so it dispatches every call to the bit-exact oracle kernel;
+    /// `threads: 1` disables tiling entirely, and `parallel_threshold` is
+    /// moot once `threads == 1` (kept at `usize::MAX` for
+    /// belt-and-braces).
     pub fn scalar() -> Self {
         Self {
             threads: 1,
             cache_bytes: 0,
             parallel_threshold: usize::MAX,
-            policy: KernelPolicy::Scalar,
+            policy: KernelPolicy::Default,
         }
     }
 }
@@ -200,7 +200,7 @@ impl RuntimeEngine {
     /// The fast serving tier: [`KernelPolicy::Fast`] with the decoded
     /// cache disabled, so dispatch resolves every supported call —
     /// including the m = 1 GEMV shape that dominates per-step decode — to
-    /// the `simd-f32` kernel when AVX2+FMA or NEON is detected and to the
+    /// the `simd-f32` kernel when AVX2+FMA is detected and to the
     /// lane-blocked `lane-f32` kernel otherwise, with the scalar oracle
     /// as fallback for outlier-heavy layers, oversized groups and
     /// `OutputChannel` layers. (With a cache, `Fast` would resolve to the
@@ -221,8 +221,9 @@ impl RuntimeEngine {
         })
     }
 
-    /// The scalar fallback engine (single thread, no cache, scalar-oracle
-    /// policy, bit-exact) — `Self::new(EngineConfig::scalar())`.
+    /// The scalar fallback engine (single thread, no cache, so the
+    /// default policy runs the scalar oracle, bit-exact) —
+    /// `Self::new(EngineConfig::scalar())`.
     pub fn scalar() -> Self {
         Self::new(EngineConfig::scalar())
     }
@@ -1006,11 +1007,7 @@ mod tests {
             let layer = packed_layer(64, 32, axis, 19);
             let mut rng = SeededRng::new(20);
             let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
-            for policy in [
-                KernelPolicy::Default,
-                KernelPolicy::Scalar,
-                KernelPolicy::Fast,
-            ] {
+            for policy in [KernelPolicy::Default, KernelPolicy::Fast] {
                 let serial = RuntimeEngine::new(EngineConfig {
                     threads: 1,
                     cache_bytes: 0,

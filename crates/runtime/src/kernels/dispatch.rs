@@ -7,15 +7,14 @@
 //!
 //! | policy | engine | selection |
 //! |---|---|---|
-//! | [`KernelPolicy::Default`] | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`] when the engine has a decoded cache and the layer is `DotProduct`, [`ScalarKernel`] otherwise |
-//! | [`KernelPolicy::Scalar`] | `RuntimeEngine::scalar()` | always the scalar oracle (bitwise, ignores the cache) |
+//! | [`KernelPolicy::Default`] | `RuntimeEngine::parallel()`, `RuntimeEngine::scalar()` | [`BucketedCacheKernel`] when the engine has a decoded cache and the layer is `DotProduct`, [`ScalarKernel`] otherwise — so always the scalar oracle on the scalar engine, which has no cache |
 //! | [`KernelPolicy::Fast`] | `RuntimeEngine::fast()` | first registered kernel whose `supports` accepts the call, in registry priority order; scalar as the universal fallback |
 //!
 //! The registry's priority order is bucketed-cache, explicit SIMD (when
 //! runtime feature detection passes), lane-blocked `f32`, scalar. So
 //! `Fast` resolves to: bucketed tiles when a cache is available;
 //! otherwise, on supported shapes (group ≤ 256 slots, outlier density
-//! ≤ 0.5), the `simd-f32` kernel on hosts with AVX2+FMA or NEON and the
+//! ≤ 0.5), the `simd-f32` kernel on hosts with AVX2+FMA and the
 //! `lane-f32` kernel on hosts without (or with `MICROSCOPIQ_SIMD=off`);
 //! and the scalar oracle for everything else (e.g. outlier-heavy layers,
 //! oversized groups).
@@ -32,7 +31,7 @@
 //! use microscopiq_runtime::{EngineConfig, RuntimeEngine};
 //!
 //! // The portable registry: what `with_defaults` builds on a host
-//! // without AVX2+FMA/NEON.
+//! // without AVX2+FMA.
 //! let engine = RuntimeEngine::with_registry(
 //!     EngineConfig {
 //!         policy: KernelPolicy::Fast,
@@ -54,18 +53,15 @@ use super::{DispatchKey, KernelCtx, MicroKernel};
 use crate::telemetry::metrics::{Counter, Sample, SampleValue};
 use std::sync::{Arc, RwLock};
 
-/// How the engine picks a kernel per call, one variant per engine
-/// constructor. `Default` reproduces the pre-dispatch engine exactly on
-/// `DotProduct` layers; anything else is an explicit opt-in.
+/// How the engine picks a kernel per call. `Default` reproduces the
+/// pre-dispatch engine exactly on `DotProduct` layers, and is the scalar
+/// oracle on an engine without a cache; `Fast` is an explicit opt-in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum KernelPolicy {
     /// Bucketed decoded-cache execution when the engine has a cache and
     /// the layer is `DotProduct`, scalar oracle otherwise (bitwise).
     #[default]
     Default,
-    /// Always the scalar `f64` oracle — bitwise everywhere, never touches
-    /// the decoded cache even when one is configured.
-    Scalar,
     /// Fastest supporting kernel in registry priority order.
     Fast,
 }
@@ -220,7 +216,7 @@ impl KernelRegistry {
     }
 
     /// The standard registry with the SIMD kernel unconditionally left
-    /// out — what `with_defaults` builds on a host without AVX2/NEON.
+    /// out — what `with_defaults` builds on a host without AVX2+FMA.
     /// The graceful-fallback tests pin that this registry dispatches
     /// bitwise-stably.
     pub fn without_simd() -> Self {
@@ -281,7 +277,6 @@ impl KernelRegistry {
         ctx: &KernelCtx<'_>,
     ) -> &dyn MicroKernel {
         match policy {
-            KernelPolicy::Scalar => self.scalar.as_ref(),
             KernelPolicy::Default => self
                 .get(BUCKETED_KERNEL)
                 .filter(|k| k.supports(key, ctx))
@@ -328,21 +323,6 @@ mod tests {
             reg.select(KernelPolicy::Default, &k, &KernelCtx::cached(&cache, 1))
                 .name(),
             BUCKETED_KERNEL
-        );
-    }
-
-    #[test]
-    fn scalar_policy_ignores_cache() {
-        let reg = KernelRegistry::with_defaults();
-        let cache = DecodedCache::new(1 << 16);
-        assert_eq!(
-            reg.select(
-                KernelPolicy::Scalar,
-                &key(1, 64, 0.0),
-                &KernelCtx::cached(&cache, 1)
-            )
-            .name(),
-            SCALAR_KERNEL
         );
     }
 

@@ -1,7 +1,7 @@
 //! The lane-blocked `f32` kernel: the portable fast path the dispatch
 //! layer selects for uncached GEMM/GEMV on supported shapes when the
-//! explicit SIMD kernel is not registered (no AVX2+FMA/NEON, or
-//! `MICROSCOPIQ_SIMD=off`).
+//! explicit SIMD kernel is not registered (no AVX2+FMA, a host other
+//! than `x86_64`, or `MICROSCOPIQ_SIMD=off`).
 //!
 //! Supported layout: `DotProduct` groups of at most [`MAX_GROUP`] slots,
 //! asserted on entry; `OutputChannel` layers run on the scalar oracle.

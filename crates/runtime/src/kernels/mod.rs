@@ -12,7 +12,7 @@
 //!   The only kernel that runs both group axes: every
 //!   [`GroupAxis::OutputChannel`] layer executes here.
 //! * [`LaneKernel`] (`lane-f32`) — the portable lane-blocked kernel, and
-//!   the `Fast` pick on hosts without AVX2+FMA/NEON: decodes each group's
+//!   the `Fast` pick on hosts without AVX2+FMA: decodes each group's
 //!   unscaled codes into a stack-resident `f32` plane
 //!   ([`PackedLayer::group`] → `decode_codes_f32`, no per-block
 //!   allocation), runs an unrolled 8-wide loop over column lanes that the
@@ -24,8 +24,8 @@
 //!   at `bb = 2`, flat `f32` tiles at `bb = 4`. Requires a cache in the
 //!   [`KernelCtx`].
 //! * [`SimdKernel`] (`simd-f32`) — explicit `std::arch` SIMD: AVX2+FMA on
-//!   `x86_64`, NEON on `aarch64`, registered only when runtime feature
-//!   detection passes (and not force-disabled via `MICROSCOPIQ_SIMD=off`).
+//!   `x86_64`, registered only when runtime feature detection passes (and
+//!   not force-disabled via `MICROSCOPIQ_SIMD=off`).
 //!   Fuses in-register code decode (shift-based sign extension) with the
 //!   FMA reduction; outliers fix up in exact `f64` like the lane kernel.
 //!   The `Fast` pick for every uncached call it supports.
@@ -272,15 +272,6 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     fn gemv(&self, ctx: &KernelCtx<'_>, layer: &PackedLayer, x: &[f64], out: &mut [f64]) {
         self.gemv_rows(ctx, layer, x, 0, layer.d_row(), out);
     }
-}
-
-/// Decodes one inlier code byte as its two's-complement integer value at
-/// bit width `bb` — the shared scalar decode every kernel's remainder
-/// loop uses.
-#[inline]
-pub(crate) fn decode_code(c: u8, bb: u32) -> f32 {
-    let shift = 8 - bb;
-    ((c << shift) as i8 >> shift) as f32
 }
 
 /// Asserts the layout precondition of the `f32` kernels: `DotProduct`

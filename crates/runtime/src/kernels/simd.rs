@@ -1,6 +1,8 @@
-//! The explicit `std::arch` SIMD kernel: AVX2+FMA on `x86_64`, NEON on
-//! `aarch64`, selected by **runtime feature detection** so one binary
-//! runs everywhere and only fast hosts register the fast path.
+//! The explicit `std::arch` SIMD kernel: AVX2+FMA on `x86_64`, selected
+//! by **runtime feature detection** so one binary runs everywhere and
+//! only fast hosts register the fast path. Other architectures have no
+//! body: there [`SimdKernel::try_new`] returns `None` and the `Fast` tier
+//! serves the portable `lane-f32` kernel.
 //!
 //! Strategy — the same shape as the lane kernel (stack-resident planes,
 //! hoisted per-group scale, exact `f64` outlier fixups), but with the
@@ -20,9 +22,7 @@
 //! columns run as one masked 8-wide block (`vmaskmovps`) instead of a
 //! scalar strided loop, with separate mul and add so they round exactly
 //! as the scalar loop did — the output is bit-for-bit the one-line,
-//! scalar-tail body's, which a test keeps as the oracle. The NEON GEMM
-//! still runs one line per pass with a scalar `n % 4` tail: the aarch64
-//! CI job only type-checks, so a port could not be validated.
+//! scalar-tail body's, which a test keeps as the oracle.
 //!
 //! Construction is fallible: [`SimdKernel::try_new`] returns `None` when
 //! the host lacks the features (or when `MICROSCOPIQ_SIMD=off` force-
@@ -31,7 +31,7 @@
 //!
 //! Supported layout, as for the lane kernel: `DotProduct` groups of at
 //! most [`MAX_GROUP`] slots, asserted on entry; `OutputChannel` layers
-//! run on the scalar oracle. Each ISA module is one GEMM and one GEMV
+//! run on the scalar oracle. The AVX2 module is one GEMM and one GEMV
 //! body over that layout.
 //!
 //! Numerics match the lane kernel: `f32` inlier accumulation under
@@ -53,8 +53,6 @@ pub const SIMD_KERNEL: &str = "simd-f32";
 enum Isa {
     #[cfg(target_arch = "x86_64")]
     Avx2Fma,
-    #[cfg(target_arch = "aarch64")]
-    Neon,
 }
 
 /// Whether the value of `MICROSCOPIQ_SIMD` disables the SIMD kernel.
@@ -67,9 +65,10 @@ pub(crate) fn env_disables(value: Option<&str>) -> bool {
     )
 }
 
-/// Every CPU feature the SIMD kernel can use, with whether this host has
-/// it — for bench reports and the `microscopiq_cpu_feature` metric, so
-/// bench trajectories across machines stay comparable.
+/// The CPU features bench reports and the `microscopiq_cpu_feature`
+/// metric track, with whether this host has each: AVX2 and FMA, which the
+/// SIMD kernel needs, and NEON, which no kernel uses but which stays in
+/// the list so reports from every machine carry the same flags.
 pub fn detected_cpu_features() -> Vec<(&'static str, bool)> {
     #[cfg(target_arch = "x86_64")]
     {
@@ -116,11 +115,6 @@ impl SimdKernel {
                 return Some(Self { isa: Isa::Avx2Fma });
             }
         }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return Some(Self { isa: Isa::Neon });
-        }
-        #[allow(unreachable_code)]
         None
     }
 
@@ -129,12 +123,13 @@ impl SimdKernel {
         match self.isa {
             #[cfg(target_arch = "x86_64")]
             Isa::Avx2Fma => "avx2+fma",
-            #[cfg(target_arch = "aarch64")]
-            Isa::Neon => "neon",
         }
     }
 }
 
+// Without an AVX2 body the kernel is uninhabited and its entry points
+// match on nothing, leaving their arguments unread.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 impl MicroKernel for SimdKernel {
     fn name(&self) -> &'static str {
         SIMD_KERNEL
@@ -181,9 +176,6 @@ impl MicroKernel for SimdKernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self` exists only if AVX2+FMA detection passed.
             Isa::Avx2Fma => unsafe { avx2::gemm_rows(layer, acts, acts32, row_lo, row_hi, out) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is baseline on aarch64.
-            Isa::Neon => unsafe { neon::gemm_rows(layer, acts, acts32, row_lo, row_hi, out) },
         }
     }
 
@@ -212,9 +204,6 @@ impl MicroKernel for SimdKernel {
             #[cfg(target_arch = "x86_64")]
             // SAFETY: `self` exists only if AVX2+FMA detection passed.
             Isa::Avx2Fma => unsafe { avx2::gemv_rows(layer, x, x32, row_lo, row_hi, out) },
-            #[cfg(target_arch = "aarch64")]
-            // SAFETY: NEON is baseline on aarch64.
-            Isa::Neon => unsafe { neon::gemv_rows(layer, x, x32, row_lo, row_hi, out) },
         }
     }
 }
@@ -223,10 +212,18 @@ impl MicroKernel for SimdKernel {
 mod avx2 {
     #[cfg(test)]
     use super::super::groups_for_rows;
-    use super::super::{decode_code, MAX_GROUP};
+    use super::super::MAX_GROUP;
     use microscopiq_core::packed::{GroupView, PackedLayer};
     use microscopiq_linalg::Matrix;
     use std::arch::x86_64::*;
+
+    /// Decodes one inlier code byte as its two's-complement integer value
+    /// at bit width `bb` — the scalar decode of the remainder loops.
+    #[inline]
+    fn decode_code(c: u8, bb: u32) -> f32 {
+        let shift = 8 - bb;
+        ((c << shift) as i8 >> shift) as f32
+    }
 
     /// Horizontal sum of the 8 `f32` lanes.
     #[inline]
@@ -666,182 +663,6 @@ mod avx2 {
                 let o = _mm256_loadu_ps(orow32.as_ptr().add(c0));
                 _mm256_storeu_ps(orow32.as_mut_ptr().add(c0), _mm256_fmadd_ps(sv, acc, o));
                 c0 += 8;
-            }
-            for c in c0..n {
-                let mut acc = 0.0_f32;
-                for (i, &w) in plane[..span.len].iter().enumerate() {
-                    acc += w * acts32[(span.offset + i) * n + c];
-                }
-                orow32[c] += scale * acc;
-            }
-        }
-        for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
-            *o += l as f64;
-        }
-    }
-}
-
-#[cfg(target_arch = "aarch64")]
-mod neon {
-    use super::super::{decode_code, groups_for_rows, MAX_GROUP};
-    use microscopiq_core::packed::{GroupView, PackedLayer};
-    use microscopiq_linalg::Matrix;
-    use std::arch::aarch64::*;
-
-    /// Decodes 8 packed code bytes into two 4-lane `f32` vectors: widen
-    /// `u8 → u16 → i32`, sign-extend with a positive-then-negative shift
-    /// pair.
-    #[inline]
-    #[target_feature(enable = "neon")]
-    unsafe fn decode8(
-        codes: *const u8,
-        shl: int32x4_t,
-        shr: int32x4_t,
-    ) -> (float32x4_t, float32x4_t) {
-        let raw = vld1_u8(codes);
-        let wide16 = vmovl_u8(raw);
-        let lo = vreinterpretq_s32_u32(vmovl_u16(vget_low_u16(wide16)));
-        let hi = vreinterpretq_s32_u32(vmovl_u16(vget_high_u16(wide16)));
-        let lo = vshlq_s32(vshlq_s32(lo, shl), shr);
-        let hi = vshlq_s32(vshlq_s32(hi, shl), shr);
-        (vcvtq_f32_s32(lo), vcvtq_f32_s32(hi))
-    }
-
-    #[target_feature(enable = "neon")]
-    unsafe fn decode_group_plane(
-        view: &GroupView<'_>,
-        bb: u32,
-        shl: int32x4_t,
-        shr: int32x4_t,
-        plane: &mut [f32],
-        mut on_outlier: impl FnMut(usize, f64),
-    ) {
-        let mut base = 0usize;
-        for i in 0..view.micro_block_count() {
-            let codes = view.micro_block_codes(i);
-            if view.micro_block_has_outliers(i) {
-                view.decode_micro_block_codes_f32(i, &mut plane[base..], |slot, v| {
-                    on_outlier(base + slot, v);
-                });
-            } else {
-                let mut j = 0usize;
-                while j + 8 <= codes.len() {
-                    let (lo, hi) = decode8(codes.as_ptr().add(j), shl, shr);
-                    vst1q_f32(plane.as_mut_ptr().add(base + j), lo);
-                    vst1q_f32(plane.as_mut_ptr().add(base + j + 4), hi);
-                    j += 8;
-                }
-                for (k, &c) in codes.iter().enumerate().skip(j) {
-                    plane[base + k] = decode_code(c, bb);
-                }
-            }
-            base += codes.len();
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemv_rows(
-        layer: &PackedLayer,
-        x: &[f64],
-        x32: &[f32],
-        row_lo: usize,
-        row_hi: usize,
-        out: &mut [f64],
-    ) {
-        let bb = layer.inlier_bits();
-        let shl = vdupq_n_s32(32 - bb as i32);
-        let shr = vdupq_n_s32(-(32 - bb as i32));
-        let mut lane_acc = vec![0.0_f32; row_hi - row_lo];
-        let mut mb_buf = [0.0_f32; MAX_GROUP];
-        // Line-outer / mab-inner, like the AVX2 body: per-element
-        // accumulation order is still ascending-mab (bitwise identical to
-        // the groups_for_rows walk) while the groups array and code bytes
-        // stream sequentially.
-        let per_line = layer.groups_per_line();
-        let macro_block = layer.macro_block();
-        for line in row_lo..row_hi {
-            let r = line - row_lo;
-            for mab in 0..per_line {
-                let offset = mab * macro_block;
-                let view = layer.group_at(line, mab);
-                let scale = view.isf().value() as f32;
-                let mut acc0 = vdupq_n_f32(0.0);
-                let mut acc1 = vdupq_n_f32(0.0);
-                let mut tail = 0.0_f32;
-                let mut base = offset;
-                for (i, (codes, has_outliers)) in view.micro_blocks_raw().enumerate() {
-                    if has_outliers {
-                        let buf = &mut mb_buf[..codes.len()];
-                        view.decode_micro_block_codes_f32(i, buf, |slot, v| {
-                            out[r] += v * x[base + slot];
-                        });
-                        for (k, &w) in buf.iter().enumerate() {
-                            tail += w * x32[base + k];
-                        }
-                    } else {
-                        let mut j = 0usize;
-                        while j + 8 <= codes.len() {
-                            let (wlo, whi) = decode8(codes.as_ptr().add(j), shl, shr);
-                            let alo = vld1q_f32(x32.as_ptr().add(base + j));
-                            let ahi = vld1q_f32(x32.as_ptr().add(base + j + 4));
-                            acc0 = vfmaq_f32(acc0, wlo, alo);
-                            acc1 = vfmaq_f32(acc1, whi, ahi);
-                            j += 8;
-                        }
-                        for (k, &c) in codes.iter().enumerate().skip(j) {
-                            tail += decode_code(c, bb) * x32[base + k];
-                        }
-                    }
-                    base += codes.len();
-                }
-                lane_acc[r] += scale * (vaddvq_f32(vaddq_f32(acc0, acc1)) + tail);
-            }
-        }
-        for (o, &l) in out.iter_mut().zip(lane_acc.iter()) {
-            *o += l as f64;
-        }
-    }
-
-    #[target_feature(enable = "neon")]
-    pub(super) unsafe fn gemm_rows(
-        layer: &PackedLayer,
-        acts: &Matrix,
-        acts32: &[f32],
-        row_lo: usize,
-        row_hi: usize,
-        out: &mut [f64],
-    ) {
-        let bb = layer.inlier_bits();
-        let shl = vdupq_n_s32(32 - bb as i32);
-        let shr = vdupq_n_s32(-(32 - bb as i32));
-        let n = acts.cols();
-        let mut lane_acc = vec![0.0_f32; (row_hi - row_lo) * n];
-        let mut plane = [0.0_f32; MAX_GROUP];
-        for g in groups_for_rows(layer, row_lo, row_hi) {
-            let view = layer.group(g);
-            let span = view.span();
-            let scale = view.isf().value() as f32;
-            let r = span.line - row_lo;
-            {
-                let orow64 = &mut out[r * n..(r + 1) * n];
-                decode_group_plane(&view, bb, shl, shr, &mut plane[..span.len], |slot, v| {
-                    let arow = acts.row(span.offset + slot);
-                    for (o, a) in orow64.iter_mut().zip(arow.iter()) {
-                        *o += v * a;
-                    }
-                });
-            }
-            let orow32 = &mut lane_acc[r * n..(r + 1) * n];
-            let mut c0 = 0usize;
-            while c0 + 4 <= n {
-                let mut acc = vdupq_n_f32(0.0);
-                for (i, &w) in plane[..span.len].iter().enumerate() {
-                    let a = vld1q_f32(acts32.as_ptr().add((span.offset + i) * n + c0));
-                    acc = vfmaq_f32(acc, vdupq_n_f32(w), a);
-                }
-                let p = orow32.as_mut_ptr().add(c0);
-                vst1q_f32(p, vfmaq_f32(vld1q_f32(p), vdupq_n_f32(scale), acc));
-                c0 += 4;
             }
             for c in c0..n {
                 let mut acc = 0.0_f32;

@@ -7,8 +7,8 @@
 //! regimes, both grouping axes, both bit budgets).
 
 use microscopiq_core::config::GroupAxis;
-use microscopiq_core::microblock::{PermEntry, PermutationList};
-use microscopiq_core::packed::{MicroBlockMeta, PackedLayer, PackedMacroBlock, PackedMicroBlock};
+use microscopiq_core::microblock::PermEntry;
+use microscopiq_core::packed::{PackedLayer, PackedLayerBuilder};
 use microscopiq_linalg::SeededRng;
 use microscopiq_mx::fp::TinyFloat;
 use microscopiq_mx::mxfp::MxScale;
@@ -53,63 +53,61 @@ impl Default for SynthSpec {
     }
 }
 
-/// Synthesizes a packed layer per the spec.
+/// Synthesizes a packed layer per the spec. Per group, the draws are
+/// each micro-block's codes and outlier metadata in slot order, then the
+/// group's scale.
 ///
 /// # Panics
 ///
-/// Panics (inside [`PackedLayer::new`]) if the spec's block geometry is
+/// Panics (inside [`PackedLayerBuilder`]) if the spec's block geometry is
 /// invalid.
 pub fn synth_packed(spec: &SynthSpec) -> PackedLayer {
     let mut rng = SeededRng::new(spec.seed);
-    let (lines, line_len) = match spec.axis {
-        GroupAxis::DotProduct => (spec.d_row, spec.d_col),
-        GroupAxis::OutputChannel => (spec.d_col, spec.d_row),
-    };
-    let fmt = TinyFloat::for_outlier_bits(spec.bits * 2);
-    let per_line = line_len.div_ceil(spec.macro_block);
-    let mut groups = Vec::with_capacity(lines * per_line);
-    for _ in 0..lines {
-        for mab in 0..per_line {
-            let len = (line_len - mab * spec.macro_block).min(spec.macro_block);
-            let mut micro_blocks = Vec::with_capacity(len.div_ceil(spec.micro));
-            let mut remaining = len;
-            while remaining > 0 {
-                let n = remaining.min(spec.micro);
-                let codes: Vec<u8> = (0..n)
-                    .map(|_| rng.below(1usize << spec.bits) as u8)
-                    .collect();
-                let meta = (n == spec.micro && rng.chance(spec.outlier_rate)).then(|| {
-                    let upper = rng.below(spec.micro) as u8;
-                    let lower = (upper as usize + 1 + rng.below(spec.micro - 1)) % spec.micro;
-                    MicroBlockMeta {
-                        mxscale: MxScale::new(rng.below(4) as i32 - 2, rng.below(2) as u32, fmt),
-                        perm: PermutationList::new(
-                            vec![PermEntry {
-                                upper_loc: upper,
-                                lower_loc: lower as u8,
-                            }],
-                            spec.micro,
-                        ),
-                    }
-                });
-                micro_blocks.push(PackedMicroBlock { codes, meta });
-                remaining -= n;
-            }
-            groups.push(PackedMacroBlock {
-                isf: Pow2Scale::new(-(rng.below(4) as i32) - 4),
-                micro_blocks,
-            });
-        }
-    }
-    PackedLayer::new(
+    let mut builder = PackedLayerBuilder::new(
         spec.axis,
         spec.d_row,
         spec.d_col,
         spec.bits,
         spec.micro,
         spec.macro_block,
-        groups,
-    )
+    );
+    let (lines, line_len) = match spec.axis {
+        GroupAxis::DotProduct => (spec.d_row, spec.d_col),
+        GroupAxis::OutputChannel => (spec.d_col, spec.d_row),
+    };
+    let fmt = TinyFloat::for_outlier_bits(spec.bits * 2);
+    let per_line = line_len.div_ceil(spec.macro_block);
+    // One group's draws, kept until its scale is drawn.
+    let mut codes = Vec::with_capacity(spec.macro_block);
+    let mut metas: Vec<Option<(MxScale, [PermEntry; 1])>> = Vec::new();
+    for g in 0..lines * per_line {
+        let len = (line_len - (g % per_line) * spec.macro_block).min(spec.macro_block);
+        codes.clear();
+        metas.clear();
+        for start in (0..len).step_by(spec.micro) {
+            let n = (len - start).min(spec.micro);
+            codes.extend((0..n).map(|_| rng.below(1usize << spec.bits) as u8));
+            metas.push((n == spec.micro && rng.chance(spec.outlier_rate)).then(|| {
+                let upper = rng.below(spec.micro) as u8;
+                let lower = (upper as usize + 1 + rng.below(spec.micro - 1)) % spec.micro;
+                let mxscale = MxScale::new(rng.below(4) as i32 - 2, rng.below(2) as u32, fmt);
+                let entry = PermEntry {
+                    upper_loc: upper,
+                    lower_loc: lower as u8,
+                };
+                (mxscale, [entry])
+            }));
+        }
+        let isf = Pow2Scale::new(-(rng.below(4) as i32) - 4);
+        let micro_blocks = codes.chunks(spec.micro).zip(&metas).map(|(c, meta)| {
+            (
+                c,
+                meta.as_ref().map(|(mxscale, entry)| (*mxscale, &entry[..])),
+            )
+        });
+        builder.set_group(g, isf, micro_blocks);
+    }
+    builder.finish()
 }
 
 #[cfg(test)]

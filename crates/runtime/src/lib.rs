@@ -14,7 +14,7 @@
 //!   into output tiles without ever materializing the dense weight matrix
 //!   — bit-identical to `dequantize().matmul(..)` by construction. The
 //!   `f32` kernels trade bitwise parity for speed within a pinned
-//!   relative tolerance: the explicit AVX2+FMA / NEON [`SimdKernel`]
+//!   relative tolerance: the explicit AVX2+FMA [`SimdKernel`]
 //!   registers behind runtime feature detection and serves the `Fast`
 //!   policy where it does; the portable lane-blocked [`LaneKernel`]
 //!   serves it everywhere else.

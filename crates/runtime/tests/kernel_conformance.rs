@@ -342,8 +342,8 @@ fn gemv_row_tiles_stitch_bitwise_for_every_kernel() {
 
 #[test]
 fn without_simd_registry_falls_back_gracefully() {
-    // The CI leg with SIMD force-disabled (and any host without AVX2 /
-    // NEON) must resolve Fast dispatch deterministically through the
+    // The CI leg with SIMD force-disabled (and any host without AVX2 +
+    // FMA) must resolve Fast dispatch deterministically through the
     // portable kernels — no simd-f32 in the registry, no behavior cliff.
     let registry = KernelRegistry::without_simd();
     assert!(

@@ -18,8 +18,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     // Calibration must cover the input space: with fewer samples than
     // input dims the GPTQ Hessian is rank-deficient and compensation can
-    // push errors into unobserved directions (see EXPERIMENTS.md on
-    // held-out evaluation).
+    // push errors into unobserved directions, which an error measured on
+    // the calibration inputs themselves would not show.
     let calibration = Matrix::from_fn(256, 384, |_, _| rng.normal(0.0, 1.0));
     let layer = LayerTensors::new(weights, calibration)?;
 

@@ -100,8 +100,9 @@ fn quantize_pack_serialize_execute_is_exact() {
 
 #[test]
 fn both_axes_agree_on_error_magnitude() {
-    // The grouping-axis choice (DESIGN.md §2) shifts errors slightly but
-    // not qualitatively.
+    // The grouping-axis choice (dot-product for accuracy runs, output
+    // channel for the accelerator) shifts errors slightly but not
+    // qualitatively.
     let spec = small_spec();
     let layer_spec = &spec.layers[0];
     let w = synthesize_layer(&spec, layer_spec);
