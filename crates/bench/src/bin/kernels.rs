@@ -1,5 +1,5 @@
-//! Kernel-level microbench: every kernel registered in the runtime's
-//! default [`KernelRegistry`], timed head-to-head on the same packed
+//! Kernel-level microbench: every kernel this host runs
+//! ([`kernels::available`]), timed head-to-head on the same packed
 //! layer, plus the dense dequantize+matmul reference for context.
 //!
 //! Two sections:
@@ -31,7 +31,7 @@
 //! Every timed kernel is conformance-gated against the scalar oracle at
 //! its pinned tolerance — on the GEMM shape *and* the GEMV entry —
 //! before any clock starts, and the parallel GEMV splitter is checked
-//! for run-to-run bitwise determinism. Emits
+//! for run-to-run bitwise determinism on both tiers. Emits
 //! `results/BENCH_kernels.json` in the shared report shape, including
 //! detected CPU features and per-kernel availability so CI legs with
 //! SIMD force-disabled stay distinguishable from hosts without SIMD.
@@ -41,10 +41,10 @@ use microscopiq_core::config::GroupAxis;
 use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
 use microscopiq_runtime::kernels::{
-    detected_cpu_features, fused_gemv_serial, KernelCtx, KernelRegistry, MicroKernel, LANE_KERNEL,
-    SCALAR_KERNEL, SIMD_KERNEL,
+    self, detected_cpu_features, fused_gemv_serial, KernelCtx, MicroKernel, BUCKETED_KERNEL,
+    LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
 };
-use microscopiq_runtime::{DecodedCache, EngineConfig, KernelPolicy, RuntimeEngine};
+use microscopiq_runtime::{DecodedCache, EngineConfig, RuntimeEngine, Tier};
 use std::time::Instant;
 
 /// Median wall time of `iters` runs of `f` (after one warmup), in seconds.
@@ -217,17 +217,22 @@ fn main() {
     let acts = Matrix::from_fn(d_col, batch, |_, _| rng.normal(0.0, 1.0));
     let x: Vec<f64> = (0..d_col).map(|_| rng.normal(0.0, 1.0)).collect();
 
-    let registry = KernelRegistry::with_defaults();
+    let available = kernels::available();
+    let find = |name: &str| available.iter().copied().find(|k| k.name() == name);
     let cache = DecodedCache::new(256 << 20);
     let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
 
     // Conformance gate before timing anything: every kernel at its pin.
     let oracle = {
         let mut out = Matrix::zeros(d_row, batch);
-        registry
-            .get("scalar-f64")
-            .expect("oracle registered")
-            .gemm_rows(&ctx, &layer, &acts, 0, d_row, out.as_mut_slice());
+        find(SCALAR_KERNEL).expect("oracle available").gemm_rows(
+            &ctx,
+            &layer,
+            &acts,
+            0,
+            d_row,
+            out.as_mut_slice(),
+        );
         out
     };
     assert_eq!(
@@ -236,7 +241,7 @@ fn main() {
         "oracle must be bit-identical to dense"
     );
     let gemv_oracle = fused_gemv_serial(&layer, &x);
-    for kernel in registry.kernels() {
+    for kernel in &available {
         let mut out = vec![0.0_f64; d_row * batch];
         kernel.gemm_rows(&ctx, &layer, &acts, 0, d_row, &mut out);
         let tol = kernel.tolerance();
@@ -260,40 +265,33 @@ fn main() {
     }
 
     // Parallel-GEMV determinism gate: the threaded splitter must equal
-    // the serial path bitwise, twice in a row, under both dispatch
-    // policies — the contract the runtime's reproducibility rests on.
-    for policy in [KernelPolicy::Default, KernelPolicy::Fast] {
+    // the serial path bitwise, twice in a row, on both uncached tiers —
+    // the contract the runtime's reproducibility rests on.
+    for tier in [Tier::Exact { cache_bytes: 0 }, Tier::Fast] {
         let serial = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            cache_bytes: 0,
+            tier,
             parallel_threshold: usize::MAX,
-            policy,
         });
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            cache_bytes: 0,
+            tier,
             parallel_threshold: 0,
-            policy,
         });
         let want = serial.gemv(&layer, &x);
         let got1 = parallel.gemv(&layer, &x);
         let got2 = parallel.gemv(&layer, &x);
-        assert_eq!(
-            got1, want,
-            "parallel GEMV diverged from serial ({policy:?})"
-        );
-        assert_eq!(
-            got1, got2,
-            "parallel GEMV not run-to-run stable ({policy:?})"
-        );
+        assert_eq!(got1, want, "parallel GEMV diverged from serial ({tier:?})");
+        assert_eq!(got1, got2, "parallel GEMV not run-to-run stable ({tier:?})");
     }
-    println!("parallel GEMV determinism: PASS (Default and Fast, bitwise vs serial)\n");
+    println!("parallel GEMV determinism: PASS (exact and fast tiers, bitwise vs serial)\n");
 
     // Host capability report — the SIMD gate below only arms when the
-    // kernel actually registered (CI runs a leg with MICROSCOPIQ_SIMD=off
-    // where it must not).
+    // kernel is available (CI runs a leg with MICROSCOPIQ_SIMD=off where
+    // it must not be).
     let features = detected_cpu_features();
-    let simd_available = registry.names().contains(&SIMD_KERNEL);
+    let names: Vec<&str> = available.iter().map(|k| k.name()).collect();
+    let simd_available = names.contains(&SIMD_KERNEL);
     println!(
         "cpu features: {}",
         features
@@ -303,8 +301,8 @@ fn main() {
             .join(" ")
     );
     println!(
-        "kernels registered: {} (simd-f32 {})\n",
-        registry.names().join(", "),
+        "kernels available: {} (simd-f32 {})\n",
+        names.join(", "),
         if simd_available {
             "available"
         } else {
@@ -321,7 +319,7 @@ fn main() {
         &["Kernel", "tolerance", "ms/pass", "speedup vs scalar"],
     );
     let mut gemm_times: Vec<(&'static str, f64)> = Vec::new();
-    for kernel in registry.kernels() {
+    for kernel in &available {
         let t = time_median(9, || {
             let mut out = vec![0.0_f64; d_row * batch];
             kernel.gemm_rows(&ctx, &layer, &acts, 0, d_row, &mut out);
@@ -331,7 +329,7 @@ fn main() {
     }
     let t_scalar = gemm_times
         .iter()
-        .find(|(n, _)| *n == "scalar-f64")
+        .find(|(n, _)| *n == SCALAR_KERNEL)
         .expect("oracle timed")
         .1;
     gemm_table.row(vec![
@@ -341,7 +339,7 @@ fn main() {
         f2(t_scalar / t_dense),
     ]);
     for &(name, t) in &gemm_times {
-        let tol = registry.get(name).expect("registered").tolerance();
+        let tol = find(name).expect("available").tolerance();
         gemm_table.row(vec![
             name.to_string(),
             format!("{tol:?}"),
@@ -357,7 +355,7 @@ fn main() {
         &["Kernel", "µs/pass", "speedup vs scalar"],
     );
     let mut gemv_times: Vec<(&'static str, f64)> = Vec::new();
-    for kernel in registry.kernels() {
+    for kernel in &available {
         let t = time_median(15, || {
             let mut out = vec![0.0_f64; d_row];
             kernel.gemv(&ctx, &layer, &x, &mut out);
@@ -367,7 +365,7 @@ fn main() {
     }
     let t_scalar_gemv = gemv_times
         .iter()
-        .find(|(n, _)| *n == "scalar-f64")
+        .find(|(n, _)| *n == SCALAR_KERNEL)
         .expect("oracle timed")
         .1;
     for &(name, t) in &gemv_times {
@@ -381,13 +379,13 @@ fn main() {
 
     let gemm_time = |name: &str| gemm_times.iter().find(|(n, _)| *n == name).map(|&(_, t)| t);
     let t_lane = gemm_time(LANE_KERNEL).expect("lane timed");
-    let bucketed_speedup = t_scalar / gemm_time("bucketed-cache").expect("bucketed timed");
+    let bucketed_speedup = t_scalar / gemm_time(BUCKETED_KERNEL).expect("bucketed timed");
     let gemv_time = |name: &str| gemv_times.iter().find(|(n, _)| *n == name).map(|&(_, t)| t);
     let t_lane_gemv = gemv_time(LANE_KERNEL).expect("lane gemv timed");
 
     // Acceptance gates. Each times its two sides alternately
     // (`paired_medians`), so a slow stretch of the host lands on both.
-    let kernel = |name| registry.get(name).expect("registered");
+    let kernel = |name| find(name).expect("available");
     let (scalar, lane) = (kernel(SCALAR_KERNEL), kernel(LANE_KERNEL));
     let gemm_pass = |k: &dyn MicroKernel| {
         let mut out = vec![0.0_f64; d_row * batch];
@@ -418,11 +416,11 @@ fn main() {
         || gemv_pass(scalar),
         || gemv_pass(lane),
     );
-    // Gate 3 (conditional): when the SIMD kernel registered, it must beat
+    // Gate 3 (conditional): when the SIMD kernel is available, it must beat
     // the lane kernel by ≥ 2× on the decode GEMV. On SIMD-less hosts (or
     // the CI leg with MICROSCOPIQ_SIMD=off) the gate reports n/a and does
     // not fail.
-    let simd_gemv_speedup = registry.get(SIMD_KERNEL).map(|simd| {
+    let simd_gemv_speedup = find(SIMD_KERNEL).map(|simd| {
         gate(
             &format!("simd-f32 vs lane-f32 on {d_row}x{d_col} GEMV (m=1)"),
             2.0,
@@ -432,7 +430,7 @@ fn main() {
         )
     });
     if simd_gemv_speedup.is_none() {
-        println!("acceptance: simd-f32 vs lane-f32 — n/a (kernel not registered)");
+        println!("acceptance: simd-f32 vs lane-f32 — n/a (kernel not available)");
     }
 
     let mut metrics: Vec<(&str, f64)> = vec![
@@ -453,7 +451,7 @@ fn main() {
         metrics.push(("gemv_speedup_simd_vs_lane", s));
     }
     // Host capability + availability block: which features the host has
-    // and which kernels actually registered, so a JSON artifact from the
+    // and which kernels are available, so a JSON artifact from the
     // SIMD-off CI leg is self-describing.
     for (name, on) in &features {
         metrics.push(match *name {
@@ -467,7 +465,7 @@ fn main() {
         ("kernel_available_lane", LANE_KERNEL),
         ("kernel_available_simd", SIMD_KERNEL),
     ] {
-        metrics.push((key, f64::from(u8::from(registry.names().contains(&kernel)))));
+        metrics.push((key, f64::from(u8::from(names.contains(&kernel)))));
     }
     let split_metrics = split_break_even();
     metrics.extend(split_metrics.iter().map(|(k, v)| (k.as_str(), *v)));

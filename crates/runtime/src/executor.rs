@@ -1,7 +1,7 @@
 //! The parallel tiled executor: a [`RuntimeEngine`] that runs the fused
 //! dequant-GEMM over row-block tiles on a persistent thread pool with
 //! work-stealing tile claims, executing every tile through the kernel the
-//! [`KernelRegistry`] dispatches for the call (see [`crate::kernels`]).
+//! engine's [`Tier`] picks for the layer (see [`crate::kernels::dispatch`]).
 //!
 //! **The pool.** A call of at least `parallel_threshold` MACs is one job
 //! on the engine's pool (`pool.rs`): `threads − 1` long-lived workers,
@@ -33,29 +33,48 @@
 //! call's result is bitwise the same whichever thread computed which
 //! tile, whether it split at all, and run to run.
 //!
-//! Numerics are the dispatched kernel's pinned tolerance: under the
-//! default policy the uncached path runs the scalar oracle (bit-identical
-//! to `dequantize().matmul(..)` for any thread count or tile size) and
-//! the cached path runs the bucketed kernel (within the runtime's 1e-9
-//! contract, ~1e-12 observed); opting into [`KernelPolicy::Fast`] adds
-//! the `simd-f32` kernel (AVX2+FMA detected) or else the
-//! lane-blocked `lane-f32` kernel, each at its own pinned relative
-//! tolerance. Those three kernels run `DotProduct` layers only, the
-//! layout every served model uses: an `OutputChannel` layer runs on the
-//! scalar oracle under every policy, still split across the pool at
-//! macro-block-aligned tile edges.
+//! Numerics are the picked kernel's pinned tolerance: the exact tier
+//! without a cache runs the scalar oracle (bit-identical to
+//! `dequantize().matmul(..)` for any thread count or tile size) and with
+//! one the bucketed kernel (within the runtime's 1e-9 contract, ~1e-12
+//! observed); the fast tier runs the `simd-f32` kernel (AVX2+FMA
+//! detected) or else the lane-blocked `lane-f32` kernel, each at its own
+//! pinned relative tolerance. Those three kernels run `DotProduct` layers
+//! only, the layout every served model uses: an `OutputChannel` layer
+//! runs on the scalar oracle on every tier, still split across the pool
+//! at macro-block-aligned tile edges.
 
 use crate::cache::{CacheStats, DecodedCache};
-use crate::kernels::{DispatchKey, KernelCtx, KernelOp, KernelPolicy, KernelRegistry, MicroKernel};
+use crate::kernels::{
+    BucketedCacheKernel, KernelCtx, KernelMetrics, KernelOp, LaneKernel, MicroKernel, ScalarKernel,
+    SimdKernel, KERNEL_NAMES, MAX_GROUP, SIMD_KERNEL,
+};
 use crate::pool::Pool;
 use crate::telemetry::metrics::Counter;
 use crate::telemetry::{
     collector_fn, EngineTelemetry, MetricKind, MetricsRegistry, Sample, SampleValue,
 };
+use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_fm::{PackedGemm, PartFn};
 use microscopiq_linalg::Matrix;
 use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
+
+/// Which kernels an engine runs; see [`crate::kernels::dispatch`] for the
+/// pick table.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// The scalar oracle, bit-exact, when `cache_bytes` is 0. Otherwise a
+    /// decoded-tile cache with that residency cap in bytes, and the
+    /// `bucketed-cache` kernel over it (within `Abs(1e-9)`).
+    Exact {
+        /// Decoded-tile cache residency cap in bytes; 0 means no cache.
+        cache_bytes: usize,
+    },
+    /// The `f32` kernels, without a cache: `simd-f32` where the host has
+    /// it, `lane-f32` elsewhere.
+    Fast,
+}
 
 /// Engine configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,8 +82,8 @@ pub struct EngineConfig {
     /// Threads a split call runs on — the caller plus `threads − 1` pool
     /// workers; 0 means all available cores.
     pub threads: usize,
-    /// Decoded-tile cache residency cap in bytes; 0 disables caching.
-    pub cache_bytes: usize,
+    /// The kernels the engine runs, and its decoded-cache cap.
+    pub tier: Tier,
     /// Calls of fewer multiply-accumulates than this run on the calling
     /// thread; larger ones are one job on the engine's pool. The same
     /// gate sizes a layer's attention pass (see [`PackedGemm::run_parts`]).
@@ -87,20 +106,16 @@ pub struct EngineConfig {
     /// 256-wide model's m ≥ 8 steps splitting on both and every m ≤ 16
     /// call of the 32- and 64-wide models serial.
     pub parallel_threshold: usize,
-    /// How the engine picks a kernel per call (see
-    /// [`crate::kernels::dispatch`] for the policy table). The default
-    /// reproduces the pre-dispatch engine bit for bit on `DotProduct`
-    /// layers.
-    pub policy: KernelPolicy,
 }
 
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            cache_bytes: 64 << 20,
+            tier: Tier::Exact {
+                cache_bytes: 64 << 20,
+            },
             parallel_threshold: 1 << 19,
-            policy: KernelPolicy::Default,
         }
     }
 }
@@ -111,17 +126,16 @@ impl EngineConfig {
     /// `RuntimeEngine::new(EngineConfig::scalar())`).
     ///
     /// Knobs the scalar engine honors: none beyond what this constructor
-    /// pins. `cache_bytes: 0` leaves the default policy no decoded cache,
-    /// so it dispatches every call to the bit-exact oracle kernel;
+    /// pins. The exact tier without a decoded cache runs every call on
+    /// the bit-exact oracle kernel;
     /// `threads: 1` disables tiling entirely, and `parallel_threshold` is
     /// moot once `threads == 1` (kept at `usize::MAX` for
     /// belt-and-braces).
     pub fn scalar() -> Self {
         Self {
             threads: 1,
-            cache_bytes: 0,
+            tier: Tier::Exact { cache_bytes: 0 },
             parallel_threshold: usize::MAX,
-            policy: KernelPolicy::Default,
         }
     }
 }
@@ -146,7 +160,7 @@ struct SplitOutcomes {
     busy_serial: Counter,
 }
 
-/// A packed-weight GEMM engine: kernel dispatch + decoded-block cache +
+/// A packed-weight GEMM engine: kernel pick + decoded-block cache +
 /// parallel tiled execution. Implements [`PackedGemm`], so it plugs
 /// straight into [`microscopiq_fm::PackedTinyFm`].
 #[derive(Debug)]
@@ -156,7 +170,12 @@ pub struct RuntimeEngine {
     // Arc'd so telemetry collectors can observe cache statistics after
     // the engine moves onto a worker thread.
     cache: Option<Arc<DecodedCache>>,
-    registry: KernelRegistry,
+    /// The fast tier's kernel for the groups it runs: `simd-f32` when
+    /// [`SimdKernel::try_new`] found it at construction, `lane-f32`
+    /// otherwise.
+    f32_kernel: &'static dyn MicroKernel,
+    // Arc'd for the telemetry collectors, like the cache.
+    metrics: Arc<KernelMetrics>,
     // `None` until the first call crosses `parallel_threshold`. Holding
     // the lock is holding the pool: one job at a time (`claim_pool`).
     pool: Mutex<Option<Pool>>,
@@ -164,15 +183,8 @@ pub struct RuntimeEngine {
 }
 
 impl RuntimeEngine {
-    /// Creates an engine from a configuration with the default kernel
-    /// registry.
+    /// Creates an engine from a configuration.
     pub fn new(cfg: EngineConfig) -> Self {
-        Self::with_registry(cfg, KernelRegistry::with_defaults())
-    }
-
-    /// Creates an engine dispatching over a caller-assembled registry
-    /// (see [`crate::kernels::dispatch`] for how to register a kernel).
-    pub fn with_registry(cfg: EngineConfig, registry: KernelRegistry) -> Self {
         let threads = if cfg.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -180,32 +192,40 @@ impl RuntimeEngine {
         } else {
             cfg.threads
         };
-        let cache = (cfg.cache_bytes > 0).then(|| Arc::new(DecodedCache::new(cfg.cache_bytes)));
+        let cache = match cfg.tier {
+            Tier::Exact { cache_bytes } if cache_bytes > 0 => {
+                Some(Arc::new(DecodedCache::new(cache_bytes)))
+            }
+            _ => None,
+        };
+        let f32_kernel: &'static dyn MicroKernel = match SimdKernel::try_new() {
+            Some(simd) => simd,
+            None => &LaneKernel,
+        };
         Self {
             cfg,
             threads,
             cache,
-            registry,
+            f32_kernel,
+            metrics: Arc::default(),
             pool: Mutex::new(None),
             pool_jobs: Arc::default(),
         }
     }
 
-    /// The default engine: all cores, 64 MiB decoded-tile cache, default
-    /// dispatch policy.
+    /// The default engine: all cores, the exact tier with a 64 MiB
+    /// decoded-tile cache.
     pub fn parallel() -> Self {
         Self::new(EngineConfig::default())
     }
 
-    /// The fast serving tier: [`KernelPolicy::Fast`] with the decoded
-    /// cache disabled, so dispatch resolves every supported call —
-    /// including the m = 1 GEMV shape that dominates per-step decode — to
-    /// the `simd-f32` kernel when AVX2+FMA is detected and to the
-    /// lane-blocked `lane-f32` kernel otherwise, with the scalar oracle
-    /// as fallback for outlier-heavy layers, oversized groups and
-    /// `OutputChannel` layers. (With a cache, `Fast` would resolve to the
-    /// near-exact bucketed kernel, i.e. the default tier.) Results are within the picked kernel's
-    /// pinned relative tolerance of the bit-exact default — the
+    /// The fast serving tier, [`Tier::Fast`]: every call — including the
+    /// m = 1 GEMV shape that dominates per-step decode — runs the
+    /// `simd-f32` kernel when AVX2+FMA is detected and the lane-blocked
+    /// `lane-f32` kernel otherwise, with the scalar oracle for groups
+    /// over [`MAX_GROUP`] slots and `OutputChannel` layers. Results are
+    /// within the picked kernel's pinned relative tolerance of the
+    /// bit-exact default — the
     /// f32-tolerant serving conformance tier (`tests/fast_serving.rs`)
     /// bounds per-token logit deltas and pins argmax-token parity, which
     /// is what qualifies this engine for [`crate::Server::spawn`]. Unlike
@@ -215,14 +235,13 @@ impl RuntimeEngine {
     /// not bit for bit.
     pub fn fast() -> Self {
         Self::new(EngineConfig {
-            policy: KernelPolicy::Fast,
-            cache_bytes: 0,
+            tier: Tier::Fast,
             ..EngineConfig::default()
         })
     }
 
-    /// The scalar fallback engine (single thread, no cache, so the
-    /// default policy runs the scalar oracle, bit-exact) —
+    /// The scalar fallback engine (single thread, the exact tier without
+    /// a cache, so it runs the scalar oracle, bit-exact) —
     /// `Self::new(EngineConfig::scalar())`.
     pub fn scalar() -> Self {
         Self::new(EngineConfig::scalar())
@@ -248,22 +267,17 @@ impl RuntimeEngine {
         None
     }
 
-    /// The kernel registry this engine dispatches over.
-    pub fn registry(&self) -> &KernelRegistry {
-        &self.registry
-    }
-
-    /// Registered kernel names in dispatch priority order.
-    pub fn kernel_names(&self) -> Vec<&'static str> {
-        self.registry.names()
-    }
-
-    /// The kernel the engine would dispatch for an `m`-column call on
-    /// this layer (introspection for benches and tests).
-    pub fn kernel_for(&self, layer: &PackedLayer, m: usize) -> &'static str {
-        let key = DispatchKey::for_call(layer, m);
-        let ctx = self.ctx(layer);
-        self.registry.select(self.cfg.policy, &key, &ctx).name()
+    /// The kernel every GEMM and GEMV call on `layer` runs: the pick
+    /// table of [`crate::kernels::dispatch`], a function of the tier and
+    /// the layer's group axis and size alone.
+    pub fn kernel_for(&self, layer: &PackedLayer) -> &'static dyn MicroKernel {
+        match self.cfg.tier {
+            _ if layer.axis() == GroupAxis::OutputChannel => &ScalarKernel,
+            Tier::Exact { .. } if self.cache.is_some() => &BucketedCacheKernel,
+            Tier::Exact { .. } => &ScalarKernel,
+            Tier::Fast if layer.macro_block() > MAX_GROUP => &ScalarKernel,
+            Tier::Fast => self.f32_kernel,
+        }
     }
 
     /// The execution context for a layer: the decoded cache keyed by the
@@ -275,7 +289,7 @@ impl RuntimeEngine {
         }
     }
 
-    /// Computes `W · acts` from the packed layer through the dispatched
+    /// Computes `W · acts` from the packed layer through the picked
     /// kernel.
     ///
     /// # Panics
@@ -292,20 +306,19 @@ impl RuntimeEngine {
             acts.cols()
         );
         let n = acts.cols();
-        let key = DispatchKey::for_call(layer, n);
         let ctx = self.ctx(layer);
-        let kernel = self.registry.select(self.cfg.policy, &key, &ctx);
+        let kernel = self.kernel_for(layer);
         let work = layer.d_row() * layer.d_col() * n;
         let serial = self.threads <= 1 || work < self.cfg.parallel_threshold;
-        // One dispatch record per call (never per tile), keyed by the
-        // shape the call executes as.
+        // One record per call (never per tile), keyed by the shape the
+        // call executes as.
         let op = if serial && n == 1 {
             KernelOp::Gemv
         } else {
             KernelOp::Gemm
         };
-        self.registry
-            .record_call(kernel.name(), op, key.bits, layer.num_groups() as u64);
+        self.metrics
+            .record(kernel, op, layer.inlier_bits(), layer.num_groups() as u64);
         if serial {
             // Decode fast path: one activation column (m = 1) runs the
             // kernel's GEMV entry (no tile bookkeeping, no Matrix output
@@ -325,7 +338,7 @@ impl RuntimeEngine {
     }
 
     /// Computes `W · x` for a single activation column through the
-    /// dispatched GEMV kernel — the decode fast path `PackedGemm::gemv`
+    /// picked kernel's GEMV entry — the decode fast path `PackedGemm::gemv`
     /// routes into. Problems above `parallel_threshold` split the
     /// reduction over the pool ([`Self::gemv_parallel`]): single-stream
     /// decode no longer pins one core. Tile edges depend only on the
@@ -345,13 +358,12 @@ impl RuntimeEngine {
             layer.d_col(),
             x.len()
         );
-        let key = DispatchKey::for_call(layer, 1);
         let ctx = self.ctx(layer);
-        let kernel = self.registry.select(self.cfg.policy, &key, &ctx);
-        self.registry.record_call(
-            kernel.name(),
+        let kernel = self.kernel_for(layer);
+        self.metrics.record(
+            kernel,
             KernelOp::Gemv,
-            key.bits,
+            layer.inlier_bits(),
             layer.num_groups() as u64,
         );
         let work = layer.d_row() * layer.d_col();
@@ -372,8 +384,8 @@ impl RuntimeEngine {
     fn tile_edges(&self, layer: &PackedLayer) -> Vec<usize> {
         let d_row = layer.d_row();
         let quantum = match layer.axis() {
-            microscopiq_core::config::GroupAxis::DotProduct => 1,
-            microscopiq_core::config::GroupAxis::OutputChannel => layer.macro_block(),
+            GroupAxis::DotProduct => 1,
+            GroupAxis::OutputChannel => layer.macro_block(),
         };
         let rows = (d_row / (self.threads * 4))
             .max(1)
@@ -454,7 +466,7 @@ impl RuntimeEngine {
 
     /// Parallel GEMM: one pool job in which workers and the caller steal
     /// row tiles off a shared counter ([`Self::run_tiled`]) and run the
-    /// dispatched kernel straight into the tile's rows of the output.
+    /// picked kernel straight into the tile's rows of the output.
     fn gemm_parallel(
         &self,
         kernel: &dyn MicroKernel,
@@ -543,21 +555,21 @@ impl PackedGemm for RuntimeEngine {
 }
 
 impl EngineTelemetry for RuntimeEngine {
-    /// Contributes the engine's dispatch counters and decoded-cache
+    /// Contributes the engine's kernel counters and decoded-cache
     /// statistics as dynamic collector families, so one serving
     /// snapshot covers kernels and cache alongside scheduler/server
     /// instruments. Collectors hold `Arc`s to the engine's internals
     /// and read them lazily at snapshot time — nothing is added to the
     /// GEMM/GEMV hot path.
     fn register_telemetry(&self, registry: &MetricsRegistry) {
-        let kernel_metrics = self.registry.metrics().clone();
+        let kernel_metrics = self.metrics.clone();
         registry.register_collector(
             "microscopiq_kernel_calls_total",
             "Dispatched kernel invocations by (kernel, op, bits).",
             MetricKind::Counter,
             collector_fn(move || kernel_metrics.call_samples()),
         );
-        let kernel_metrics = self.registry.metrics().clone();
+        let kernel_metrics = self.metrics.clone();
         registry.register_collector(
             "microscopiq_kernel_decoded_groups_total",
             "Packed groups traversed by dispatched kernels (decode volume).",
@@ -566,19 +578,18 @@ impl EngineTelemetry for RuntimeEngine {
         );
         // Kernel availability on this host: 1/0 per known kernel name, so
         // bench/metric trajectories from hosts with and without SIMD stay
-        // comparable at a glance.
-        let registered = self.registry.names();
+        // comparable at a glance. Only `simd-f32` can be missing.
+        let simd = self.f32_kernel.name() == SIMD_KERNEL;
         registry.register_collector(
             "microscopiq_kernel_available",
-            "Whether each known kernel is registered on this host (1/0).",
+            "Whether each known kernel is available on this host (1/0).",
             MetricKind::Gauge,
             collector_fn(move || {
-                use crate::kernels::{BUCKETED_KERNEL, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL};
-                [SCALAR_KERNEL, LANE_KERNEL, BUCKETED_KERNEL, SIMD_KERNEL]
+                KERNEL_NAMES
                     .into_iter()
                     .map(|name| Sample {
                         labels: vec![("kernel", name.to_string())],
-                        value: SampleValue::Gauge(i64::from(registered.contains(&name))),
+                        value: SampleValue::Gauge(i64::from(name != SIMD_KERNEL || simd)),
                     })
                     .collect()
             }),
@@ -671,7 +682,7 @@ impl EngineTelemetry for RuntimeEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::LANE_KERNEL;
+    use crate::kernels::{LANE_KERNEL, SCALAR_KERNEL};
     use microscopiq_core::config::{GroupAxis, QuantConfig};
     use microscopiq_core::solver::solve;
     use microscopiq_core::traits::LayerTensors;
@@ -716,9 +727,8 @@ mod tests {
             let serial = RuntimeEngine::scalar().gemm(&layer, &acts);
             let parallel = RuntimeEngine::new(EngineConfig {
                 threads: 4,
-                cache_bytes: 0,
+                tier: Tier::Exact { cache_bytes: 0 },
                 parallel_threshold: 0,
-                ..EngineConfig::default()
             })
             .gemm(&layer, &acts);
             assert_eq!(serial, parallel, "{axis:?}");
@@ -737,9 +747,10 @@ mod tests {
             let dense = layer.dequantize().matmul(&acts);
             let cached = RuntimeEngine::new(EngineConfig {
                 threads: 2,
-                cache_bytes: 1 << 20,
+                tier: Tier::Exact {
+                    cache_bytes: 1 << 20,
+                },
                 parallel_threshold: 0,
-                ..EngineConfig::default()
             });
             let first = cached.gemm(&layer, &acts);
             let second = cached.gemm(&layer, &acts);
@@ -755,9 +766,10 @@ mod tests {
         let acts = Matrix::from_fn(64, 4, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            cache_bytes: 1 << 20,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
             parallel_threshold: usize::MAX,
-            ..EngineConfig::default()
         });
         let a = engine.gemm(&layer, &acts);
         let stats1 = engine.cache_stats().unwrap();
@@ -783,9 +795,8 @@ mod tests {
         let want_v = RuntimeEngine::scalar().gemv(&layer, &x);
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 3,
-            cache_bytes: 0,
+            tier: Tier::Exact { cache_bytes: 0 },
             parallel_threshold: 0,
-            ..EngineConfig::default()
         });
         let jobs = |e: &RuntimeEngine| {
             let gemm = &e.pool_jobs.gemm;
@@ -827,9 +838,8 @@ mod tests {
         let acts = Matrix::from_fn(32, 4, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 2,
-            cache_bytes: 0,
+            tier: Tier::Exact { cache_bytes: 0 },
             parallel_threshold: 0,
-            ..EngineConfig::default()
         });
         let want = engine.gemm(&layer, &acts);
         let failed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -854,9 +864,8 @@ mod tests {
         let acts = Matrix::from_fn(16, 2, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 8,
-            cache_bytes: 0,
+            tier: Tier::Exact { cache_bytes: 0 },
             parallel_threshold: usize::MAX,
-            ..EngineConfig::default()
         });
         assert_eq!(engine.gemm(&layer, &acts), layer.dequantize().matmul(&acts));
         assert!(
@@ -877,9 +886,8 @@ mod tests {
                 let acts = Matrix::from_fn(32, 3, |_, _| rng.normal(0.0, 1.0));
                 let engine = RuntimeEngine::new(EngineConfig {
                     threads,
-                    cache_bytes: 0,
+                    tier: Tier::Exact { cache_bytes: 0 },
                     parallel_threshold: 0,
-                    ..EngineConfig::default()
                 });
                 assert_eq!(
                     engine.gemm(&layer, &acts),
@@ -902,9 +910,8 @@ mod tests {
             let dense = layer.dequantize().matmul(&acts);
             let gemv_route = RuntimeEngine::new(EngineConfig {
                 threads: 4,
-                cache_bytes: 0,
+                tier: Tier::Exact { cache_bytes: 0 },
                 parallel_threshold: usize::MAX,
-                ..EngineConfig::default()
             });
             assert_eq!(gemv_route.gemm(&layer, &acts), dense, "{axis:?} gemv");
             assert_eq!(
@@ -914,9 +921,8 @@ mod tests {
             );
             let parallel_route = RuntimeEngine::new(EngineConfig {
                 threads: 4,
-                cache_bytes: 0,
+                tier: Tier::Exact { cache_bytes: 0 },
                 parallel_threshold: 0,
-                ..EngineConfig::default()
             });
             assert_eq!(
                 parallel_route.gemm(&layer, &acts),
@@ -925,9 +931,10 @@ mod tests {
             );
             let cached = RuntimeEngine::new(EngineConfig {
                 threads: 4,
-                cache_bytes: 1 << 20,
+                tier: Tier::Exact {
+                    cache_bytes: 1 << 20,
+                },
                 parallel_threshold: usize::MAX,
-                ..EngineConfig::default()
             });
             assert!(
                 max_abs_diff(&cached.gemm(&layer, &acts), &dense) < 1e-9,
@@ -945,9 +952,10 @@ mod tests {
         let dense = layer.dequantize().matmul(&acts);
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            cache_bytes: 1 << 20,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
             parallel_threshold: usize::MAX,
-            ..EngineConfig::default()
         });
         assert!(max_abs_diff(&engine.gemm(&layer, &acts), &dense) < 1e-9);
     }
@@ -961,8 +969,7 @@ mod tests {
         assert_eq!(engine.threads(), 1);
         assert!(engine.cache_stats().is_none(), "scalar engine has no cache");
         let layer = packed_layer(32, 32, GroupAxis::DotProduct, 15);
-        assert_eq!(engine.kernel_for(&layer, 8), "scalar-f64");
-        assert_eq!(engine.kernel_for(&layer, 1), "scalar-f64");
+        assert_eq!(engine.kernel_for(&layer).name(), SCALAR_KERNEL);
     }
 
     #[test]
@@ -973,32 +980,23 @@ mod tests {
         let dense = layer.dequantize().matmul(&acts);
         let fast = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            cache_bytes: 0,
+            tier: Tier::Fast,
             parallel_threshold: usize::MAX,
-            policy: KernelPolicy::Fast,
         });
-        // At m = 9, Fast picks the SIMD kernel when this host has one,
-        // the lane kernel otherwise — both in the same tolerance class.
-        let expected = if crate::kernels::SimdKernel::try_new().is_some() {
-            crate::kernels::SIMD_KERNEL
+        // The fast tier picks the SIMD kernel when this host has one, the
+        // lane kernel otherwise — both in the same tolerance class.
+        let expected = if SimdKernel::try_new().is_some() {
+            SIMD_KERNEL
         } else {
             LANE_KERNEL
         };
-        let picked = fast.kernel_for(&layer, 9);
-        assert_eq!(picked, expected);
+        let picked = fast.kernel_for(&layer);
+        assert_eq!(picked.name(), expected);
         let got = fast.gemm(&layer, &acts);
-        let tol = fast.registry().get(picked).unwrap().tolerance();
+        let tol = picked.tolerance();
         for (&a, &b) in got.as_slice().iter().zip(dense.as_slice().iter()) {
-            assert!(tol.accepts(a, b), "{picked} via engine: {a} vs {b}");
+            assert!(tol.accepts(a, b), "{expected} via engine: {a} vs {b}");
         }
-        // With a cache configured, Fast prefers the bucketed kernel.
-        let fast_cached = RuntimeEngine::new(EngineConfig {
-            threads: 1,
-            cache_bytes: 1 << 20,
-            parallel_threshold: usize::MAX,
-            policy: KernelPolicy::Fast,
-        });
-        assert_eq!(fast_cached.kernel_for(&layer, 9), "bucketed-cache");
     }
 
     #[test]
@@ -1007,12 +1005,11 @@ mod tests {
             let layer = packed_layer(64, 32, axis, 19);
             let mut rng = SeededRng::new(20);
             let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
-            for policy in [KernelPolicy::Default, KernelPolicy::Fast] {
+            for tier in [Tier::Exact { cache_bytes: 0 }, Tier::Fast] {
                 let serial = RuntimeEngine::new(EngineConfig {
                     threads: 1,
-                    cache_bytes: 0,
+                    tier,
                     parallel_threshold: usize::MAX,
-                    policy,
                 })
                 .gemv(&layer, &x);
                 // Same kernel, reduction split across workers at several
@@ -1021,14 +1018,13 @@ mod tests {
                 for threads in [2usize, 3, 4, 5, 8] {
                     let engine = RuntimeEngine::new(EngineConfig {
                         threads,
-                        cache_bytes: 0,
+                        tier,
                         parallel_threshold: 0,
-                        policy,
                     });
                     let a = engine.gemv(&layer, &x);
                     let b = engine.gemv(&layer, &x);
-                    assert_eq!(a, serial, "{axis:?} {policy:?} threads={threads}");
-                    assert_eq!(a, b, "{axis:?} {policy:?} repeat run");
+                    assert_eq!(a, serial, "{axis:?} {tier:?} threads={threads}");
+                    assert_eq!(a, b, "{axis:?} {tier:?} repeat run");
                 }
             }
         }
@@ -1041,15 +1037,17 @@ mod tests {
         let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
         let serial = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            cache_bytes: 1 << 20,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
             parallel_threshold: usize::MAX,
-            ..EngineConfig::default()
         });
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            cache_bytes: 1 << 20,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
             parallel_threshold: 0,
-            ..EngineConfig::default()
         });
         // Cold and warm cache passes must agree with the serial engine.
         let s = serial.gemv(&layer, &x);
@@ -1061,7 +1059,9 @@ mod tests {
     fn engine_telemetry_exposes_availability_features_and_threads() {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 3,
-            cache_bytes: 1 << 20,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
             ..EngineConfig::default()
         });
         let registry = MetricsRegistry::new();
@@ -1142,9 +1142,8 @@ mod tests {
         let engine = |parallel_threshold| {
             RuntimeEngine::new(EngineConfig {
                 threads: 3,
-                cache_bytes: 0,
+                tier: Tier::Exact { cache_bytes: 0 },
                 parallel_threshold,
-                ..EngineConfig::default()
             })
         };
         let (serial, split) = (engine(usize::MAX), engine(0));

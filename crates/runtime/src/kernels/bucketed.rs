@@ -11,23 +11,22 @@
 //! contract, not bitwise.
 //!
 //! This kernel requires a cache in its [`KernelCtx`] and a `DotProduct`
-//! layer (asserted on entry); `supports` gates on both, and the dispatch
-//! default selects it exactly when the engine has a cache configured and
-//! the layer is `DotProduct`. `OutputChannel` layers run on the scalar
-//! oracle.
+//! layer (asserted on entry); the exact tier picks it exactly when the
+//! engine has a cache configured and the layer is `DotProduct`.
+//! `OutputChannel` layers run on the scalar oracle.
 //!
 //! [`DecodedCache`]: crate::cache::DecodedCache
 //! [`BucketTile`]: crate::cache::BucketTile
 //! [`FlatTile`]: crate::cache::FlatTile
 
-use super::{for_col_chunks, groups_for_rows, DispatchKey, KernelCtx, MicroKernel, Tolerance};
+use super::{for_col_chunks, groups_for_rows, KernelCtx, MicroKernel, Tolerance};
 use crate::cache::{BucketTile, DecodedTile, FlatTile};
 use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
 use std::sync::Arc;
 
-/// Registry name of the bucketed decoded-cache kernel.
+/// Name of the bucketed decoded-cache kernel.
 pub const BUCKETED_KERNEL: &str = "bucketed-cache";
 
 /// Bucketed accumulation of one cached tile into columns
@@ -179,8 +178,8 @@ impl BucketedCacheKernel {
 }
 
 impl MicroKernel for BucketedCacheKernel {
-    fn name(&self) -> &'static str {
-        BUCKETED_KERNEL
+    fn index(&self) -> usize {
+        1
     }
 
     fn tolerance(&self) -> Tolerance {
@@ -189,14 +188,10 @@ impl MicroKernel for BucketedCacheKernel {
         Tolerance::Abs(1e-9)
     }
 
-    fn supports(&self, key: &DispatchKey, ctx: &KernelCtx<'_>) -> bool {
-        key.axis == GroupAxis::DotProduct && ctx.cache.is_some()
-    }
-
     /// # Panics
     ///
     /// Panics on an `OutputChannel` layer or if the context carries no
-    /// decoded cache (`supports` gates dispatch on both).
+    /// decoded cache (the engine picks this kernel only with both).
     fn gemm_rows(
         &self,
         ctx: &KernelCtx<'_>,

@@ -1,7 +1,7 @@
-//! The lane-blocked `f32` kernel: the portable fast path the dispatch
-//! layer selects for uncached GEMM/GEMV on supported shapes when the
-//! explicit SIMD kernel is not registered (no AVX2+FMA, a host other
-//! than `x86_64`, or `MICROSCOPIQ_SIMD=off`).
+//! The lane-blocked `f32` kernel: the portable fast path the fast tier
+//! picks for GEMM/GEMV on supported shapes when the explicit SIMD kernel
+//! is unavailable (no AVX2+FMA, a host other than `x86_64`, or
+//! `MICROSCOPIQ_SIMD=off`).
 //!
 //! Supported layout: `DotProduct` groups of at most [`MAX_GROUP`] slots,
 //! asserted on entry; `OutputChannel` layers run on the scalar oracle.
@@ -36,24 +36,16 @@
 //! [`GroupView::decode_codes_f32`]: microscopiq_core::packed::GroupView::decode_codes_f32
 
 use super::{
-    assert_f32_layout, for_col_chunks, groups_for_rows, DispatchKey, KernelCtx, MicroKernel,
-    Tolerance,
+    assert_f32_layout, for_col_chunks, groups_for_rows, KernelCtx, MicroKernel, Tolerance,
 };
-use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_linalg::Matrix;
 
-/// Registry name of the lane-blocked `f32` kernel.
+/// Name of the lane-blocked `f32` kernel.
 pub const LANE_KERNEL: &str = "lane-f32";
 
 /// Largest group (macro-block) size the stack-resident code plane holds.
 pub const MAX_GROUP: usize = 256;
-
-/// Outlier micro-block fraction above which dispatch prefers the scalar
-/// oracle: when most blocks carry outliers, the exact `f64` fixup loop
-/// dominates and the `f32` lane work is overhead. (The kernel stays
-/// *correct* beyond this density — `supports` is performance advice.)
-pub(crate) const MAX_OUTLIER_FRAC: f64 = 0.5;
 
 /// The lane-blocked `f32` kernel. Stateless; ignores the decoded cache.
 #[derive(Debug, Clone, Copy, Default)]
@@ -110,20 +102,14 @@ fn dot_lanes(w: &[f32], x: &[f32]) -> f32 {
 }
 
 impl MicroKernel for LaneKernel {
-    fn name(&self) -> &'static str {
-        LANE_KERNEL
+    fn index(&self) -> usize {
+        2
     }
 
     fn tolerance(&self) -> Tolerance {
         // f32 accumulation over the reduction dimension; pinned with
         // headroom over the observed ~1e-5 worst case at k = 2048.
         Tolerance::Rel(1e-3)
-    }
-
-    fn supports(&self, key: &DispatchKey, _ctx: &KernelCtx<'_>) -> bool {
-        key.axis == GroupAxis::DotProduct
-            && key.group <= MAX_GROUP
-            && key.outlier_frac <= MAX_OUTLIER_FRAC
     }
 
     fn wants_f32_acts(&self) -> bool {
@@ -274,6 +260,7 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::super::{fused_gemm_serial, fused_gemv_serial};
     use super::*;
+    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     fn check_within(tol: Tolerance, got: &[f64], oracle: &[f64], what: &str) {
@@ -442,29 +429,5 @@ mod tests {
             &mut shared,
         );
         assert_eq!(local, shared);
-    }
-
-    #[test]
-    fn dispatch_advice_rejects_unsupported_regimes() {
-        let k = LaneKernel;
-        let ctx = KernelCtx::uncached();
-        let key = |group, frac| DispatchKey {
-            m: 8,
-            bits: 2,
-            outlier_frac: frac,
-            group,
-            axis: GroupAxis::DotProduct,
-        };
-        assert!(k.supports(&key(64, 0.03), &ctx));
-        let output_channel = DispatchKey {
-            axis: GroupAxis::OutputChannel,
-            ..key(64, 0.03)
-        };
-        assert!(!k.supports(&output_channel, &ctx), "OutputChannel layout");
-        assert!(
-            !k.supports(&key(MAX_GROUP + 1, 0.03), &ctx),
-            "group too big"
-        );
-        assert!(!k.supports(&key(64, 0.8), &ctx), "outlier-heavy");
     }
 }

@@ -1,50 +1,43 @@
-//! The pluggable kernel layer: every way the runtime turns a
-//! [`PackedLayer`] and an activation matrix into output rows lives behind
-//! the [`MicroKernel`] trait, and a [`KernelRegistry`] picks the
-//! implementation per call from a [`DispatchKey`] (activation columns
-//! `m`, inlier bit width, outlier density, group size, group axis).
-//!
-//! Registered kernels:
+//! The kernel layer: every way the runtime turns a [`PackedLayer`] and an
+//! activation matrix into output rows lives behind the [`MicroKernel`]
+//! trait. There are four kernels, and the engine's tier picks one per
+//! call (see [`dispatch`] for the pick table):
 //!
 //! * [`ScalarKernel`] (`scalar-f64`) — the conformance **oracle**: walks
 //!   packed groups in the dense reference's reduction order and
 //!   accumulates in `f64`. Bit-identical to `dequantize().matmul(..)`.
 //!   The only kernel that runs both group axes: every
 //!   [`GroupAxis::OutputChannel`] layer executes here.
+//! * [`BucketedCacheKernel`] (`bucketed-cache`) — executes from the
+//!   engine's decoded-tile cache ([`crate::cache`]): code-bucketed tiles
+//!   at `bb = 2`, flat `f32` tiles at `bb = 4`. Requires a cache in the
+//!   [`KernelCtx`]. The exact tier's kernel when it has a cache.
 //! * [`LaneKernel`] (`lane-f32`) — the portable lane-blocked kernel, and
-//!   the `Fast` pick on hosts without AVX2+FMA: decodes each group's
-//!   unscaled codes into a stack-resident `f32` plane
+//!   the fast tier's kernel on hosts without AVX2+FMA: decodes each
+//!   group's unscaled codes into a stack-resident `f32` plane
 //!   ([`PackedLayer::group`] → `decode_codes_f32`, no per-block
 //!   allocation), runs an unrolled 8-wide loop over column lanes that the
 //!   compiler vectorizes, with the per-group scale hoisted out, and fixes
 //!   outliers up with exact `f64` multiply-adds. Matches the oracle
 //!   within a pinned relative tolerance.
-//! * [`BucketedCacheKernel`] (`bucketed-cache`) — executes from the
-//!   engine's decoded-tile cache ([`crate::cache`]): code-bucketed tiles
-//!   at `bb = 2`, flat `f32` tiles at `bb = 4`. Requires a cache in the
-//!   [`KernelCtx`].
 //! * [`SimdKernel`] (`simd-f32`) — explicit `std::arch` SIMD: AVX2+FMA on
-//!   `x86_64`, registered only when runtime feature detection passes (and
+//!   `x86_64`, available only when runtime feature detection passes (and
 //!   not force-disabled via `MICROSCOPIQ_SIMD=off`).
 //!   Fuses in-register code decode (shift-based sign extension) with the
 //!   FMA reduction; outliers fix up in exact `f64` like the lane kernel.
-//!   The `Fast` pick for every uncached call it supports.
+//!   The fast tier's kernel wherever it is available.
 //!
 //! The three non-oracle kernels run the [`GroupAxis::DotProduct`] layout
 //! only — the paper's grouping, the `QuantConfig` default and the layout
-//! of every model the runtime serves. Only the accelerator experiments
-//! pack `OutputChannel` layers; dispatch sends those to the oracle.
-//!
-//! Selection is governed by [`KernelPolicy`] — see [`dispatch`] for the
-//! policy table. The default policy is scalar when uncached and bucketed
-//! tiles when cached — on `DotProduct` layers, the pre-dispatch engine
-//! bit for bit.
+//! of every model the runtime serves — and assert it on entry. Only the
+//! accelerator experiments pack `OutputChannel` layers; every tier sends
+//! those to the oracle.
 //!
 //! Every kernel pins a [`Tolerance`] against the scalar oracle
 //! (`Bitwise` for the oracle itself); the kernel conformance suite
 //! (`crates/runtime/tests/kernel_conformance.rs`) sweeps shapes × bit
-//! widths × outlier regimes and asserts each registered kernel honors
-//! its pin on the layouts it runs.
+//! widths × outlier regimes and asserts each kernel of [`available`]
+//! honors its pin on the layouts it runs.
 //!
 //! [`PackedLayer`]: microscopiq_core::packed::PackedLayer
 //! [`PackedLayer::group`]: microscopiq_core::packed::PackedLayer::group
@@ -57,7 +50,7 @@ pub mod simd;
 pub mod synth;
 
 pub use bucketed::{BucketedCacheKernel, BUCKETED_KERNEL};
-pub use dispatch::{KernelMetrics, KernelOp, KernelPolicy, KernelRegistry};
+pub use dispatch::{KernelMetrics, KernelOp};
 pub use lane::{LaneKernel, LANE_KERNEL, MAX_GROUP};
 pub use scalar::{fused_gemm_serial, fused_gemv_serial, ScalarKernel, SCALAR_KERNEL};
 pub use simd::{detected_cpu_features, SimdKernel, SIMD_KERNEL};
@@ -67,8 +60,25 @@ use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
 
-/// Unregistered; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
+/// No kernel by this name; kept for the frozen `benchmark/` package until ROADMAP 2(iv)'s benchmark PR.
 pub const BUCKETED_LANE_KERNEL: &str = "bucketed-lane";
+
+/// The four kernels' names in a fixed order: a kernel's position here is
+/// its [`MicroKernel::index`], and its slot in [`KernelMetrics`].
+pub const KERNEL_NAMES: [&str; 4] = [SCALAR_KERNEL, BUCKETED_KERNEL, LANE_KERNEL, SIMD_KERNEL];
+
+/// The kernels this host runs, in [`KERNEL_NAMES`] order: the scalar
+/// oracle, `bucketed-cache` and `lane-f32` everywhere, plus `simd-f32`
+/// when [`SimdKernel::try_new`] finds it. The conformance suite and the
+/// `kernels` bench iterate this list.
+pub fn available() -> Vec<&'static dyn MicroKernel> {
+    let mut kernels: Vec<&'static dyn MicroKernel> =
+        vec![&ScalarKernel, &BucketedCacheKernel, &LaneKernel];
+    if let Some(simd) = SimdKernel::try_new() {
+        kernels.push(simd);
+    }
+    kernels
+}
 
 /// How far a kernel's output may sit from the scalar oracle. Pinned per
 /// kernel and asserted by the conformance suite; loosening a pin is an
@@ -101,36 +111,6 @@ impl Tolerance {
         match *self {
             Tolerance::Bitwise => got.to_bits() == reference.to_bits(),
             _ => (got - reference).abs() <= self.allowed(reference),
-        }
-    }
-}
-
-/// The shape/content features dispatch keys on: built once per GEMM call
-/// from the layer (outlier density is memoized inside [`PackedLayer`], so
-/// this is O(1) on the hot path).
-#[derive(Debug, Clone, Copy)]
-pub struct DispatchKey {
-    /// Activation columns (`m = 1` is the decode GEMV shape).
-    pub m: usize,
-    /// Inlier bit budget `bb` (2 or 4).
-    pub bits: u32,
-    /// Fraction of micro-blocks carrying outlier metadata.
-    pub outlier_frac: f64,
-    /// Macro-block (group) size.
-    pub group: usize,
-    /// The axis groups run along; only the oracle runs `OutputChannel`.
-    pub axis: GroupAxis,
-}
-
-impl DispatchKey {
-    /// The key for one `W · acts` call with `m` activation columns.
-    pub fn for_call(layer: &PackedLayer, m: usize) -> Self {
-        Self {
-            m,
-            bits: layer.inlier_bits(),
-            outlier_frac: layer.outlier_micro_block_fraction(),
-            group: layer.macro_block(),
-            axis: layer.axis(),
         }
     }
 }
@@ -189,22 +169,24 @@ impl<'a> KernelCtx<'a> {
 /// acts.cols()` buffer, and the result must match the scalar oracle
 /// within [`MicroKernel::tolerance`].
 ///
-/// `supports` mixes two kinds of answer. The **layout** — the group axis
-/// and, for the `f32` kernels, a group of at most [`MAX_GROUP`] slots —
-/// is a precondition: a kernel that refuses a layout asserts it on entry,
-/// so a direct call outside it panics rather than computing garbage.
-/// **Outlier density** is performance advice only: a kernel invoked
-/// directly on an outlier-heavy layer it would refuse must still meet its
-/// tolerance.
+/// Each kernel runs a set of layouts: the oracle runs both group axes;
+/// `bucketed-cache`, `lane-f32` and `simd-f32` run `DotProduct` groups
+/// only, the two `f32` kernels groups of at most [`MAX_GROUP`] slots. A
+/// kernel asserts its layout on entry, so a direct call outside it panics
+/// rather than computing garbage. Outlier density is no precondition:
+/// every kernel meets its tolerance at any density.
 pub trait MicroKernel: Send + Sync + std::fmt::Debug {
-    /// Registry name.
-    fn name(&self) -> &'static str;
+    /// The kernel's position in [`KERNEL_NAMES`].
+    fn index(&self) -> usize;
+
+    /// The kernel's name (`scalar-f64`, `bucketed-cache`, `lane-f32`,
+    /// `simd-f32`).
+    fn name(&self) -> &'static str {
+        KERNEL_NAMES[self.index()]
+    }
 
     /// Pinned deviation bound against the scalar oracle.
     fn tolerance(&self) -> Tolerance;
-
-    /// Whether the dispatcher should consider this kernel for a call.
-    fn supports(&self, key: &DispatchKey, ctx: &KernelCtx<'_>) -> bool;
 
     /// Whether the kernel reads [`KernelCtx::acts32`] when present — a
     /// tiled caller then converts the activations once per GEMM rather
@@ -242,9 +224,9 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     );
 
     /// Accumulates output rows `[row_lo, row_hi)` of `W · x` for a single
-    /// activation column into `out` (zeroed, `row_hi − row_lo` elements).
-    /// The default routes through [`MicroKernel::gemm_rows`]; kernels with
-    /// a shape-specialized GEMV override it.
+    /// activation column into `out` (zeroed, `row_hi − row_lo` elements):
+    /// the m = 1 decode shape, without staging `x` as a one-column
+    /// [`Matrix`].
     ///
     /// The same `OutputChannel` alignment precondition as
     /// [`MicroKernel::gemm_rows`] applies. Additionally — the
@@ -261,10 +243,7 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
         row_lo: usize,
         row_hi: usize,
         out: &mut [f64],
-    ) {
-        let acts = Matrix::from_vec(x.len(), 1, x.to_vec());
-        self.gemm_rows(ctx, layer, &acts, row_lo, row_hi, out);
-    }
+    );
 
     /// Accumulates the full `W · x` product for a single activation
     /// column into `out` (zeroed, `layer.d_row()` elements). Routes
@@ -413,6 +392,20 @@ mod tests {
             walked += 1;
         });
         assert_eq!(walked, layer.num_groups());
+    }
+
+    #[test]
+    fn available_kernels_sit_at_their_index() {
+        let names: Vec<&str> = available().iter().map(|k| k.name()).collect();
+        let simd = SimdKernel::try_new().map(|_| SIMD_KERNEL);
+        let want: Vec<&str> = [SCALAR_KERNEL, BUCKETED_KERNEL, LANE_KERNEL]
+            .into_iter()
+            .chain(simd)
+            .collect();
+        assert_eq!(names, want);
+        for kernel in available() {
+            assert_eq!(KERNEL_NAMES[kernel.index()], kernel.name());
+        }
     }
 
     #[test]

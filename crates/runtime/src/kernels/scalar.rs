@@ -15,12 +15,12 @@
 //! exactly nothing, so this kernel and the dense reference agree to the
 //! last ulp — which is why its pinned tolerance is [`Tolerance::Bitwise`].
 
-use super::{for_each_decoded_group, DispatchKey, KernelCtx, MicroKernel, Tolerance};
+use super::{for_each_decoded_group, KernelCtx, MicroKernel, Tolerance};
 use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
 
-/// Registry name of the scalar oracle kernel.
+/// Name of the scalar oracle kernel.
 pub const SCALAR_KERNEL: &str = "scalar-f64";
 
 /// Accumulates one decoded macro-block span into the output.
@@ -79,16 +79,12 @@ pub(crate) fn accumulate_span(
 pub struct ScalarKernel;
 
 impl MicroKernel for ScalarKernel {
-    fn name(&self) -> &'static str {
-        SCALAR_KERNEL
+    fn index(&self) -> usize {
+        0
     }
 
     fn tolerance(&self) -> Tolerance {
         Tolerance::Bitwise
-    }
-
-    fn supports(&self, _key: &DispatchKey, _ctx: &KernelCtx<'_>) -> bool {
-        true // the universal fallback: every shape, every regime
     }
 
     fn gemm_rows(

@@ -1,8 +1,8 @@
 //! The explicit `std::arch` SIMD kernel: AVX2+FMA on `x86_64`, selected
 //! by **runtime feature detection** so one binary runs everywhere and
-//! only fast hosts register the fast path. Other architectures have no
-//! body: there [`SimdKernel::try_new`] returns `None` and the `Fast` tier
-//! serves the portable `lane-f32` kernel.
+//! only fast hosts run the fast path. Other architectures have no body:
+//! there [`SimdKernel::try_new`] returns `None` and the fast tier serves
+//! the portable `lane-f32` kernel.
 //!
 //! Strategy — the same shape as the lane kernel (stack-resident planes,
 //! hoisted per-group scale, exact `f64` outlier fixups), but with the
@@ -26,24 +26,22 @@
 //!
 //! Construction is fallible: [`SimdKernel::try_new`] returns `None` when
 //! the host lacks the features (or when `MICROSCOPIQ_SIMD=off` force-
-//! disables it), so a registered instance *proves* detection passed and
-//! the `unsafe` `#[target_feature]` calls are sound.
+//! disables it), so an instance *proves* detection passed and the
+//! `unsafe` `#[target_feature]` calls are sound.
 //!
 //! Supported layout, as for the lane kernel: `DotProduct` groups of at
-//! most [`MAX_GROUP`] slots, asserted on entry; `OutputChannel` layers
+//! most [`MAX_GROUP`](super::MAX_GROUP) slots, asserted on entry; `OutputChannel` layers
 //! run on the scalar oracle. The AVX2 module is one GEMM and one GEMV
 //! body over that layout.
 //!
 //! Numerics match the lane kernel: `f32` inlier accumulation under
 //! [`Tolerance::Rel`], exact `f64` outliers.
 
-use super::lane::MAX_OUTLIER_FRAC;
-use super::{assert_f32_layout, DispatchKey, KernelCtx, MicroKernel, Tolerance, MAX_GROUP};
-use microscopiq_core::config::GroupAxis;
+use super::{assert_f32_layout, KernelCtx, MicroKernel, Tolerance};
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_linalg::Matrix;
 
-/// Registry name of the explicit SIMD kernel.
+/// Name of the explicit SIMD kernel.
 pub const SIMD_KERNEL: &str = "simd-f32";
 
 /// Which instruction set the kernel was validated for at construction.
@@ -97,22 +95,23 @@ pub struct SimdKernel {
 }
 
 impl SimdKernel {
-    /// Builds the kernel iff the host supports a SIMD path and
+    /// The kernel, iff the host supports a SIMD path and
     /// `MICROSCOPIQ_SIMD` does not force-disable it.
-    pub fn try_new() -> Option<Self> {
+    pub fn try_new() -> Option<&'static Self> {
         if env_disables(std::env::var("MICROSCOPIQ_SIMD").ok().as_deref()) {
             return None;
         }
         Self::detect()
     }
 
-    fn detect() -> Option<Self> {
+    fn detect() -> Option<&'static Self> {
         #[cfg(target_arch = "x86_64")]
         {
+            static AVX2_FMA: SimdKernel = SimdKernel { isa: Isa::Avx2Fma };
             if std::arch::is_x86_feature_detected!("avx2")
                 && std::arch::is_x86_feature_detected!("fma")
             {
-                return Some(Self { isa: Isa::Avx2Fma });
+                return Some(&AVX2_FMA);
             }
         }
         None
@@ -131,20 +130,14 @@ impl SimdKernel {
 // match on nothing, leaving their arguments unread.
 #[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
 impl MicroKernel for SimdKernel {
-    fn name(&self) -> &'static str {
-        SIMD_KERNEL
+    fn index(&self) -> usize {
+        3
     }
 
     fn tolerance(&self) -> Tolerance {
         // Same numerics class as the lane kernel: f32 inlier accumulation,
         // exact f64 outliers.
         Tolerance::Rel(1e-3)
-    }
-
-    fn supports(&self, key: &DispatchKey, _ctx: &KernelCtx<'_>) -> bool {
-        key.axis == GroupAxis::DotProduct
-            && key.group <= MAX_GROUP
-            && key.outlier_frac <= MAX_OUTLIER_FRAC
     }
 
     fn wants_f32_acts(&self) -> bool {
@@ -683,6 +676,7 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::super::{fused_gemm_serial, fused_gemv_serial};
     use super::*;
+    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     #[test]

@@ -5,19 +5,19 @@
 //! packed format *executable*, the way the paper's PEs consume `bb`-bit
 //! slots and per-block scales directly (Fig. 5, §5):
 //!
-//! * [`kernels`] — the pluggable kernel layer: every fused dequant-GEMM
-//!   implementation lives behind the [`MicroKernel`] trait, and a
-//!   [`KernelRegistry`] dispatches per call on (activation columns, bit
-//!   width, outlier density, group size). The scalar `f64` oracle walks
-//!   packed macro/micro-blocks, applies `Isf`/`MXScale`, reassembles
-//!   outlier Upper/Lower halves via the permutation list, and accumulates
-//!   into output tiles without ever materializing the dense weight matrix
-//!   — bit-identical to `dequantize().matmul(..)` by construction. The
+//! * [`kernels`] — the kernel layer: every fused dequant-GEMM
+//!   implementation lives behind the [`MicroKernel`] trait, and the
+//!   engine's [`Tier`] picks one per layer — the exact tier's
+//!   `bucketed-cache` kernel (or, without a cache, the scalar oracle), or
+//!   the fast tier's `f32` kernel. The scalar `f64` oracle walks packed
+//!   macro/micro-blocks, applies `Isf`/`MXScale`, reassembles outlier
+//!   Upper/Lower halves via the permutation list, and accumulates into
+//!   output tiles without ever materializing the dense weight matrix —
+//!   bit-identical to `dequantize().matmul(..)` by construction. The
 //!   `f32` kernels trade bitwise parity for speed within a pinned
-//!   relative tolerance: the explicit AVX2+FMA [`SimdKernel`]
-//!   registers behind runtime feature detection and serves the `Fast`
-//!   policy where it does; the portable lane-blocked [`LaneKernel`]
-//!   serves it everywhere else.
+//!   relative tolerance: the explicit AVX2+FMA [`SimdKernel`] serves the
+//!   fast tier where runtime feature detection finds it, the portable
+//!   lane-blocked [`LaneKernel`] everywhere else.
 //! * [`cache`] — lazily decoded per-macro-block tiles in execution-ready
 //!   bucketed form under an LRU residency cap, so repeated forward passes
 //!   amortize unpacking and run multiply-free inlier accumulation.
@@ -48,7 +48,7 @@
 //!   gauges, log-bucketed mergeable histograms; Prometheus-style text
 //!   exposition) plus an opt-in bounded [`TraceSink`] exporting
 //!   per-request / per-step timelines as Chrome trace-event JSON.
-//!   Instrumentation is observational only: default-dispatch token
+//!   Instrumentation is observational only: exact-tier token
 //!   streams are bitwise identical traced or untraced, and identical to
 //!   the offline session's.
 //!
@@ -93,11 +93,10 @@ pub mod session;
 pub mod telemetry;
 
 pub use cache::{BucketTile, CacheStats, DecodedCache, DecodedTile, FlatTile};
-pub use executor::{EngineConfig, PrefetchStats, RuntimeEngine};
+pub use executor::{EngineConfig, PrefetchStats, RuntimeEngine, Tier};
 pub use kernels::{
-    detected_cpu_features, fused_gemm_serial, fused_gemv_serial, BucketedCacheKernel, DispatchKey,
-    KernelCtx, KernelPolicy, KernelRegistry, LaneKernel, MicroKernel, ScalarKernel, SimdKernel,
-    Tolerance,
+    detected_cpu_features, fused_gemm_serial, fused_gemv_serial, BucketedCacheKernel, KernelCtx,
+    LaneKernel, MicroKernel, ScalarKernel, SimdKernel, Tolerance,
 };
 pub use microscopiq_fm::{DecodeState, KvCacheConfig, KvMode};
 pub use net::{

@@ -26,7 +26,7 @@ use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::net::{HttpClient, HttpConfig, HttpServer, Json};
 use microscopiq_runtime::{
     EngineConfig, Fleet, FleetConfig, GenRequest, QosClass, RequestOptions, RuntimeEngine,
-    ServeError, Server, ServerConfig, Session, SupervisionConfig,
+    ServeError, Server, ServerConfig, Session, SupervisionConfig, Tier,
 };
 use proptest::prelude::*;
 use std::sync::OnceLock;
@@ -610,14 +610,13 @@ fn respawn_rounds_do_not_leak_pool_threads() {
     assert_eq!(before, 0, "no pooled engine outside this scenario");
     let fleet = Fleet::spawn(
         packed_model().clone(),
-        // Uncached default dispatch is the bit-exact oracle kernel, split
-        // over the pool on every call.
+        // The exact tier without a cache runs the bit-exact oracle kernel,
+        // split over the pool on every call.
         |_| {
             RuntimeEngine::new(EngineConfig {
                 threads: 2,
-                cache_bytes: 0,
+                tier: Tier::Exact { cache_bytes: 0 },
                 parallel_threshold: 0,
-                ..EngineConfig::default()
             })
         },
         FleetConfig {

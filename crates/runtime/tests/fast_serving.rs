@@ -1,6 +1,6 @@
 //! The f32-tolerant serving conformance tier: what qualifies
-//! [`RuntimeEngine::fast`] (lane-blocked `f32` kernels under
-//! `KernelPolicy::Fast`) to sit behind [`Server::spawn`].
+//! [`RuntimeEngine::fast`] (the `f32` kernels of `Tier::Fast`) to sit
+//! behind [`Server::spawn`].
 //!
 //! The default serving tier pins **bitwise** parity against the offline
 //! reference; an `f32` kernel can never meet that bar. This tier pins the
@@ -81,10 +81,7 @@ fn fast_engine_logits_bounded_with_argmax_parity_through_prefill_and_decode() {
     let model = fixture_model(91);
     let exact = RuntimeEngine::scalar();
     let fast = RuntimeEngine::fast();
-    assert_eq!(
-        fast.config().policy,
-        microscopiq_runtime::KernelPolicy::Fast
-    );
+    assert_eq!(fast.config().tier, microscopiq_runtime::Tier::Fast);
 
     let mut max_delta = 0.0_f64;
     for prompt in fixture_prompts(model.config().vocab) {

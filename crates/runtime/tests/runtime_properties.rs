@@ -7,7 +7,7 @@ use microscopiq_core::config::{GroupAxis, QuantConfig};
 use microscopiq_core::solver::solve;
 use microscopiq_core::traits::LayerTensors;
 use microscopiq_linalg::{Matrix, SeededRng};
-use microscopiq_runtime::{fused_gemm_serial, EngineConfig, KernelPolicy, RuntimeEngine};
+use microscopiq_runtime::{fused_gemm_serial, EngineConfig, RuntimeEngine, Tier};
 use proptest::prelude::*;
 
 fn build_packed(
@@ -69,9 +69,8 @@ proptest! {
 
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            cache_bytes: 0,
+            tier: Tier::Exact { cache_bytes: 0 },
             parallel_threshold: 0,
-            ..EngineConfig::default()
         })
         .gemm(&packed, &acts);
         prop_assert_eq!(&parallel, &dense);
@@ -81,9 +80,8 @@ proptest! {
         // warm second pass must repeat the cold pass exactly.
         let cached = RuntimeEngine::new(EngineConfig {
             threads: 2,
-            cache_bytes: 1 << 20,
+            tier: Tier::Exact { cache_bytes: 1 << 20 },
             parallel_threshold: 0,
-            ..EngineConfig::default()
         });
         let cold = cached.gemm(&packed, &acts);
         let mut cached_diff = 0.0_f64;
@@ -93,23 +91,22 @@ proptest! {
         prop_assert!(cached_diff < 1e-9, "cached diff {}", cached_diff);
         prop_assert_eq!(&cached.gemm(&packed, &acts), &cold);
 
-        // Fast-policy dispatch (simd-f32 or lane-f32 on supported
-        // shapes, scalar elsewhere) must hold whichever kernel it picks to that
-        // kernel's pinned tolerance.
+        // The fast tier (simd-f32 or lane-f32 on supported shapes, scalar
+        // elsewhere) must hold whichever kernel it picks to that kernel's
+        // pinned tolerance.
         let fast = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            cache_bytes: 0,
+            tier: Tier::Fast,
             parallel_threshold: usize::MAX,
-            policy: KernelPolicy::Fast,
         });
-        let picked = fast.kernel_for(&packed, batch);
-        let tol = fast.registry().get(picked).expect("registered").tolerance();
+        let picked = fast.kernel_for(&packed);
+        let tol = picked.tolerance();
         let lane = fast.gemm(&packed, &acts);
         for (a, b) in lane.as_slice().iter().zip(dense.as_slice().iter()) {
             prop_assert!(
                 tol.accepts(*a, *b),
-                "fast-policy kernel {} off by {} (allowed {})",
-                picked,
+                "fast-tier kernel {} off by {} (allowed {})",
+                picked.name(),
                 (a - b).abs(),
                 tol.allowed(*b)
             );
@@ -125,9 +122,8 @@ proptest! {
         let acts = Matrix::from_fn(48, 5, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 2,
-            cache_bytes: 1024, // far below the decoded working set
+            tier: Tier::Exact { cache_bytes: 1024 }, // far below the decoded working set
             parallel_threshold: 0,
-            ..EngineConfig::default()
         });
         let dense = packed.dequantize().matmul(&acts);
         for _pass in 0..2 {
