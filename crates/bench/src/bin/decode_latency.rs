@@ -1,6 +1,5 @@
-//! Decode latency: full-prefix recompute vs incremental KV-cached decode
-//! vs incremental decode with a quantized KV cache, at several prefix
-//! lengths with a batch of concurrent requests.
+//! Decode latency: full-prefix recompute vs incremental KV-cached decode,
+//! at several prefix lengths with a batch of concurrent requests.
 //!
 //! Each path advances the same 8 sequences token by token through the
 //! packed runtime engine:
@@ -10,9 +9,7 @@
 //!   per generated token;
 //! * **incremental (exact KV)** — one prefill, then a single-token
 //!   segment-packed `advance_batch` per step: O(prefix) work, logits
-//!   **bit-identical** to full recompute (asserted here, per step);
-//! * **incremental (2-bit KV)** — same, with aged cache tokens stored at
-//!   2 bits (KIVI-style, group 32, residual 32).
+//!   **bit-identical** to full recompute (asserted here, per step).
 //!
 //! A second section times what a pass spends *outside* the engine — the
 //! blocked attention kernel, plus KV append and norms — on the deep
@@ -28,8 +25,7 @@ use microscopiq_bench::{f2, median, Table};
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_core::{MicroScopiQ, QuantConfig};
 use microscopiq_fm::{
-    DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedGemm, PackedTinyFm, PartFn, TinyFm,
-    TinyFmConfig,
+    DecodeJob, DecodeState, PackedGemm, PackedTinyFm, PartFn, TinyFm, TinyFmConfig,
 };
 use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::RuntimeEngine;
@@ -96,11 +92,10 @@ fn run_incremental(
     model: &PackedTinyFm,
     engine: &RuntimeEngine,
     prompts: &[Vec<usize>],
-    mode: KvMode,
 ) -> (f64, StepRecord) {
     let mut states: Vec<DecodeState> = prompts
         .iter()
-        .map(|_| DecodeState::new(model.config(), mode).expect("valid kv mode"))
+        .map(|_| DecodeState::exact(model.config()))
         .collect();
     let t0 = Instant::now();
     let prefill_logits = {
@@ -274,11 +269,6 @@ fn main() {
     let mut rng = SeededRng::new(17);
     let model = packed_model(cfg, 2026, &mut rng);
     let engine = RuntimeEngine::parallel();
-    let quant_kv = KvMode::Quantized(KvCacheConfig {
-        bits: 2,
-        group: 32,
-        residual: 32,
-    });
 
     let mut table = Table::new(
         &format!(
@@ -302,8 +292,7 @@ fn main() {
         model.forward_batch(&warm, &engine);
 
         let full = run_full_recompute(&model, &engine, &prompts);
-        let (prefill_s, inc) = run_incremental(&model, &engine, &prompts, KvMode::Exact);
-        let (_, incq) = run_incremental(&model, &engine, &prompts, quant_kv);
+        let (prefill_s, inc) = run_incremental(&model, &engine, &prompts);
 
         // Parity gate: exact-KV incremental must be bit-identical to full
         // recompute — same tokens, same logits, every step, every request.
@@ -326,7 +315,6 @@ fn main() {
 
         let t_full = median(&full.times);
         let t_inc = median(&inc.times);
-        let t_incq = median(&incq.times);
         let speedup = t_full / t_inc;
         let mut row = |path: &str, t: f64| {
             table.row(vec![
@@ -339,7 +327,6 @@ fn main() {
         };
         row("full recompute", t_full);
         row("incremental exact-KV", t_inc);
-        row("incremental 2-bit KV", t_incq);
         println!(
             "prefix {prefix}: prefill {:.3} ms, full {:.3} ms/step, incremental {:.3} ms/step ({speedup:.2}x)",
             prefill_s * 1e3,
@@ -350,10 +337,6 @@ fn main() {
         metrics.push((
             format!("decode_ms_incremental_p{prefix}_b{BATCH}"),
             t_inc * 1e3,
-        ));
-        metrics.push((
-            format!("decode_ms_quantized_kv_p{prefix}_b{BATCH}"),
-            t_incq * 1e3,
         ));
         metrics.push((
             format!("decode_tokens_per_s_incremental_p{prefix}_b{BATCH}"),

@@ -6,12 +6,12 @@
 //! Two entry points:
 //!
 //! * [`quantize_kv_cache`] — one-shot quantization of a finished cache,
-//!   used for error analysis ([`attention_output_error`]);
-//! * [`LayerKvCache`] — an *appendable* per-layer cache for incremental
-//!   decode: tokens are appended one at a time, served exactly while they
-//!   sit inside the residual window, and quantized in group-aligned chunks
-//!   as they age out of it. This is what `microscopiq-fm`'s decode states
-//!   hold per transformer block.
+//!   used for error analysis ([`attention_output_error`]). This offline
+//!   measurement is the only place KV rows are quantized;
+//! * [`LayerKvCache`] — an *appendable* exact (fp64) per-layer cache for
+//!   incremental decode, shareable copy-on-write through [`KvSegment`]s.
+//!   This is what `microscopiq-fm`'s decode states hold per transformer
+//!   block.
 
 use crate::error::QuantError;
 use microscopiq_linalg::Matrix;
@@ -127,16 +127,14 @@ pub fn attention_output_error(
     }
 }
 
-/// Storage mode for an appendable [`LayerKvCache`].
+/// Storage mode for an appendable [`LayerKvCache`]. Serving stores KV
+/// exactly; quantized KV exists only as the offline
+/// [`quantize_kv_cache`] measurement.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum KvMode {
     /// Every token stays at full fp64 precision. Incremental decode over
     /// an exact cache is bit-identical to full-prefix recompute.
     Exact,
-    /// KIVI-style quantized storage: tokens inside the residual window
-    /// stay exact; older tokens are quantized in group-aligned chunks
-    /// (keys per channel, values per token) as they age out.
-    Quantized(KvCacheConfig),
 }
 
 /// One contiguous run of serving rows inside a [`KvView`]: a shared
@@ -196,8 +194,7 @@ impl<'a> KvView<'a> {
         self.channels
     }
 
-    /// Key row for token `t` (serving values: exact inside the residual
-    /// window, dequantized outside it).
+    /// Key row for token `t`.
     pub fn key_row(&self, t: usize) -> &'a [f64] {
         let span = self.span_for(t);
         let o = (t - span.start) * self.channels;
@@ -228,20 +225,6 @@ impl<'a> KvView<'a> {
             .find(|s| t >= s.start)
             .unwrap_or_else(|| panic!("token {t} outside view of {} tokens", self.tokens))
     }
-
-    /// Materializes the view as `(keys, values)` matrices
-    /// (`tokens × channels`), the shape [`attention_output_error`] takes.
-    pub fn to_matrices(&self) -> (Matrix, Matrix) {
-        let mut keys = Vec::with_capacity(self.tokens * self.channels);
-        let mut values = Vec::with_capacity(self.tokens * self.channels);
-        for span in &self.spans {
-            keys.extend_from_slice(span.keys);
-            values.extend_from_slice(span.values);
-        }
-        let k = Matrix::from_vec(self.tokens, self.channels, keys);
-        let v = Matrix::from_vec(self.tokens, self.channels, values);
-        (k, v)
-    }
 }
 
 /// An immutable run of KV rows shared between caches by refcount.
@@ -251,15 +234,10 @@ impl<'a> KvView<'a> {
 /// out of a live cache), and consumed by [`LayerKvCache::attach`]. Once
 /// built, a segment's rows never change: attachees append into their own
 /// private tails and the segment is dropped when its last holder goes
-/// away. In quantized mode every row of a segment is already quantized
-/// (its serving values are frozen by the quantize-at-most-once
-/// invariant) and its length is a whole number of groups, so attaching
-/// it preserves the group-aligned boundary invariant of the aging
-/// machinery.
+/// away.
 #[derive(Debug, Clone)]
 pub struct KvSegment {
     channels: usize,
-    mode: KvMode,
     /// Serving keys, `tokens × channels` row-major by token.
     keys: Vec<f64>,
     /// Serving values, same layout.
@@ -268,36 +246,17 @@ pub struct KvSegment {
 
 impl KvSegment {
     /// Copies serving rows `[lo, hi)` out of `cache` into a new
-    /// immutable segment. Rows are copied bitwise — for an exact cache
-    /// the segment reproduces a cold prefill exactly; for a quantized
-    /// cache the rows carry their frozen post-quantization serving
-    /// values.
+    /// immutable segment. Rows are copied bitwise, so the segment
+    /// reproduces a cold prefill exactly.
     ///
     /// # Panics
     ///
-    /// Panics if `lo >= hi` or `hi > cache.len()`; in quantized mode,
-    /// panics unless `lo` and `hi` are group-aligned and the range lies
-    /// entirely inside the cache's quantized prefix (unquantized rows
-    /// are still mutable and cannot be shared).
+    /// Panics if `lo >= hi` or `hi > cache.len()`.
     pub fn from_cache(cache: &LayerKvCache, lo: usize, hi: usize) -> Self {
         assert!(
             lo < hi && hi <= cache.len(),
             "bad segment range [{lo}, {hi})"
         );
-        if let KvMode::Quantized(cfg) = cache.mode {
-            assert!(
-                lo.is_multiple_of(cfg.group) && hi.is_multiple_of(cfg.group),
-                "quantized KV segment boundaries must be group-aligned: \
-                 [{lo}, {hi}), group = {}",
-                cfg.group
-            );
-            assert!(
-                hi <= cache.quantized_len(),
-                "quantized KV segment must lie inside the quantized prefix: \
-                 hi = {hi}, quantized = {}",
-                cache.quantized_len()
-            );
-        }
         let ch = cache.channels;
         let mut keys = Vec::with_capacity((hi - lo) * ch);
         let mut values = Vec::with_capacity((hi - lo) * ch);
@@ -307,7 +266,6 @@ impl KvSegment {
         }
         Self {
             channels: ch,
-            mode: cache.mode,
             keys,
             values,
         }
@@ -318,25 +276,15 @@ impl KvSegment {
     ///
     /// # Panics
     ///
-    /// Panics if the range is empty or out of bounds; in quantized mode,
-    /// panics on a misaligned split (`lo` or `hi` off a group boundary).
+    /// Panics if the range is empty or out of bounds.
     pub fn slice(&self, lo: usize, hi: usize) -> Self {
         assert!(
             lo < hi && hi <= self.len(),
             "bad segment range [{lo}, {hi})"
         );
-        if let KvMode::Quantized(cfg) = self.mode {
-            assert!(
-                lo.is_multiple_of(cfg.group) && hi.is_multiple_of(cfg.group),
-                "quantized KV segment split must be group-aligned: \
-                 [{lo}, {hi}), group = {}",
-                cfg.group
-            );
-        }
         let ch = self.channels;
         Self {
             channels: ch,
-            mode: self.mode,
             keys: self.keys[lo * ch..hi * ch].to_vec(),
             values: self.values[lo * ch..hi * ch].to_vec(),
         }
@@ -358,11 +306,6 @@ impl KvSegment {
         self.channels
     }
 
-    /// The storage mode the segment's rows were produced under.
-    pub fn mode(&self) -> KvMode {
-        self.mode
-    }
-
     /// Serving key row for token `t` (segment-relative).
     pub fn key_row(&self, t: usize) -> &[f64] {
         &self.keys[t * self.channels..(t + 1) * self.channels]
@@ -373,37 +316,17 @@ impl KvSegment {
         &self.values[t * self.channels..(t + 1) * self.channels]
     }
 
-    /// Storage-format bytes for the segment's rows, with the same
-    /// accounting as [`LayerKvCache::storage_bytes`]. In quantized mode
-    /// every row is quantized, so this is the quantized payload plus
-    /// exponent bytes; in exact mode it is plain fp64 rows.
+    /// Bytes of the segment's fp64 K + V rows, with the same accounting
+    /// as [`LayerKvCache::storage_bytes`].
     pub fn storage_bytes(&self) -> usize {
-        let n = self.len();
-        match self.mode {
-            KvMode::Exact => 2 * n * self.channels * 8,
-            KvMode::Quantized(cfg) if cfg.group > 0 => {
-                let payload = 2 * n * self.channels * cfg.bits as usize / 8;
-                let key_blocks = n.div_ceil(cfg.group) * self.channels;
-                let value_blocks = n * self.channels.div_ceil(cfg.group);
-                payload + key_blocks + value_blocks
-            }
-            KvMode::Quantized(_) => 0,
-        }
+        2 * self.len() * self.channels * 8
     }
 }
 
 /// An appendable per-layer KV cache for incremental decode.
 ///
-/// Rows are `channels`-wide key/value vectors in token order. In
-/// [`KvMode::Exact`] the cache is a plain growable fp64 store. In
-/// [`KvMode::Quantized`] the most recent `residual` tokens are served
-/// exactly; once a full `group` of tokens has aged past the residual
-/// window it is quantized **in place** (keys per channel over the token
-/// chunk, values per token over channel chunks — the same chunking
-/// [`quantize_kv_cache`] uses, so an incremental cache whose quantized
-/// span is group-aligned matches the one-shot path exactly) and served
-/// dequantized from then on. A token is quantized at most once; its
-/// serving value never changes again afterwards.
+/// Rows are `channels`-wide fp64 key/value vectors in token order,
+/// stored and served exactly as appended.
 ///
 /// # Copy-on-write prefix sharing
 ///
@@ -420,7 +343,6 @@ impl KvSegment {
 #[derive(Debug, Clone)]
 pub struct LayerKvCache {
     channels: usize,
-    mode: KvMode,
     /// Immutable shared prefix segments, in token order.
     shared: Vec<Arc<KvSegment>>,
     /// Total tokens covered by `shared`.
@@ -430,10 +352,6 @@ pub struct LayerKvCache {
     keys: Vec<f64>,
     /// Private-tail serving values, same layout.
     values: Vec<f64>,
-    /// Tokens `[0, quantized_tokens)` (global) have quantized storage.
-    /// Always `>= base` in quantized mode (shared segments are fully
-    /// quantized); always 0 in exact mode.
-    quantized_tokens: usize,
 }
 
 impl LayerKvCache {
@@ -441,47 +359,10 @@ impl LayerKvCache {
     pub fn exact(channels: usize) -> Self {
         Self {
             channels,
-            mode: KvMode::Exact,
             shared: Vec::new(),
             base: 0,
             keys: Vec::new(),
             values: Vec::new(),
-            quantized_tokens: 0,
-        }
-    }
-
-    /// Creates an empty quantized cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidConfig`] for a zero group size.
-    pub fn quantized(channels: usize, cfg: KvCacheConfig) -> Result<Self, QuantError> {
-        if cfg.group == 0 {
-            return Err(QuantError::InvalidConfig {
-                reason: "kv group size must be positive".to_string(),
-            });
-        }
-        Ok(Self {
-            channels,
-            mode: KvMode::Quantized(cfg),
-            shared: Vec::new(),
-            base: 0,
-            keys: Vec::new(),
-            values: Vec::new(),
-            quantized_tokens: 0,
-        })
-    }
-
-    /// Creates an empty cache in the given mode.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidConfig`] for a zero group size in
-    /// quantized mode.
-    pub fn with_mode(channels: usize, mode: KvMode) -> Result<Self, QuantError> {
-        match mode {
-            KvMode::Exact => Ok(Self::exact(channels)),
-            KvMode::Quantized(cfg) => Self::quantized(channels, cfg),
         }
     }
 
@@ -519,25 +400,9 @@ impl LayerKvCache {
         &self.shared
     }
 
-    /// The storage mode.
-    pub fn mode(&self) -> KvMode {
-        self.mode
-    }
-
-    /// Tokens whose storage has been quantized (always 0 in exact mode).
-    pub fn quantized_len(&self) -> usize {
-        self.quantized_tokens
-    }
-
-    /// Bytes this cache's tokens would occupy in their *storage* format:
-    /// exact tokens at `2 × channels × 8` bytes (fp64 K + V rows),
-    /// quantized tokens at `2 × channels × bits / 8` plus one shared
-    /// exponent byte per quantization block — keys carry one block per
-    /// (channel, token group), values one block per token per
-    /// `group`-wide channel chunk, mirroring [`Self::append`]'s
-    /// chunking. Serving buffers hold dequantized fp64 regardless; this
-    /// is the accounting figure eviction policies and occupancy gauges
-    /// budget against.
+    /// Bytes of this cache's rows, `2 × channels × 8` per token (fp64
+    /// K + V rows), shared segments included — the accounting figure
+    /// eviction policies and occupancy gauges budget against.
     pub fn storage_bytes(&self) -> usize {
         self.shared.iter().map(|s| s.storage_bytes()).sum::<usize>() + self.owned_storage_bytes()
     }
@@ -546,34 +411,19 @@ impl LayerKvCache {
     /// share of [`Self::storage_bytes`] once attached segments are
     /// accounted by their retaining owner instead.
     pub fn owned_storage_bytes(&self) -> usize {
-        let owned_quantized = self.quantized_tokens.saturating_sub(self.base);
-        let exact_tokens = self.owned_len() - owned_quantized;
-        let exact = 2 * exact_tokens * self.channels * 8;
-        let quantized = match self.mode {
-            KvMode::Quantized(cfg) if cfg.group > 0 => {
-                let payload = 2 * owned_quantized * self.channels * cfg.bits as usize / 8;
-                let key_blocks = owned_quantized.div_ceil(cfg.group) * self.channels;
-                let value_blocks = owned_quantized * self.channels.div_ceil(cfg.group);
-                payload + key_blocks + value_blocks
-            }
-            _ => 0,
-        };
-        exact + quantized
+        2 * self.owned_len() * self.channels * 8
     }
 
     /// Attaches an immutable shared segment to the end of the shared
     /// prefix, copy-on-write: the segment's rows are served in place and
     /// never mutated; subsequent [`Self::append`]s go to the private
-    /// tail. In quantized mode the cache's quantized prefix extends over
-    /// the attached rows (they are fully quantized by construction), so
-    /// aging resumes group-aligned from the new base.
+    /// tail.
     ///
     /// # Panics
     ///
     /// Panics if the cache already has private rows (attach is an
-    /// admission-time operation, before any suffix prefill), if the
-    /// segment's channels or mode disagree with the cache's, or — in
-    /// quantized mode — if the segment's length is not group-aligned.
+    /// admission-time operation, before any suffix prefill) or if the
+    /// segment's channels disagree with the cache's.
     pub fn attach(&mut self, seg: Arc<KvSegment>) {
         assert!(
             self.keys.is_empty(),
@@ -581,19 +431,7 @@ impl LayerKvCache {
             self.owned_len()
         );
         assert_eq!(seg.channels(), self.channels, "segment channel width");
-        assert_eq!(seg.mode(), self.mode, "segment storage mode");
-        if let KvMode::Quantized(cfg) = self.mode {
-            assert!(
-                seg.len().is_multiple_of(cfg.group),
-                "quantized KV segment must be group-aligned: len = {}, group = {}",
-                seg.len(),
-                cfg.group
-            );
-        }
         self.base += seg.len();
-        if matches!(self.mode, KvMode::Quantized(_)) {
-            self.quantized_tokens = self.base;
-        }
         self.shared.push(seg);
     }
 
@@ -608,9 +446,7 @@ impl LayerKvCache {
     ///
     /// # Panics
     ///
-    /// Panics if `upto > len()`; in quantized mode, panics unless `upto`
-    /// is group-aligned and within the quantized prefix (mutable rows
-    /// cannot be frozen).
+    /// Panics if `upto > len()`.
     pub fn share_prefix(&mut self, upto: usize) -> Option<Arc<KvSegment>> {
         if upto <= self.base {
             return None;
@@ -620,24 +456,10 @@ impl LayerKvCache {
             "share_prefix past end: {upto} > {}",
             self.len()
         );
-        if let KvMode::Quantized(cfg) = self.mode {
-            assert!(
-                upto.is_multiple_of(cfg.group),
-                "quantized KV share boundary must be group-aligned: \
-                 upto = {upto}, group = {}",
-                cfg.group
-            );
-            assert!(
-                upto <= self.quantized_tokens,
-                "cannot share unquantized rows: upto = {upto}, quantized = {}",
-                self.quantized_tokens
-            );
-        }
         let ch = self.channels;
         let cut = (upto - self.base) * ch;
         let seg = Arc::new(KvSegment {
             channels: ch,
-            mode: self.mode,
             keys: self.keys[..cut].to_vec(),
             values: self.values[..cut].to_vec(),
         });
@@ -648,9 +470,7 @@ impl LayerKvCache {
         Some(seg)
     }
 
-    /// Appends one token's key/value rows, then (in quantized mode)
-    /// quantizes any full group of tokens that has aged out of the
-    /// residual window.
+    /// Appends one token's key/value rows.
     ///
     /// # Panics
     ///
@@ -660,47 +480,6 @@ impl LayerKvCache {
         assert_eq!(value_row.len(), self.channels, "value row width");
         self.keys.extend_from_slice(key_row);
         self.values.extend_from_slice(value_row);
-        if let KvMode::Quantized(cfg) = self.mode {
-            // Quantize whole groups once every token in the group is
-            // older than the residual window. Group boundaries align to
-            // multiples of `cfg.group` from token 0, matching the
-            // one-shot chunking.
-            while self.len() - self.quantized_tokens >= cfg.group + cfg.residual {
-                self.quantize_group(cfg);
-            }
-        }
-    }
-
-    /// Quantizes tokens `[quantized_tokens, quantized_tokens + group)` in
-    /// place: keys per channel along the token chunk, values per token in
-    /// channel chunks.
-    fn quantize_group(&mut self, cfg: KvCacheConfig) {
-        // Global token range; rows live in the private tail (attached
-        // shared segments are already quantized, so
-        // `quantized_tokens >= base` always holds here).
-        let lo = self.quantized_tokens;
-        let hi = lo + cfg.group;
-        debug_assert!(lo >= self.base, "quantizing into shared rows");
-        let ch = self.channels;
-        let base = self.base;
-        for c in 0..ch {
-            let col: Vec<f64> = (lo..hi).map(|t| self.keys[(t - base) * ch + c]).collect();
-            let block = MxIntBlock::quantize(&col, cfg.bits);
-            for (i, v) in block.dequantize().into_iter().enumerate() {
-                self.keys[(lo + i - base) * ch + c] = v;
-            }
-        }
-        for t in lo..hi {
-            let p = t - base;
-            let row = self.values[p * ch..(p + 1) * ch].to_vec();
-            for (g, chunk) in row.chunks(cfg.group).enumerate() {
-                let block = MxIntBlock::quantize(chunk, cfg.bits);
-                for (i, v) in block.dequantize().into_iter().enumerate() {
-                    self.values[p * ch + g * cfg.group + i] = v;
-                }
-            }
-        }
-        self.quantized_tokens = hi;
     }
 
     /// Serving key row for (global) token `t`, resolved to the shared
@@ -765,13 +544,9 @@ impl LayerKvCache {
     /// Drops every token at position `n` and beyond — speculative-decode
     /// rollback and prefix rewind. A no-op when `n >= len()`.
     ///
-    /// Truncating within the exact residual tail is always legal and the
-    /// surviving prefix is bitwise untouched, so re-appending the same
-    /// rows reproduces the original cache exactly. Cutting into the
-    /// quantized prefix is only legal on a group boundary: quantization
-    /// blocks span `group` tokens, so a mid-group cut would strand a
-    /// partial block whose exponent was fit to tokens that no longer
-    /// exist.
+    /// Truncating the private tail is always legal and the surviving
+    /// prefix is bitwise untouched, so re-appending the same rows
+    /// reproduces the original cache exactly.
     ///
     /// With attached shared segments, truncation below the shared base
     /// is legal only on whole-segment boundaries: trailing segments are
@@ -781,9 +556,7 @@ impl LayerKvCache {
     ///
     /// # Panics
     ///
-    /// Panics in quantized mode when `n` lands strictly inside the
-    /// quantized prefix off a group boundary, or in any mode when `n`
-    /// lands strictly inside an attached shared segment.
+    /// Panics when `n` lands strictly inside an attached shared segment.
     pub fn truncate(&mut self, n: usize) {
         if n >= self.len() {
             return;
@@ -802,20 +575,7 @@ impl LayerKvCache {
                 self.shared.pop();
                 self.base = start;
             }
-            self.quantized_tokens = self.quantized_tokens.min(n);
             return;
-        }
-        if let KvMode::Quantized(cfg) = self.mode {
-            if n < self.quantized_tokens {
-                assert!(
-                    n.is_multiple_of(cfg.group),
-                    "quantized KV truncation must be group-aligned: \
-                     n = {n}, group = {}, quantized prefix = {}",
-                    cfg.group,
-                    self.quantized_tokens
-                );
-                self.quantized_tokens = n;
-            }
         }
         self.keys.truncate((n - self.base) * self.channels);
         self.values.truncate((n - self.base) * self.channels);
@@ -848,32 +608,15 @@ mod tests {
     use microscopiq_linalg::SeededRng;
 
     #[test]
-    fn storage_bytes_accounts_exact_and_quantized_tokens() {
+    fn storage_bytes_accounts_exact_tokens() {
         let ch = 32;
         let mut exact = LayerKvCache::exact(ch);
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 8,
-        };
-        let mut quant = LayerKvCache::quantized(ch, cfg).unwrap();
         let row = vec![0.5; ch];
         for _ in 0..24 {
             exact.append(&row, &row);
-            quant.append(&row, &row);
         }
         // Exact: 24 tokens × 2 rows × 32 channels × 8 bytes.
         assert_eq!(exact.storage_bytes(), 24 * 2 * ch * 8);
-        // Quantized: two full groups (16 tokens) have aged out of the
-        // 8-token residual window; 8 tokens remain exact. Payload
-        // 2·16·32·4/8 bytes; exponents: one per (channel, token-group)
-        // key block = 2 × 32, plus one per token per 8-wide value
-        // chunk = 16 × 4.
-        assert_eq!(quant.quantized_len(), 16);
-        let payload = 2 * 16 * ch * 4 / 8;
-        let exponents = 2 * ch + 16 * ch.div_ceil(8);
-        assert_eq!(quant.storage_bytes(), 8 * 2 * ch * 8 + payload + exponents);
-        assert!(quant.storage_bytes() < exact.storage_bytes());
     }
 
     #[test]
@@ -906,74 +649,6 @@ mod tests {
         // Truncating past the end is a no-op.
         cut.truncate(100);
         assert_eq!(cut.len(), 20);
-    }
-
-    #[test]
-    fn quantized_truncate_within_exact_tail_keeps_prefix() {
-        let ch = 16;
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 8,
-        };
-        let mut cache = LayerKvCache::quantized(ch, cfg).unwrap();
-        let mut rng = SeededRng::new(6);
-        for _ in 0..20 {
-            let k: Vec<f64> = (0..ch).map(|_| rng.normal(0.0, 1.0)).collect();
-            let v: Vec<f64> = (0..ch).map(|_| rng.normal(0.0, 1.0)).collect();
-            cache.append(&k, &v);
-        }
-        // 8 tokens quantized, 12 exact; cut inside the exact tail at any
-        // alignment.
-        assert_eq!(cache.quantized_len(), 8);
-        let before: Vec<f64> = (0..11).flat_map(|t| cache.key_row(t).to_vec()).collect();
-        cache.truncate(11);
-        assert_eq!(cache.len(), 11);
-        assert_eq!(cache.quantized_len(), 8, "quantized prefix untouched");
-        let after: Vec<f64> = (0..11).flat_map(|t| cache.key_row(t).to_vec()).collect();
-        assert_eq!(after, before);
-    }
-
-    #[test]
-    fn quantized_truncate_on_group_boundary_shrinks_prefix() {
-        let ch = 16;
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 0,
-        };
-        let mut cache = LayerKvCache::quantized(ch, cfg).unwrap();
-        let row = vec![0.25; ch];
-        for _ in 0..24 {
-            cache.append(&row, &row);
-        }
-        assert_eq!(cache.quantized_len(), 24);
-        cache.truncate(8);
-        assert_eq!(cache.len(), 8);
-        assert_eq!(cache.quantized_len(), 8);
-        // The cache keeps working: appends re-quantize from the new end.
-        for _ in 0..8 {
-            cache.append(&row, &row);
-        }
-        assert_eq!(cache.len(), 16);
-        assert_eq!(cache.quantized_len(), 16);
-    }
-
-    #[test]
-    #[should_panic(expected = "group-aligned")]
-    fn quantized_truncate_off_group_boundary_panics() {
-        let ch = 16;
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 0,
-        };
-        let mut cache = LayerKvCache::quantized(ch, cfg).unwrap();
-        let row = vec![0.25; ch];
-        for _ in 0..16 {
-            cache.append(&row, &row);
-        }
-        cache.truncate(5);
     }
 
     fn kv(seed: u64, tokens: usize, channels: usize) -> (Matrix, Matrix, Matrix) {
@@ -1077,118 +752,11 @@ mod tests {
             cache.append(k, v);
         }
         assert_eq!(cache.len(), 20);
-        assert_eq!(cache.quantized_len(), 0);
         let view = cache.view();
         for (t, (k, v)) in rows.iter().enumerate() {
             assert_eq!(view.key_row(t), k.as_slice());
             assert_eq!(view.value_row(t), v.as_slice());
         }
-    }
-
-    #[test]
-    fn incremental_matches_one_shot_when_group_aligned() {
-        // 48 tokens, residual 16, group 16: the one-shot path quantizes
-        // tokens [0, 32) in two full groups — exactly what the appendable
-        // cache does as those groups age out of the residual window.
-        let (_, k, v) = kv(8, 48, 16);
-        let cfg = KvCacheConfig {
-            bits: 2,
-            group: 16,
-            residual: 16,
-        };
-        let one_shot = quantize_kv_cache(&k, &v, cfg).unwrap();
-        let mut cache = LayerKvCache::quantized(16, cfg).unwrap();
-        for t in 0..48 {
-            cache.append(k.row(t), v.row(t));
-        }
-        assert_eq!(cache.quantized_len(), 32);
-        let (ck, cv) = cache.view().to_matrices();
-        assert_eq!(ck, one_shot.keys, "incremental keys diverged");
-        assert_eq!(cv, one_shot.values, "incremental values diverged");
-    }
-
-    #[test]
-    fn residual_window_tokens_served_exactly() {
-        let (_, k, v) = kv(9, 40, 8);
-        let cfg = KvCacheConfig {
-            bits: 2,
-            group: 8,
-            residual: 8,
-        };
-        let mut cache = LayerKvCache::quantized(8, cfg).unwrap();
-        for t in 0..40 {
-            cache.append(k.row(t), v.row(t));
-        }
-        // Everything not yet quantized — the residual window and any
-        // partial trailing group — is served bit-exactly.
-        for t in cache.quantized_len()..40 {
-            assert_eq!(cache.key_row(t), k.row(t));
-            assert_eq!(cache.value_row(t), v.row(t));
-        }
-        // And the quantized prefix really was quantized.
-        let changed = (0..cache.quantized_len())
-            .flat_map(|t| (0..8).map(move |c| (t, c)))
-            .filter(|&(t, c)| cache.key_row(t)[c] != k[(t, c)])
-            .count();
-        assert!(changed > 20, "only {changed} quantized key entries changed");
-    }
-
-    #[test]
-    fn quantized_tokens_never_requantize() {
-        let (_, k, v) = kv(10, 64, 8);
-        let cfg = KvCacheConfig {
-            bits: 2,
-            group: 8,
-            residual: 8,
-        };
-        let mut cache = LayerKvCache::quantized(8, cfg).unwrap();
-        for t in 0..32 {
-            cache.append(k.row(t), v.row(t));
-        }
-        let frozen: Vec<f64> = (0..cache.quantized_len())
-            .flat_map(|t| cache.key_row(t).to_vec())
-            .collect();
-        let frozen_len = cache.quantized_len();
-        for t in 32..64 {
-            cache.append(k.row(t), v.row(t));
-        }
-        let now: Vec<f64> = (0..frozen_len)
-            .flat_map(|t| cache.key_row(t).to_vec())
-            .collect();
-        assert_eq!(frozen, now, "previously quantized tokens changed");
-    }
-
-    #[test]
-    fn appendable_cache_attention_error_bounded() {
-        // The serving view of a quantized appendable cache must stay
-        // within the documented attention-error bound (same regime as the
-        // one-shot 2-bit test above: < 1.5 relative Frobenius error, with
-        // 4-bit comfortably tighter than 2-bit).
-        let (q, k, v) = kv(11, 128, 32);
-        let err_at = |bits| {
-            let cfg = KvCacheConfig {
-                bits,
-                group: 32,
-                residual: 32,
-            };
-            let mut cache = LayerKvCache::quantized(32, cfg).unwrap();
-            for t in 0..128 {
-                cache.append(k.row(t), v.row(t));
-            }
-            let (ck, cv) = cache.view().to_matrices();
-            attention_output_error(
-                &q,
-                &k,
-                &v,
-                &QuantizedKvCache {
-                    keys: ck,
-                    values: cv,
-                },
-            )
-        };
-        let e2 = err_at(2);
-        assert!(e2 > 0.0 && e2 < 1.5, "2-bit appendable cache error {e2}");
-        assert!(err_at(4) < err_at(2), "more bits must reduce error");
     }
 
     #[test]
@@ -1198,9 +766,8 @@ mod tests {
             group: 0,
             residual: 4,
         };
-        assert!(LayerKvCache::quantized(8, cfg).is_err());
-        assert!(LayerKvCache::with_mode(8, KvMode::Quantized(cfg)).is_err());
-        assert!(LayerKvCache::with_mode(8, KvMode::Exact).is_ok());
+        let k = Matrix::zeros(8, 4);
+        assert!(quantize_kv_cache(&k, &k, cfg).is_err());
     }
 
     fn random_rows(seed: u64, n: usize, ch: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
@@ -1308,77 +875,6 @@ mod tests {
         }
         cache.share_prefix(8).unwrap();
         cache.truncate(3);
-    }
-
-    #[test]
-    fn quantized_share_and_attach_keep_group_invariants() {
-        let ch = 8;
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 8,
-        };
-        let rows = random_rows(23, 40, ch);
-        let mut donor = LayerKvCache::quantized(ch, cfg).unwrap();
-        for (k, v) in &rows[..32] {
-            donor.append(k, v);
-        }
-        // 32 appended, residual 8 → tokens [0, 24) quantized; the share
-        // boundary must sit inside that prefix on a group boundary.
-        assert_eq!(donor.quantized_len(), 24);
-        let donor_rows: Vec<Vec<f64>> = (0..24).map(|t| donor.key_row(t).to_vec()).collect();
-        let seg = donor.share_prefix(16).unwrap();
-        assert_eq!(seg.len(), 16);
-
-        let mut attachee = LayerKvCache::quantized(ch, cfg).unwrap();
-        attachee.attach(seg);
-        assert_eq!(attachee.len(), 16);
-        assert_eq!(attachee.quantized_len(), 16, "attached rows are quantized");
-        for (k, v) in &rows[16..40] {
-            attachee.append(k, v);
-        }
-        // Aging resumed group-aligned past the attached base; the shared
-        // rows serve the donor's frozen post-quantization values.
-        assert_eq!(attachee.len(), 40);
-        assert_eq!(attachee.quantized_len(), 32);
-        for (t, row) in donor_rows.iter().take(16).enumerate() {
-            assert_eq!(attachee.key_row(t), row.as_slice(), "frozen row {t}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "group-aligned")]
-    fn quantized_share_off_group_boundary_panics() {
-        let ch = 8;
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 0,
-        };
-        let rows = random_rows(24, 16, ch);
-        let mut cache = LayerKvCache::quantized(ch, cfg).unwrap();
-        for (k, v) in &rows {
-            cache.append(k, v);
-        }
-        cache.share_prefix(5);
-    }
-
-    #[test]
-    #[should_panic(expected = "group-aligned")]
-    fn quantized_segment_misaligned_split_panics() {
-        let ch = 8;
-        let cfg = KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 0,
-        };
-        let rows = random_rows(25, 16, ch);
-        let mut cache = LayerKvCache::quantized(ch, cfg).unwrap();
-        for (k, v) in &rows {
-            cache.append(k, v);
-        }
-        let seg = cache.share_prefix(16).unwrap();
-        let _ = seg.slice(0, 3);
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //! * [`packed::PackedLayer`] — the hardware-facing packed format (Fig. 5)
 //!   with EBW per Eq. 4;
 //! * [`activation`] — MX-INT activation quantization + α-migration;
-//! * [`kv_cache`] — 2-bit KV-cache quantization (Table 7), plus the
-//!   appendable [`LayerKvCache`] (exact or quantized-in-place storage)
-//!   that backs incremental decode in `microscopiq-fm`/`-runtime`.
+//! * [`kv_cache`] — offline 2-bit KV-cache quantization (Table 7), plus
+//!   the appendable exact [`LayerKvCache`] that backs incremental decode
+//!   in `microscopiq-fm`/`-runtime`.
 //!
 //! # Examples
 //!

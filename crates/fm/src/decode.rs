@@ -14,7 +14,7 @@
 //!
 //! # Bit-compatibility
 //!
-//! In [`KvMode::Exact`] the cache stores K/V columns verbatim, and every
+//! The cache stores K/V columns verbatim (exact fp64 KV), and every
 //! per-column operation (GEMM columns, RMSNorm, softmax, weighted sums)
 //! accumulates in the same order regardless of how many columns ride in
 //! the pass. Incremental decode is therefore **bit-identical** to
@@ -22,12 +22,6 @@
 //! the logits of one `forward` over the whole sequence, token for token,
 //! on any engine whose GEMM is column-independent (all engines in this
 //! workspace are).
-//!
-//! In [`KvMode::Quantized`] tokens aging out of the residual window are
-//! quantized in place (KIVI-style: keys per channel, values per token),
-//! and attention reads the quantized serving values — trading bounded
-//! attention error (see `microscopiq_core::kv_cache` and the
-//! `attention_output_error` bound tests) for 2/4-bit cache storage.
 //!
 //! # Attention accumulation order
 //!
@@ -168,34 +162,32 @@ impl ModelOps for PackedOps<'_> {
 #[derive(Debug, Clone)]
 pub struct DecodeState {
     d_model: usize,
-    mode: KvMode,
     pub(crate) tokens: Vec<usize>,
     pub(crate) caches: Vec<LayerKvCache>,
 }
 
 impl DecodeState {
-    /// Creates an empty state for a model of the given architecture.
+    /// Creates an empty state for a model of the given architecture —
+    /// [`Self::exact`] behind the `Result` its callers already handle.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration (zero group size).
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     pub fn new(cfg: TinyFmConfig, mode: KvMode) -> Result<Self, QuantError> {
-        let caches = (0..cfg.n_layers)
-            .map(|_| LayerKvCache::with_mode(cfg.d_model, mode))
-            .collect::<Result<Vec<_>, _>>()?;
-        Ok(Self {
-            d_model: cfg.d_model,
-            mode,
-            tokens: Vec::new(),
-            caches,
-        })
+        let KvMode::Exact = mode;
+        Ok(Self::exact(cfg))
     }
 
-    /// Creates an empty exact-KV state (infallible; decode through it is
-    /// bit-identical to full-prefix recompute).
+    /// Creates an empty state; decode through it is bit-identical to
+    /// full-prefix recompute.
     pub fn exact(cfg: TinyFmConfig) -> Self {
-        Self::new(cfg, KvMode::Exact).expect("exact mode is always valid")
+        Self {
+            d_model: cfg.d_model,
+            tokens: Vec::new(),
+            caches: (0..cfg.n_layers)
+                .map(|_| LayerKvCache::exact(cfg.d_model))
+                .collect(),
+        }
     }
 
     /// Creates a state that starts from a cached prompt prefix: every
@@ -206,29 +198,21 @@ impl DecodeState {
     /// holds one [`KvSegment`] per transformer block and the entries'
     /// token lengths must sum to `prefix.len()`.
     ///
-    /// In [`KvMode::Exact`] the attached rows are bitwise the rows a
-    /// cold prefill of `prefix` would have produced, so everything
-    /// downstream (suffix prefill, sampling) is bit-identical to a cold
-    /// request. In [`KvMode::Quantized`] the rows carry frozen
-    /// post-quantization serving values and group-aligned boundaries.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration.
+    /// The attached rows are bitwise the rows a cold prefill of `prefix`
+    /// would have produced, so everything downstream (suffix prefill,
+    /// sampling) is bit-identical to a cold request.
     ///
     /// # Panics
     ///
     /// Panics if a bundle's layer count disagrees with the model or the
-    /// segment lengths do not sum to `prefix.len()` (segment/mode
-    /// mismatches panic inside [`LayerKvCache::attach`]).
+    /// segment lengths do not sum to `prefix.len()` (width mismatches
+    /// panic inside [`LayerKvCache::attach`]).
     pub fn with_prefix(
         cfg: TinyFmConfig,
-        mode: KvMode,
         prefix: &[usize],
         bundles: &[Vec<Arc<KvSegment>>],
-    ) -> Result<Self, QuantError> {
-        let mut state = Self::new(cfg, mode)?;
+    ) -> Self {
+        let mut state = Self::exact(cfg);
         let mut covered = 0;
         for bundle in bundles {
             assert_eq!(
@@ -248,19 +232,7 @@ impl DecodeState {
             "attached segments must cover exactly the matched prefix"
         );
         state.tokens = prefix.to_vec();
-        Ok(state)
-    }
-
-    /// The longest prefix of this state's rows that can be frozen into
-    /// shared segments right now: everything in [`KvMode::Exact`], only
-    /// the (group-aligned, quantize-once) quantized prefix in
-    /// [`KvMode::Quantized`] — rows still inside the residual window are
-    /// mutable and cannot be shared.
-    pub fn shareable_len(&self) -> usize {
-        match self.mode {
-            KvMode::Exact => self.len(),
-            KvMode::Quantized(_) => self.caches.first().map_or(0, |c| c.quantized_len()),
-        }
+        state
     }
 
     /// Freezes rows `[0, upto)` of every layer cache into refcounted
@@ -272,8 +244,7 @@ impl DecodeState {
     ///
     /// # Panics
     ///
-    /// Panics if `upto` exceeds [`Self::shareable_len`]'s bound (past
-    /// the end, or unquantized/misaligned rows in quantized mode).
+    /// Panics if `upto` exceeds [`Self::len`].
     pub fn share_prefix(&mut self, upto: usize) -> Option<Vec<Arc<KvSegment>>> {
         let segs: Vec<_> = self
             .caches
@@ -300,11 +271,6 @@ impl DecodeState {
     /// Whether no tokens have been processed yet.
     pub fn is_empty(&self) -> bool {
         self.tokens.is_empty()
-    }
-
-    /// The KV storage mode.
-    pub fn mode(&self) -> KvMode {
-        self.mode
     }
 
     /// The residual width the state was built for.
@@ -345,15 +311,14 @@ impl DecodeState {
     /// [`advance_batch`](crate::PackedTinyFm::advance_batch) pass —
     /// mid-prefill the slice is the unprocessed prompt remainder, after
     /// prefill it is the (at most one) sampled token awaiting its decode
-    /// step. In [`KvMode::Exact`], chunk-by-chunk advancement is
-    /// bit-identical to one whole-prompt pass for any chunk sizes: KV
-    /// rows are appended token by token either way, and attention is
-    /// causal within each segment. (As everywhere in this module, the
-    /// bitwise form of the claim needs an engine whose per-column results
-    /// are independent of batch composition — true of every bit-exact
-    /// engine here; the f32 fast tier's GEMV entry rounds differently
-    /// from its GEMM, so there chunking is tolerance-stable, not
-    /// bit-stable.)
+    /// step. Chunk-by-chunk advancement is bit-identical to one
+    /// whole-prompt pass for any chunk sizes: KV rows are appended token
+    /// by token either way, and attention is causal within each segment.
+    /// (As everywhere in this module, the bitwise form of the claim needs
+    /// an engine whose per-column results are independent of batch
+    /// composition — true of every bit-exact engine here; the f32 fast
+    /// tier's GEMV entry rounds differently from its GEMM, so there
+    /// chunking is tolerance-stable, not bit-stable.)
     ///
     /// # Panics
     ///
@@ -374,22 +339,18 @@ impl DecodeState {
 
 /// Chunked prefill: advances a fresh state over `tokens` in segments of
 /// at most `chunk` tokens, reassembling the per-chunk logits into the
-/// same `vocab × T` matrix one whole-prompt pass returns. In
-/// [`KvMode::Exact`], on a bit-exact engine, the state *and* every logit
-/// column are bit-identical to single-pass prefill for any `chunk`; in
-/// [`KvMode::Quantized`] chunking changes *when* cache rows age past the
-/// residual window, so results are chunk-size-dependent (bounded by the
-/// usual attention-error contract).
+/// same `vocab × T` matrix one whole-prompt pass returns. On a bit-exact
+/// engine the state *and* every logit column are bit-identical to
+/// single-pass prefill for any `chunk`.
 pub(crate) fn prefill_chunked(
     ops: &dyn ModelOps,
     tokens: &[usize],
-    mode: KvMode,
     chunk: usize,
-) -> Result<(DecodeState, Matrix), QuantError> {
+) -> (DecodeState, Matrix) {
     assert!(chunk > 0, "prefill chunk must be positive");
     assert!(!tokens.is_empty(), "cannot prefill an empty sequence");
     let cfg = ops.cfg();
-    let mut state = DecodeState::new(cfg, mode)?;
+    let mut state = DecodeState::exact(cfg);
     let mut logits = Matrix::zeros(cfg.vocab, tokens.len());
     while state.len() < tokens.len() {
         let start = state.len();
@@ -410,7 +371,7 @@ pub(crate) fn prefill_chunked(
             }
         }
     }
-    Ok((state, logits))
+    (state, logits)
 }
 
 /// One unit of work for [`advance_batch`]: a decode state plus the new
@@ -753,7 +714,6 @@ fn advance_batch_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscopiq_core::kv_cache::KvCacheConfig;
     use microscopiq_linalg::SeededRng;
     use proptest::prelude::*;
 
@@ -838,22 +798,16 @@ mod tests {
     /// built entirely through the naive loop.
     fn state_with_history(
         model: &TinyFm,
-        mode: KvMode,
         hist: usize,
         shared: usize,
         rng: &mut SeededRng,
     ) -> DecodeState {
         let cfg = model.config();
         let tokens: Vec<usize> = (0..hist).map(|_| rng.below(cfg.vocab)).collect();
-        let mut donor = DecodeState::new(cfg, mode).unwrap();
+        let mut donor = DecodeState::exact(cfg);
         advance_one(model, &mut donor, &tokens, attend_naive);
-        let align = match mode {
-            KvMode::Exact => 1,
-            KvMode::Quantized(kv) => kv.group,
-        };
-        let limit = donor.shareable_len();
         let mut cuts: Vec<usize> = (0..shared)
-            .map(|_| rng.below(limit + 1) / align * align)
+            .map(|_| rng.below(hist + 1))
             .filter(|&c| c > 0)
             .collect();
         cuts.sort_unstable();
@@ -863,7 +817,7 @@ mod tests {
             .map(|&c| donor.share_prefix(c).expect("fresh cut"))
             .collect();
         let covered = cuts.last().copied().unwrap_or(0);
-        let mut state = DecodeState::with_prefix(cfg, mode, &tokens[..covered], &bundles).unwrap();
+        let mut state = DecodeState::with_prefix(cfg, &tokens[..covered], &bundles);
         advance_one(model, &mut state, &tokens[covered..], attend_naive);
         assert_eq!(state.len(), hist);
         state
@@ -876,25 +830,19 @@ mod tests {
         /// loop bit for bit, with its heads run in order and with every
         /// head on a thread of its own: every block-width remainder
         /// (segment lengths 1..=19), histories around the chunk size,
-        /// multi-span views, mixed prefill + decode batches, both KV
-        /// modes, an odd and a power-of-two head width.
+        /// multi-span views, mixed prefill + decode batches, an odd and a
+        /// power-of-two head width.
         #[test]
         fn blocked_attention_is_bitwise_naive(
             seed in any::<u64>(),
             len in 1usize..=19,
             hist_idx in 0usize..5,
-            quantized in any::<bool>(),
             wide_heads in any::<bool>(),
         ) {
             const HISTORIES: [usize; 5] = [0, 1, 63, 64, 200];
             let (d_model, n_heads) = if wide_heads { (32, 2) } else { (20, 4) };
             let cfg = TinyFmConfig { d_model, n_heads, d_ff: 24, n_layers: 2, vocab: 24 };
             let model = TinyFm::teacher(cfg, seed);
-            let mode = if quantized {
-                KvMode::Quantized(KvCacheConfig { bits: 4, group: 4, residual: 3 })
-            } else {
-                KvMode::Exact
-            };
             let mut rng = SeededRng::new(seed ^ 0xa77e);
             // The drawn job first, then 0..=2 riders: single-token decode
             // steps or further prefill chunks over their own histories.
@@ -907,7 +855,7 @@ mod tests {
                 .iter()
                 .map(|&(hist, _)| {
                     let shared = rng.below(4);
-                    state_with_history(&model, mode, hist, shared, &mut rng)
+                    state_with_history(&model, hist, shared, &mut rng)
                 })
                 .collect();
             let mut naive = blocked.clone();

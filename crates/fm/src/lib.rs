@@ -17,7 +17,7 @@
 //! * [`decode`] — the shared decode-state forward path: [`DecodeState`]
 //!   (per-block appendable KV caches) with `prefill`/`decode_step` on
 //!   both [`TinyFm`] and [`PackedTinyFm`], bit-identical to full-prefix
-//!   recompute in exact-KV mode;
+//!   recompute;
 //! * [`tinyfm`] — a real, runnable tiny transformer for proxy-free
 //!   end-to-end perplexity checks.
 //!
@@ -42,7 +42,7 @@ pub mod zoo;
 pub use decode::{DecodeJob, DecodeState};
 pub use eval::{evaluate_weight_activation, evaluate_weight_only, ModelEvaluation};
 pub use metrics::{AccuracyMap, PerplexityMap};
-pub use microscopiq_core::kv_cache::{KvCacheConfig, KvMode};
+pub use microscopiq_core::kv_cache::KvMode;
 pub use packed::{sample_logits, sample_token, DequantGemm, PackedGemm, PackedTinyFm, PartFn};
 pub use tinyfm::{TinyFm, TinyFmConfig};
 pub use zoo::{all_models, cnn_ssm_zoo, llm_zoo, model, vlm_zoo, ModelClass, ModelSpec};

@@ -255,14 +255,13 @@ impl PackedTinyFm {
     /// Processes a whole prompt in one pass through the engine, returning
     /// the decode state (per-block KV caches) and the prompt logits
     /// (`vocab × T`). Follow with [`PackedTinyFm::decode_step`] for
-    /// O(prefix) per-token decode; in [`KvMode::Exact`] the results are
-    /// bit-identical to re-running [`PackedTinyFm::forward`] over the
-    /// growing sequence on the same engine.
+    /// O(prefix) per-token decode; the results are bit-identical to
+    /// re-running [`PackedTinyFm::forward`] over the growing sequence on
+    /// the same engine.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration.
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     ///
     /// # Panics
     ///
@@ -293,24 +292,21 @@ impl PackedTinyFm {
     /// Chunked prefill: processes the prompt in segments of at most
     /// `chunk` tokens through the engine, resuming the KV caches between
     /// segments, and reassembles the per-chunk logits into the same
-    /// `vocab × T` matrix [`PackedTinyFm::prefill`] returns. In
-    /// [`KvMode::Exact`], on a bit-exact engine (one whose GEMV entry
-    /// matches a one-column GEMM bit for bit — [`DequantGemm`] and the
-    /// runtime's default/scalar tiers), the decode state and every logit
+    /// `vocab × T` matrix [`PackedTinyFm::prefill`] returns. On a
+    /// bit-exact engine (one whose GEMV entry matches a one-column GEMM
+    /// bit for bit — [`DequantGemm`] and the runtime's default/scalar
+    /// tiers), the decode state and every logit
     /// column are **bit-identical** to single-pass prefill for any
     /// `chunk` — KV rows are appended token by token either way and
     /// attention is causal within each segment — which is what lets a
     /// serving scheduler split long prompts across decode steps without
     /// changing outputs. On the f32 fast tier results are
     /// tolerance-stable rather than bit-stable (a chunk of 1 routes
-    /// through the differently-rounded lane GEMV). In
-    /// [`KvMode::Quantized`] chunking changes when rows age past the
-    /// residual window, so results are chunk-size-dependent.
+    /// through the differently-rounded lane GEMV).
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration.
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     ///
     /// # Panics
     ///
@@ -323,15 +319,15 @@ impl PackedTinyFm {
         engine: &dyn PackedGemm,
         chunk: usize,
     ) -> Result<(DecodeState, Matrix), QuantError> {
-        decode::prefill_chunked(
+        let KvMode::Exact = mode;
+        Ok(decode::prefill_chunked(
             &PackedOps {
                 model: self,
                 engine,
             },
             tokens,
-            mode,
             chunk,
-        )
+        ))
     }
 
     /// Advances an incremental decode state by one token, returning the

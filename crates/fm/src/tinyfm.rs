@@ -211,13 +211,12 @@ impl TinyFm {
     /// Processes a whole prompt in one pass, returning the decode state
     /// (per-block KV caches) and the prompt logits (`vocab × T`).
     /// Follow with [`TinyFm::decode_step`] for O(prefix) per-token decode;
-    /// in [`KvMode::Exact`] the results are bit-identical to re-running
-    /// [`TinyFm::forward`] over the growing sequence.
+    /// the results are bit-identical to re-running [`TinyFm::forward`]
+    /// over the growing sequence.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration.
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     ///
     /// # Panics
     ///
@@ -242,16 +241,15 @@ impl TinyFm {
     }
 
     /// Chunked prefill: processes the prompt in segments of at most
-    /// `chunk` tokens, resuming the KV caches between segments. In
-    /// [`KvMode::Exact`] the state and logits are bit-identical to
-    /// [`TinyFm::prefill`] for any `chunk` (see
+    /// `chunk` tokens, resuming the KV caches between segments. The
+    /// state and logits are bit-identical to [`TinyFm::prefill`] for any
+    /// `chunk` (see
     /// [`PackedTinyFm::prefill_chunked`](crate::PackedTinyFm::prefill_chunked)
     /// for the full contract).
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration.
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     ///
     /// # Panics
     ///
@@ -263,7 +261,8 @@ impl TinyFm {
         mode: KvMode,
         chunk: usize,
     ) -> Result<(DecodeState, Matrix), QuantError> {
-        decode::prefill_chunked(self, tokens, mode, chunk)
+        let KvMode::Exact = mode;
+        Ok(decode::prefill_chunked(self, tokens, chunk))
     }
 
     /// Advances an incremental decode state by one token, returning the

@@ -687,9 +687,7 @@ mod tests {
     use microscopiq_core::solver::solve;
     use microscopiq_core::traits::LayerTensors;
     use microscopiq_core::MicroScopiQ;
-    use microscopiq_fm::{
-        DecodeJob, DecodeState, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, TinyFmConfig,
-    };
+    use microscopiq_fm::{DecodeJob, DecodeState, PackedTinyFm, TinyFm, TinyFmConfig};
     use microscopiq_linalg::{Matrix, SeededRng};
 
     fn packed_layer(rows: usize, cols: usize, axis: GroupAxis, seed: u64) -> PackedLayer {
@@ -1132,9 +1130,9 @@ mod tests {
 
     /// Attention heads split over the pool give the serial bits: a mixed
     /// batch (a prefill chunk on top of two attached prefix segments, a
-    /// cold prefill, a decode step) in both KV modes, then one decode
-    /// step each; and a split requested while another thread holds the
-    /// pool runs serially, to the same bits.
+    /// cold prefill, a decode step), then one decode step each; and a
+    /// split requested while another thread holds the pool runs
+    /// serially, to the same bits.
     #[test]
     fn attention_split_is_bitwise_serial() {
         let model = four_head_model();
@@ -1149,74 +1147,66 @@ mod tests {
         let (serial, split) = (engine(usize::MAX), engine(0));
         let mut rng = SeededRng::new(43);
         let mut draw = |n: usize| -> Vec<usize> { (0..n).map(|_| rng.below(cfg.vocab)).collect() };
-        let quantized = KvMode::Quantized(KvCacheConfig {
-            bits: 4,
-            group: 4,
-            residual: 3,
-        });
-        for mode in [KvMode::Exact, quantized] {
-            // A donor shares its first 8 and 16 rows; the first job
-            // attaches both segments and prefills the rest on top.
-            let prompt = draw(24);
-            let mut donor = DecodeState::new(cfg, mode).unwrap();
-            advance(
-                &model,
-                &serial,
-                std::slice::from_mut(&mut donor),
-                std::slice::from_ref(&prompt),
-            );
-            assert!(donor.shareable_len() >= 16);
-            let bundles = [
-                donor.share_prefix(8).unwrap(),
-                donor.share_prefix(16).unwrap(),
-            ];
-            let attached = DecodeState::with_prefix(cfg, mode, &prompt[..16], &bundles).unwrap();
-            let mut decoding = DecodeState::new(cfg, mode).unwrap();
-            advance(
-                &model,
-                &serial,
-                std::slice::from_mut(&mut decoding),
-                &[draw(20)],
-            );
-            let fresh = DecodeState::new(cfg, mode).unwrap();
+        // A donor shares its first 8 and 16 rows; the first job
+        // attaches both segments and prefills the rest on top.
+        let prompt = draw(24);
+        let mut donor = DecodeState::exact(cfg);
+        advance(
+            &model,
+            &serial,
+            std::slice::from_mut(&mut donor),
+            std::slice::from_ref(&prompt),
+        );
+        let bundles = [
+            donor.share_prefix(8).unwrap(),
+            donor.share_prefix(16).unwrap(),
+        ];
+        let attached = DecodeState::with_prefix(cfg, &prompt[..16], &bundles);
+        let mut decoding = DecodeState::exact(cfg);
+        advance(
+            &model,
+            &serial,
+            std::slice::from_mut(&mut decoding),
+            &[draw(20)],
+        );
+        let fresh = DecodeState::exact(cfg);
 
-            let mut want_states = vec![attached, fresh, decoding];
-            let mut got_states = want_states.clone();
-            let mut held_states = want_states.clone();
-            let batch = [prompt[16..].to_vec(), draw(11), draw(1)];
-            let want = advance(&model, &serial, &mut want_states, &batch);
-            let got = advance(&model, &split, &mut got_states, &batch);
-            assert_bitwise(&got, &want, &format!("{mode:?} mixed batch"));
-            let step: Vec<Vec<usize>> = (0..3).map(|_| draw(1)).collect();
-            let want_step = advance(&model, &serial, &mut want_states, &step);
-            assert_bitwise(
-                &advance(&model, &split, &mut got_states, &step),
-                &want_step,
-                &format!("{mode:?} decode step"),
-            );
+        let mut want_states = vec![attached, fresh, decoding];
+        let mut got_states = want_states.clone();
+        let mut held_states = want_states.clone();
+        let batch = [prompt[16..].to_vec(), draw(11), draw(1)];
+        let want = advance(&model, &serial, &mut want_states, &batch);
+        let got = advance(&model, &split, &mut got_states, &batch);
+        assert_bitwise(&got, &want, "mixed batch");
+        let step: Vec<Vec<usize>> = (0..3).map(|_| draw(1)).collect();
+        let want_step = advance(&model, &serial, &mut want_states, &step);
+        assert_bitwise(
+            &advance(&model, &split, &mut got_states, &step),
+            &want_step,
+            "decode step",
+        );
 
-            // The same batch while another thread holds the pool.
-            let attention = &split.pool_jobs.attention;
-            let before = (attention.split.get(), attention.busy_serial.get());
-            let (held_tx, held_rx) = std::sync::mpsc::channel();
-            let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
-            let held = std::thread::scope(|scope| {
-                let pool = &split.pool;
-                scope.spawn(move || {
-                    let _pool = pool.lock().unwrap();
-                    held_tx.send(()).unwrap();
-                    release_rx.recv().unwrap();
-                });
-                held_rx.recv().unwrap();
-                let out = advance(&model, &split, &mut held_states, &batch);
-                release_tx.send(()).unwrap();
-                out
+        // The same batch while another thread holds the pool.
+        let attention = &split.pool_jobs.attention;
+        let before = (attention.split.get(), attention.busy_serial.get());
+        let (held_tx, held_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let held = std::thread::scope(|scope| {
+            let pool = &split.pool;
+            scope.spawn(move || {
+                let _pool = pool.lock().unwrap();
+                held_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
             });
-            assert_bitwise(&held, &want, &format!("{mode:?} busy pool"));
-            let after = (attention.split.get(), attention.busy_serial.get());
-            assert_eq!(after, (before.0, before.1 + cfg.n_layers as u64));
-        }
+            held_rx.recv().unwrap();
+            let out = advance(&model, &split, &mut held_states, &batch);
+            release_tx.send(()).unwrap();
+            out
+        });
+        assert_bitwise(&held, &want, "busy pool");
+        let after = (attention.split.get(), attention.busy_serial.get());
+        assert_eq!(after, (before.0, before.1 + cfg.n_layers as u64));
         assert_eq!(serial.pool_jobs.attention.split.get(), 0);
-        assert!(split.pool_jobs.attention.split.get() >= 4 * cfg.n_layers as u64);
+        assert!(split.pool_jobs.attention.split.get() >= 2 * cfg.n_layers as u64);
     }
 }

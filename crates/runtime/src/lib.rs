@@ -34,8 +34,8 @@
 //!   under [`SchedulerConfig`] so long prompts cannot stall live decode
 //!   streams — and every later step feeds a single token through one
 //!   segment-packed forward: O(prefix) per step instead of the
-//!   O(prefix²) full-prefix recompute, bit-identical in exact-KV mode
-//!   for every chunk size. [`Session::step`] returns the requests that
+//!   O(prefix²) full-prefix recompute, bit-identical for every chunk
+//!   size. [`Session::step`] returns the requests that
 //!   finished on that step so callers can stream completions.
 //! * [`server`] — [`Server`]/[`ServerHandle`]: the threaded serving
 //!   front-end over [`Session`]. A dedicated worker thread drives the
@@ -98,7 +98,7 @@ pub use kernels::{
     detected_cpu_features, fused_gemm_serial, fused_gemv_serial, BucketedCacheKernel, KernelCtx,
     LaneKernel, MicroKernel, ScalarKernel, SimdKernel, Tolerance,
 };
-pub use microscopiq_fm::{DecodeState, KvCacheConfig, KvMode};
+pub use microscopiq_fm::{DecodeState, KvMode};
 pub use net::{
     Fleet, FleetConfig, FleetHandle, FleetReport, HttpConfig, HttpServer, SupervisionConfig,
 };

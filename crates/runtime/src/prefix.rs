@@ -9,18 +9,11 @@
 //! segments copy-on-write ([`DecodeState::with_prefix`]) and
 //! chunk-prefills only the suffix through the normal budget machinery.
 //!
-//! # Guarantees
+//! # Guarantee
 //!
-//! * **Exact KV**: attached rows are bitwise the rows a cold prefill
-//!   would have produced, so reuse is bit-identical to cold prefill on
-//!   any bit-exact engine (pinned by the `prefix_cache` test suite).
-//! * **Quantized KV**: only fully quantized, group-aligned prefixes are
-//!   cached (the quantize-at-most-once invariant freezes their serving
-//!   values), and every trie edge keeps group-aligned boundaries — a
-//!   split that would land off a group boundary is rounded down to one,
-//!   and the segment layer asserts on misaligned splits. Reuse stays
-//!   inside the usual bounded-attention-error contract; like quantized
-//!   chunked prefill, it is not bitwise.
+//! Attached rows are bitwise the rows a cold prefill would have
+//! produced, so reuse is bit-identical to cold prefill on any bit-exact
+//! engine (pinned by the `prefix_cache` test suite).
 //!
 //! # Capacity
 //!
@@ -177,46 +170,32 @@ impl PrefixNode {
 }
 
 /// A byte-budgeted radix trie over prompt tokens mapping to immutable
-/// per-layer KV segments. See the module docs for the sharing and
-/// alignment contract.
+/// per-layer KV segments. See the module docs for the sharing contract.
 #[derive(Debug)]
 pub struct PrefixCache {
     children: Vec<PrefixNode>,
     cfg: PrefixCacheConfig,
     n_layers: usize,
-    mode: KvMode,
-    /// Group-alignment quantum for edge boundaries (1 in exact mode).
-    align: usize,
     clock: u64,
     metrics: PrefixMetrics,
 }
 
 impl PrefixCache {
-    /// Creates an empty cache for models of `n_layers` blocks storing KV
-    /// in `mode`. Its metric handles count as usual but sit in a
-    /// throwaway registry, so nothing publishes them.
+    /// Creates an empty cache for models of `n_layers` blocks. Its metric
+    /// handles count as usual but sit in a throwaway registry, so nothing
+    /// publishes them.
     pub fn new(cfg: PrefixCacheConfig, n_layers: usize, mode: KvMode) -> Self {
-        Self::with_metrics(cfg, n_layers, mode, &MetricsRegistry::new())
+        let KvMode::Exact = mode;
+        Self::with_metrics(cfg, n_layers, &MetricsRegistry::new())
     }
 
     /// Like [`PrefixCache::new`], additionally publishing the
     /// `microscopiq_prefix_cache_*` metric family into `reg`.
-    pub fn with_metrics(
-        cfg: PrefixCacheConfig,
-        n_layers: usize,
-        mode: KvMode,
-        reg: &MetricsRegistry,
-    ) -> Self {
-        let align = match mode {
-            KvMode::Exact => 1,
-            KvMode::Quantized(q) => q.group.max(1),
-        };
+    pub fn with_metrics(cfg: PrefixCacheConfig, n_layers: usize, reg: &MetricsRegistry) -> Self {
         Self {
             children: Vec::new(),
             cfg,
             n_layers,
-            mode,
-            align,
             clock: 0,
             metrics: PrefixMetrics::register(reg),
         }
@@ -243,14 +222,13 @@ impl PrefixCache {
     /// Matches the longest cached prefix of `prompt`, capped so at
     /// least one prompt token is always left to prefill (sampling needs
     /// a live forward pass over the final token). A mid-edge match
-    /// splits the node (copy-on-split, group-aligned) so the matched
-    /// part becomes a whole node. Returns `None` — and counts a miss —
-    /// when nothing usable is cached.
+    /// splits the node (copy-on-split) so the matched part becomes a
+    /// whole node. Returns `None` — and counts a miss — when nothing
+    /// usable is cached.
     pub fn lookup(&mut self, prompt: &[usize]) -> Option<PrefixMatch> {
-        let cap = align_down(prompt.len().saturating_sub(1), self.align);
+        let cap = prompt.len().saturating_sub(1);
         self.clock += 1;
         let clock = self.clock;
-        let align = self.align;
         let mut bundles = Vec::new();
         let mut pos = 0usize;
         let mut bytes_delta = 0isize;
@@ -261,11 +239,7 @@ impl PrefixCache {
                 break;
             };
             let node = &mut cur[idx];
-            let common = lcp(&node.edge, &prompt[pos..]);
-            let take = align_down(common.min(cap - pos), align);
-            if take == 0 {
-                break;
-            }
+            let take = lcp(&node.edge, &prompt[pos..]).min(cap - pos);
             if take < node.edge.len() {
                 split_node(node, take, &mut bytes_delta, &mut nodes_delta);
             }
@@ -289,27 +263,21 @@ impl PrefixCache {
         })
     }
 
-    /// Inserts the shareable prefix of a completed prompt: rows
-    /// `[0, min(prompt_len, state.shareable_len()))` of `state`'s caches
-    /// are copied bitwise into trie segments (splitting existing nodes
-    /// at the divergence point, group-aligned). Walks the live trie, so
+    /// Inserts the prefix of a completed prompt: rows
+    /// `[0, min(prompt_len, state.len()))` of `state`'s caches are copied
+    /// bitwise into trie segments (splitting existing nodes at the
+    /// divergence point). Walks the live trie, so
     /// it is robust to evictions or competing inserts between this
     /// request's admission and its prompt completion. May evict LRU
     /// unreferenced leaves to stay within budget.
     pub fn insert(&mut self, state: &DecodeState, prompt_len: usize) {
-        assert_eq!(
-            state.mode(),
-            self.mode,
-            "prefix cache and decode state disagree on KV mode"
-        );
-        let seal = align_down(prompt_len.min(state.shareable_len()), self.align);
+        let seal = prompt_len.min(state.len());
         if seal == 0 {
             return;
         }
         let prompt = &state.tokens()[..seal];
         self.clock += 1;
         let clock = self.clock;
-        let align = self.align;
         let n_layers = self.n_layers;
         let mut bytes_delta = 0isize;
         let mut nodes_delta = 0isize;
@@ -332,13 +300,7 @@ impl PrefixCache {
                 break;
             };
             let node = &mut cur[idx];
-            let common = lcp(&node.edge, &prompt[pos..]);
-            let take = align_down(common, align);
-            if take == 0 {
-                // The shared run is shorter than one group; splitting
-                // here would be misaligned, so leave the trie as is.
-                break;
-            }
+            let take = lcp(&node.edge, &prompt[pos..]);
             if take < node.edge.len() {
                 split_node(node, take, &mut bytes_delta, &mut nodes_delta);
             }
@@ -378,11 +340,7 @@ fn lcp(edge: &[usize], rest: &[usize]) -> usize {
     edge.iter().zip(rest).take_while(|(a, b)| a == b).count()
 }
 
-fn align_down(n: usize, align: usize) -> usize {
-    n - n % align.max(1)
-}
-
-/// Splits `node` at edge offset `at` (group-aligned by construction):
+/// Splits `node` at edge offset `at`:
 /// the node keeps `edge[..at]` with sliced segments, and a new child
 /// inherits the remainder plus the original children. Copy-on-split —
 /// existing holders of the old segments are unaffected; the trie's
@@ -555,36 +513,5 @@ mod tests {
         // token to prefill.
         assert!(cache.lookup(&[5]).is_none());
         assert!(cache.lookup(&[5, 6]).is_some(), "longer prompt reuses it");
-    }
-
-    #[test]
-    fn quantized_edges_stay_group_aligned() {
-        use microscopiq_core::kv_cache::KvCacheConfig;
-        let m = model();
-        let q = KvCacheConfig {
-            bits: 4,
-            group: 4,
-            residual: 4,
-        };
-        let mode = KvMode::Quantized(q);
-        let mut cache = PrefixCache::new(PrefixCacheConfig::default(), 2, mode);
-        let prompt: Vec<usize> = (0..14).map(|i| i % 32).collect();
-        let (state, _) = m.prefill(&prompt, mode).expect("prefill");
-        // 14 tokens, residual 4, group 4 → tokens [0, 8) quantized.
-        assert_eq!(state.shareable_len(), 8);
-        cache.insert(&state, prompt.len());
-        assert_eq!(cache.stats().resident_nodes, 1);
-
-        // A prompt diverging at token 6 can only reuse the aligned 4.
-        let mut div = prompt[..6].to_vec();
-        div.extend([31, 30, 29, 28]);
-        let hit = cache.lookup(&div).expect("aligned hit");
-        assert_eq!(hit.tokens, 4);
-        assert!(hit.bundles[0][0].len().is_multiple_of(q.group));
-
-        // A prompt diverging inside the first group reuses nothing.
-        let mut early = prompt[..2].to_vec();
-        early.extend([31, 30]);
-        assert!(cache.lookup(&early).is_none());
     }
 }

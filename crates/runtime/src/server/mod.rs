@@ -20,7 +20,7 @@
 //!   between *every* decode step, so requests join the running batch
 //!   mid-flight, not at batch boundaries.
 //! * **Determinism** — a request's token stream depends only on
-//!   (model, prompt, seed, temperature, KV mode), never on batching or
+//!   (model, prompt, seed, temperature), never on batching or
 //!   arrival timing: streams are bitwise identical to the offline
 //!   [`Session::run_to_completion`] output.
 //! * **Cooperative cancellation** — dropping a [`ResponseStream`] sets a
@@ -468,8 +468,8 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration (validated before the thread starts).
+    /// Never: [`KvMode::Exact`](microscopiq_fm::KvMode::Exact) has no
+    /// configuration to reject.
     pub fn spawn<E: PackedGemm + EngineTelemetry + Send + 'static>(
         model: PackedTinyFm,
         engine: E,

@@ -41,11 +41,9 @@
 //! completions without polling.
 //!
 //! Determinism contract: a request's output depends only on the model, its
-//! prompt, its sampling seed, its temperature, and the session's KV mode —
-//! never on what it was batched with. In the default [`KvMode::Exact`],
-//! incremental decode is bit-identical to a solo full-prefix forward; in
-//! [`KvMode::Quantized`] aged cache tokens are served dequantized
-//! (bounded attention error, see `microscopiq_core::kv_cache`).
+//! prompt, its sampling seed and its temperature — never on what it was
+//! batched with. KV caches are exact, so incremental decode is
+//! bit-identical to a solo full-prefix forward.
 
 use crate::prefix::{PrefixCache, PrefixCacheConfig, PrefixCacheStats, PrefixMatch, PrefixMetrics};
 use crate::telemetry::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -235,10 +233,10 @@ impl SessionStats {
 /// one request may advance per step, and
 /// [`SchedulerConfig::token_budget`] caps the total new tokens (prefill +
 /// decode) packed into one forward — together they bound per-step latency
-/// under long-prompt arrival. In [`KvMode::Exact`], on a bit-exact engine
-/// (one whose GEMV entry matches a one-column GEMM bit for bit — the
-/// default, scalar, and reference engines), every configuration produces
-/// bitwise-identical outputs; only step timing changes. On the f32 fast
+/// under long-prompt arrival. On a bit-exact engine (one whose GEMV entry
+/// matches a one-column GEMM bit for bit — the default, scalar, and
+/// reference engines), every configuration produces bitwise-identical
+/// outputs; only step timing changes. On the f32 fast
 /// tier the guarantee is the serving conformance tier's instead (bounded
 /// logit deltas, argmax parity — see `tests/fast_serving.rs`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -683,7 +681,6 @@ pub struct Session<E: PackedGemm> {
     model: PackedTinyFm,
     engine: E,
     scheduler: BatchScheduler,
-    kv_mode: KvMode,
     next_id: RequestId,
     finished: Vec<GenResult>,
     /// Largest batch executed — the one [`SessionStats`] figure with no
@@ -707,22 +704,18 @@ pub struct Session<E: PackedGemm> {
 impl<E: PackedGemm> Session<E> {
     /// Creates a session serving `model` through `engine`, batching up to
     /// `max_batch` concurrent requests per decode step. KV caches stay at
-    /// full precision ([`KvMode::Exact`]): outputs are bit-identical to
-    /// solo full-prefix generation.
+    /// full precision: outputs are bit-identical to solo full-prefix
+    /// generation.
     pub fn new(model: PackedTinyFm, engine: E, max_batch: usize) -> Self {
         Self::with_kv_mode(model, engine, max_batch, KvMode::Exact)
             .expect("exact KV mode is always valid")
     }
 
-    /// Creates a session with an explicit KV storage mode.
-    /// [`KvMode::Quantized`] stores aged cache tokens at the configured
-    /// bit width (KIVI-style), shrinking decode-time memory traffic at a
-    /// bounded attention-error cost.
+    /// [`Session::new`] with the KV storage mode spelled out.
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration (zero group size).
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     pub fn with_kv_mode(
         model: PackedTinyFm,
         engine: E,
@@ -734,16 +727,14 @@ impl<E: PackedGemm> Session<E> {
 
     /// Creates a session with explicit scheduling knobs — chunked prefill
     /// ([`SchedulerConfig::prefill_chunk`]) and a per-step token budget
-    /// ([`SchedulerConfig::token_budget`]) on top of the batch cap. In
-    /// [`KvMode::Exact`], on a bit-exact engine, every configuration
-    /// yields bitwise-identical outputs; chunking only changes how prompt
-    /// work is spread across steps (see [`SchedulerConfig`] for the f32
-    /// fast-tier caveat).
+    /// ([`SchedulerConfig::token_budget`]) on top of the batch cap. On a
+    /// bit-exact engine every configuration yields bitwise-identical
+    /// outputs; chunking only changes how prompt work is spread across
+    /// steps (see [`SchedulerConfig`] for the f32 fast-tier caveat).
     ///
     /// # Errors
     ///
-    /// Returns [`QuantError::InvalidConfig`] for an invalid quantized KV
-    /// configuration (zero group size).
+    /// Never: [`KvMode::Exact`] has no configuration to reject.
     ///
     /// # Panics
     ///
@@ -754,15 +745,13 @@ impl<E: PackedGemm> Session<E> {
         cfg: SchedulerConfig,
         kv_mode: KvMode,
     ) -> Result<Self, QuantError> {
-        // Validate the mode once up front so `step` can't fail later.
-        DecodeState::new(model.config(), kv_mode)?;
+        let KvMode::Exact = kv_mode;
         let telemetry = MetricsRegistry::new();
         let metrics = SchedMetrics::register(&telemetry);
         Ok(Self {
             model,
             engine,
             scheduler: BatchScheduler::with_config(cfg),
-            kv_mode,
             next_id: 0,
             finished: Vec::new(),
             max_batch_used: 0,
@@ -800,16 +789,13 @@ impl<E: PackedGemm> Session<E> {
     /// a byte-budgeted prefix trie ([`PrefixCache`]) and later
     /// admissions attach the longest cached prefix copy-on-write,
     /// prefilling only the suffix. Metrics register as the
-    /// `microscopiq_prefix_cache_*` family in the session registry. In
-    /// [`KvMode::Exact`] reuse is bitwise invisible; in
-    /// [`KvMode::Quantized`] it stays inside the bounded-attention-error
-    /// contract (group-aligned, quantize-once segments only). Call
-    /// before submitting traffic; re-enabling replaces the cache.
+    /// `microscopiq_prefix_cache_*` family in the session registry.
+    /// Reuse is bitwise invisible. Call before submitting traffic;
+    /// re-enabling replaces the cache.
     pub fn enable_prefix_cache(&mut self, cfg: PrefixCacheConfig) {
         self.prefix = Some(PrefixCache::with_metrics(
             cfg,
             self.model.config().n_layers,
-            self.kv_mode,
             &self.telemetry,
         ));
     }
@@ -852,11 +838,6 @@ impl<E: PackedGemm> Session<E> {
             self.metrics.kv_bytes.clone(),
             self.metrics.kv_peak_bytes.clone(),
         )
-    }
-
-    /// The session's KV storage mode.
-    pub fn kv_mode(&self) -> KvMode {
-        self.kv_mode
     }
 
     /// The scheduling knobs in effect.
@@ -1037,12 +1018,10 @@ impl<E: PackedGemm> Session<E> {
             .sum()
     }
 
-    /// Upper bound on the KV bytes one new token adds across all layers:
-    /// the exact-mode figure (fp64 K + V rows per layer), which also
-    /// bounds every quantized mode (quantized storage per token is
-    /// strictly smaller than two fp64 rows). Used to project a step's
-    /// worst-case growth against [`Session::kv_byte_budget`].
-    fn kv_bytes_per_token_bound(&self) -> usize {
+    /// KV bytes one new token adds across all layers: one fp64 K and one
+    /// fp64 V row per layer, `n_layers × 2 × d_model × 8`. Used to
+    /// project a step's growth against [`Session::kv_byte_budget`].
+    fn kv_bytes_per_token(&self) -> usize {
         let cfg = self.model.config();
         cfg.n_layers * 2 * cfg.d_model * 8
     }
@@ -1109,7 +1088,7 @@ impl<E: PackedGemm> Session<E> {
         let Some(budget) = self.kv_byte_budget else {
             return;
         };
-        let per_token = self.kv_bytes_per_token_bound();
+        let per_token = self.kv_bytes_per_token();
         let cfg = self.scheduler.config();
         loop {
             let occupancy = self.kv_occupancy_bytes();
@@ -1168,7 +1147,7 @@ impl<E: PackedGemm> Session<E> {
         let Some(budget) = self.kv_byte_budget else {
             return planned;
         };
-        let per_token = self.kv_bytes_per_token_bound();
+        let per_token = self.kv_bytes_per_token();
         let mut projected: usize = self.kv_occupancy_bytes()
             + planned
                 .iter()
@@ -1245,13 +1224,10 @@ impl<E: PackedGemm> Session<E> {
                         // segments copy-on-write and prefill the suffix.
                         Some(m) => DecodeState::with_prefix(
                             self.model.config(),
-                            self.kv_mode,
                             &req.tokens[..m.tokens],
                             &m.bundles,
-                        )
-                        .expect("kv mode validated at construction"),
-                        None => DecodeState::new(self.model.config(), self.kv_mode)
-                            .expect("kv mode validated at construction"),
+                        ),
+                        None => DecodeState::exact(self.model.config()),
                     });
                 }
                 if req.recomputing {
@@ -1339,13 +1315,7 @@ impl<E: PackedGemm> Session<E> {
                         // logits with its own seed — bitwise the draw a
                         // solo request with that seed would make.
                         let state = req.state.as_mut().expect("state created above");
-                        let seal = match self.kv_mode {
-                            KvMode::Exact => state.len(),
-                            // Rows inside the residual window are still
-                            // mutable; only the frozen prefix is shared,
-                            // the remainder is deep-copied per fork.
-                            KvMode::Quantized(_) => state.shareable_len(),
-                        };
+                        let seal = state.len();
                         if seal > 0 {
                             state.share_prefix(seal);
                         }
@@ -1640,44 +1610,41 @@ mod tests {
         assert_eq!(stats.steps, 5);
     }
 
+    /// Without a prefix cache every KV row a step appends is owned by its
+    /// request, so occupancy grows by exactly the step's new tokens times
+    /// the per-token figure the budget gate plans with.
     #[test]
-    fn quantized_kv_session_serves_and_differs_only_in_cache_precision() {
-        use microscopiq_fm::{KvCacheConfig, KvMode};
-
-        let (_, packed) = packed_model(38);
-        // A tiny residual window so quantization actually engages.
-        let mode = KvMode::Quantized(KvCacheConfig {
-            bits: 4,
-            group: 8,
-            residual: 8,
-        });
-        let mut session = Session::with_kv_mode(packed, DequantGemm, 2, mode).unwrap();
-        let id = session.submit(GenRequest {
-            prompt: vec![1, 2, 3],
-            max_new_tokens: 24,
-            temperature: 0.8,
-            seed: 5,
-            ..Default::default()
-        });
-        let results = session.run_to_completion();
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].id, id);
-        assert_eq!(results[0].new_tokens, 24);
-        let vocab = session.model().config().vocab;
-        assert!(results[0].tokens.iter().all(|&t| t < vocab));
-    }
-
-    #[test]
-    fn invalid_kv_mode_rejected_at_construction() {
-        use microscopiq_fm::{KvCacheConfig, KvMode};
-
+    fn step_grows_kv_occupancy_by_new_tokens_times_bytes_per_token() {
         let (_, packed) = packed_model(39);
-        let bad = KvMode::Quantized(KvCacheConfig {
-            bits: 2,
-            group: 0,
-            residual: 8,
-        });
-        assert!(Session::with_kv_mode(packed, DequantGemm, 2, bad).is_err());
+        let cfg = packed.config();
+        let sched = SchedulerConfig::new(4).prefill_chunk(5).token_budget(9);
+        let mut session = Session::with_config(packed, DequantGemm, sched, KvMode::Exact).unwrap();
+        let per_token = session.kv_bytes_per_token();
+        assert_eq!(per_token, cfg.n_layers * 2 * cfg.d_model * 8);
+        for i in 0..3 {
+            session.submit(GenRequest {
+                prompt: (0..7 + 3 * i).map(|t| (5 * t + i) % cfg.vocab).collect(),
+                max_new_tokens: 12,
+                seed: i as u64,
+                ..Default::default()
+            });
+        }
+        let mut steps = 0;
+        loop {
+            let before = session.kv_occupancy_bytes();
+            let report = session.step_report();
+            if !report.finished.is_empty() {
+                break;
+            }
+            let batch = report.batch.expect("unfinished requests advance");
+            assert_eq!(
+                session.kv_occupancy_bytes() - before,
+                batch.new_tokens * per_token,
+                "step {steps}"
+            );
+            steps += 1;
+        }
+        assert!(steps >= 5, "only {steps} growth steps measured");
     }
 
     #[test]

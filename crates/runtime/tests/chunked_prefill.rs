@@ -1,6 +1,6 @@
 //! Chunk-boundary conformance for budgeted chunked prefill.
 //!
-//! The contract under test: in exact-KV mode, splitting a prompt into
+//! The contract under test: splitting a prompt into
 //! prefill chunks of *any* size (and capping per-step tokens with any
 //! budget) is a pure scheduling choice — every served token stream is
 //! **bitwise identical** to whole-prompt prefill, KV rows are appended
@@ -8,7 +8,7 @@
 //! reclaims its partial KV cache in full.
 
 use microscopiq_core::{MicroScopiQ, QuantConfig};
-use microscopiq_fm::{DequantGemm, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
+use microscopiq_fm::{DequantGemm, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::{
     GenRequest, GenResult, RuntimeEngine, SchedulerConfig, Server, ServerConfig, Session,
@@ -226,46 +226,5 @@ fn chunked_server_matches_whole_prompt_offline_reference() {
             reqs.iter().map(|r| r.prompt.len()).sum::<usize>(),
             "every prompt token prefilled exactly once"
         );
-    }
-}
-
-/// Under quantized KV, chunking changes when cache rows age past the
-/// residual window, so the contract is server-vs-offline conformance at
-/// the *same* chunk configuration (not chunked-vs-whole).
-#[test]
-fn quantized_kv_chunked_server_matches_chunked_offline_session() {
-    let model = serving_model();
-    let kv = KvMode::Quantized(KvCacheConfig {
-        bits: 4,
-        group: 8,
-        residual: 8,
-    });
-    let reqs = fleet(10, model.config().vocab, 77, 32);
-    let sched = SchedulerConfig::new(4).prefill_chunk(5).token_budget(11);
-    let mut offline = Session::with_config(model.clone(), DequantGemm, sched, kv).unwrap();
-    for r in &reqs {
-        offline.submit(r.clone());
-    }
-    let expected = offline.run_to_completion();
-
-    let server = Server::spawn(
-        model,
-        DequantGemm,
-        ServerConfig {
-            max_batch: 4,
-            prefill_chunk: 5,
-            token_budget: 11,
-            kv_mode: kv,
-            ..ServerConfig::default()
-        },
-    )
-    .unwrap();
-    let handle = server.handle();
-    let streams: Vec<_> = reqs
-        .iter()
-        .map(|r| handle.submit(r.clone()).unwrap())
-        .collect();
-    for (s, want) in streams.into_iter().zip(expected.iter()) {
-        assert_eq!(s.collect().unwrap().tokens, want.tokens);
     }
 }

@@ -7,10 +7,6 @@
 //!   yields token streams **bitwise identical** to a cold session with
 //!   no cache at all, for arbitrary prompt lengths, chunk sizes, and
 //!   token budgets.
-//! * **Quantized-KV reuse is group-aligned** — only whole quantized
-//!   groups are ever attached, and reuse is deterministic (two warm
-//!   sessions agree bitwise), though not required to match a cold run
-//!   (the residual window sits elsewhere).
 //! * **N-way forks are pure fan-out** — sample `i` of an N-way request
 //!   is bitwise identical to a solo request with seed `seed + i`.
 //! * **Failure isolation** — cancelling a request mid-suffix-prefill
@@ -21,7 +17,7 @@
 //!   at idle.
 
 use microscopiq_core::{MicroScopiQ, QuantConfig};
-use microscopiq_fm::{DequantGemm, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
+use microscopiq_fm::{DequantGemm, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::{
     GenRequest, GenResult, PrefixCacheConfig, SchedulerConfig, Server, ServerConfig, Session,
@@ -202,66 +198,6 @@ fn preemption_rematch_counts_as_a_prefix_hit() {
     assert_eq!(s.prefix_tokens_reused as u64, cache.tokens_reused);
     let got = session.run_to_completion().pop().expect("request finished");
     assert_eq!(got.tokens, want.tokens, "resumed stream diverged");
-}
-
-/// Quantized-KV reuse attaches only whole quantized groups
-/// (`tokens_reused` is group-aligned) and is deterministic: two warm
-/// sessions fed the same traffic agree bitwise on every stream.
-#[test]
-fn quantized_reuse_is_group_aligned_and_deterministic() {
-    let model = serving_model();
-    let group = 8;
-    let kv = KvMode::Quantized(KvCacheConfig {
-        bits: 4,
-        group,
-        residual: 8,
-    });
-    let vocab = model.config().vocab;
-    let mut rng = SeededRng::new(41);
-    let shared = prompt(&mut rng, 64, vocab);
-    let mut probe_prompt = shared.clone();
-    probe_prompt.extend(prompt(&mut rng, 9, vocab));
-    let reqs = [
-        GenRequest {
-            prompt: shared,
-            max_new_tokens: 3,
-            temperature: 0.9,
-            seed: 4_100,
-            ..Default::default()
-        },
-        GenRequest {
-            prompt: probe_prompt,
-            max_new_tokens: 4,
-            temperature: 0.9,
-            seed: 4_200,
-            ..Default::default()
-        },
-    ];
-
-    let run = || {
-        let sched = SchedulerConfig::new(4).prefill_chunk(6).token_budget(10);
-        let mut session = Session::with_config(model.clone(), DequantGemm, sched, kv).unwrap();
-        session.enable_prefix_cache(PrefixCacheConfig::default());
-        let mut out = Vec::new();
-        for r in &reqs {
-            session.submit(r.clone());
-            out.extend(session.run_to_completion());
-        }
-        let stats = session.prefix_cache_stats().unwrap();
-        assert_eq!(session.kv_occupancy(), 0);
-        (out, stats)
-    };
-    let (a, sa) = run();
-    let (b, sb) = run();
-    assert_eq!(a, b, "warm quantized serving must be deterministic");
-    assert_eq!(sa, sb);
-    assert!(sa.hits >= 1, "probe must hit the quantized cache");
-    assert!(sa.tokens_reused > 0);
-    assert_eq!(
-        sa.tokens_reused % group as u64,
-        0,
-        "quantized reuse must be group-aligned"
-    );
 }
 
 /// Sample `i` of an N-way request is bitwise identical to a solo request

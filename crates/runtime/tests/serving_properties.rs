@@ -4,7 +4,7 @@
 //! must be bitwise identical to the offline
 //! [`Session::run_to_completion`] output for the same (model, prompt,
 //! seed, temperature, KV mode) — across server batch sizes 1/8/32, w2
-//! and w4 weights, exact and quantized KV. Thread scheduling, admission
+//! and w4 weights. Thread scheduling, admission
 //! timing, and batching composition must never leak into results.
 //!
 //! **Fairness**: under mixed prompt lengths (1..512) no request
@@ -15,7 +15,7 @@
 //! `--ignored` and one test thread).
 
 use microscopiq_core::{MicroScopiQ, QuantConfig};
-use microscopiq_fm::{DequantGemm, KvCacheConfig, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
+use microscopiq_fm::{DequantGemm, KvMode, PackedTinyFm, TinyFm, TinyFmConfig};
 use microscopiq_linalg::SeededRng;
 use microscopiq_runtime::{
     AdmissionPolicy, GenRequest, GenResult, QosClass, RuntimeEngine, Server, ServerConfig,
@@ -123,16 +123,6 @@ fn assert_server_matches_offline(model: &PackedTinyFm, kv: KvMode, max_batch: us
     );
 }
 
-fn quantized_kv() -> KvMode {
-    // A small residual window so cache quantization actually engages at
-    // these sequence lengths.
-    KvMode::Quantized(KvCacheConfig {
-        bits: 4,
-        group: 8,
-        residual: 8,
-    })
-}
-
 #[test]
 fn server_conformance_w4_exact_kv() {
     let model = packed_model(51, 4);
@@ -142,26 +132,10 @@ fn server_conformance_w4_exact_kv() {
 }
 
 #[test]
-fn server_conformance_w4_quantized_kv() {
-    let model = packed_model(51, 4);
-    for batch in [1, 8, 32] {
-        assert_server_matches_offline(&model, quantized_kv(), batch, &format!("w4/qkv/b{batch}"));
-    }
-}
-
-#[test]
 fn server_conformance_w2_exact_kv() {
     let model = packed_model(52, 2);
     for batch in [1, 8, 32] {
         assert_server_matches_offline(&model, KvMode::Exact, batch, &format!("w2/exact/b{batch}"));
-    }
-}
-
-#[test]
-fn server_conformance_w2_quantized_kv() {
-    let model = packed_model(52, 2);
-    for batch in [1, 8, 32] {
-        assert_server_matches_offline(&model, quantized_kv(), batch, &format!("w2/qkv/b{batch}"));
     }
 }
 
