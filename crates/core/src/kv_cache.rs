@@ -395,11 +395,6 @@ impl LayerKvCache {
         self.base
     }
 
-    /// The attached shared segments, in token order.
-    pub fn shared_segments(&self) -> &[Arc<KvSegment>] {
-        &self.shared
-    }
-
     /// Bytes of this cache's rows, `2 × channels × 8` per token (fp64
     /// K + V rows), shared segments included — the accounting figure
     /// eviction policies and occupancy gauges budget against.

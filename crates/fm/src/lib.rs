@@ -43,6 +43,8 @@ pub use decode::{DecodeJob, DecodeState};
 pub use eval::{evaluate_weight_activation, evaluate_weight_only, ModelEvaluation};
 pub use metrics::{AccuracyMap, PerplexityMap};
 pub use microscopiq_core::kv_cache::KvMode;
-pub use packed::{sample_logits, sample_token, DequantGemm, PackedGemm, PackedTinyFm, PartFn};
+pub use packed::{
+    sample_logits, sample_token, DequantGemm, PackedGemm, PackedTinyFm, PartFn, MAX_GROUP,
+};
 pub use tinyfm::{TinyFm, TinyFmConfig};
 pub use zoo::{all_models, cnn_ssm_zoo, llm_zoo, model, vlm_zoo, ModelClass, ModelSpec};

@@ -17,12 +17,19 @@
 
 use crate::decode::{self, DecodeJob, DecodeState, PackedOps};
 use crate::tinyfm::{LinearId, TinyFm, TinyFmConfig};
+use microscopiq_core::config::GroupAxis;
 use microscopiq_core::error::QuantError;
 use microscopiq_core::kv_cache::KvMode;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_core::traits::{LayerTensors, WeightQuantizer};
 use microscopiq_linalg::{Matrix, SeededRng};
 use std::sync::Arc;
+
+/// Largest group (macro-block) a served layer may have, in slots. With
+/// the `DotProduct` axis it makes up the served layout: the only one
+/// [`PackedTinyFm::quantize_from`] accepts, and so the only one a
+/// [`PackedGemm`] engine is handed by a model.
+pub const MAX_GROUP: usize = 256;
 
 /// A GEMM engine over packed weights: computes `W · acts` where `W` is the
 /// packed `d_row × d_col` layer and `acts` is `d_col × n`.
@@ -121,7 +128,9 @@ impl PackedTinyFm {
     ///
     /// Propagates quantizer errors, and returns
     /// [`QuantError::InvalidConfig`] if the quantizer does not produce a
-    /// packed representation (only packable methods can feed the runtime).
+    /// packed representation (only packable methods can feed the runtime)
+    /// or packs a layer outside the served layout: `DotProduct` groups of
+    /// at most [`MAX_GROUP`] slots.
     pub fn quantize_from(
         fm: &TinyFm,
         quantizer: &dyn WeightQuantizer,
@@ -138,6 +147,16 @@ impl PackedTinyFm {
                     quantizer.name()
                 ),
             })?;
+            if p.axis() != GroupAxis::DotProduct || p.macro_block() > MAX_GROUP {
+                return Err(QuantError::InvalidConfig {
+                    reason: format!(
+                        "{id:?} packs {:?} groups of {} slots; the runtime serves \
+                         DotProduct groups of at most {MAX_GROUP}",
+                        p.axis(),
+                        p.macro_block()
+                    ),
+                });
+            }
             packed.push(p);
         }
         let mut packed = packed.into_iter();
@@ -420,7 +439,7 @@ pub fn sample_logits(logits: &[f64], temperature: f64, rng: &mut SeededRng) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscopiq_core::{MicroScopiQ, QuantConfig};
+    use microscopiq_core::{MicroScopiQ, QuantConfig, QuantConfigBuilder};
 
     fn small() -> TinyFmConfig {
         TinyFmConfig {
@@ -445,6 +464,35 @@ mod tests {
         );
         let packed = PackedTinyFm::quantize_from(&fm, &q, &calib).unwrap();
         (fm, packed)
+    }
+
+    #[test]
+    fn quantize_from_refuses_layouts_the_runtime_does_not_serve() {
+        let fm = TinyFm::teacher(small(), 17);
+        let mut rng = SeededRng::new(3);
+        let calib: Vec<Vec<usize>> = (0..2).map(|_| fm.generate(6, 0.8, &mut rng)).collect();
+        let quantize = |cfg: QuantConfigBuilder| {
+            let q = MicroScopiQ::new(cfg.build().unwrap());
+            PackedTinyFm::quantize_from(&fm, &q, &calib)
+        };
+        assert!(quantize(QuantConfig::w4()).is_ok(), "the default layout");
+        for (what, cfg) in [
+            (
+                "OutputChannel",
+                QuantConfig::w4().group_axis(GroupAxis::OutputChannel),
+            ),
+            (
+                "oversize groups",
+                QuantConfig::w4()
+                    .macro_block(2 * MAX_GROUP)
+                    .row_block(2 * MAX_GROUP),
+            ),
+        ] {
+            assert!(
+                matches!(quantize(cfg), Err(QuantError::InvalidConfig { .. })),
+                "{what} must be refused"
+            );
+        }
     }
 
     #[test]

@@ -431,7 +431,6 @@ mod tests {
         let cfg = QuantConfig::builder(bits)
             .macro_block(16)
             .row_block(16)
-            .group_axis(GroupAxis::DotProduct)
             .build()
             .unwrap();
         solve(&layer, &cfg).unwrap().packed.unwrap()

@@ -1,7 +1,8 @@
 //! The parallel tiled executor: a [`RuntimeEngine`] that runs the fused
 //! dequant-GEMM over row-block tiles on a persistent thread pool with
-//! work-stealing tile claims, executing every tile through the kernel the
-//! engine's [`Tier`] picks for the layer (see [`crate::kernels::dispatch`]).
+//! work-stealing tile claims, executing every tile through the one kernel
+//! the engine's [`Tier`] picks at construction (see
+//! [`crate::kernels::dispatch`]).
 //!
 //! **The pool.** A call of at least `parallel_threshold` MACs is one job
 //! on the engine's pool (`pool.rs`): `threads − 1` long-lived workers,
@@ -39,22 +40,21 @@
 //! one the bucketed kernel (within the runtime's 1e-9 contract, ~1e-12
 //! observed); the fast tier runs the `simd-f32` kernel (AVX2+FMA
 //! detected) or else the lane-blocked `lane-f32` kernel, each at its own
-//! pinned relative tolerance. Those three kernels run `DotProduct` layers
-//! only, the layout every served model uses: an `OutputChannel` layer
-//! runs on the scalar oracle on every tier, still split across the pool
-//! at macro-block-aligned tile edges.
+//! pinned relative tolerance. Every kernel runs the layout every served
+//! model has, `DotProduct` groups of at most `MAX_GROUP` slots, which
+//! `PackedTinyFm::quantize_from` checks once where a model enters
+//! serving.
 
 use crate::cache::{CacheStats, DecodedCache};
 use crate::kernels::{
     BucketedCacheKernel, KernelCtx, KernelMetrics, KernelOp, LaneKernel, MicroKernel, ScalarKernel,
-    SimdKernel, KERNEL_NAMES, MAX_GROUP, SIMD_KERNEL,
+    SimdKernel, KERNEL_NAMES, SIMD_KERNEL,
 };
 use crate::pool::Pool;
 use crate::telemetry::metrics::Counter;
 use crate::telemetry::{
     collector_fn, EngineTelemetry, MetricKind, MetricsRegistry, Sample, SampleValue,
 };
-use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_fm::{PackedGemm, PartFn};
 use microscopiq_linalg::Matrix;
@@ -160,7 +160,7 @@ struct SplitOutcomes {
     busy_serial: Counter,
 }
 
-/// A packed-weight GEMM engine: kernel pick + decoded-block cache +
+/// A packed-weight GEMM engine: one kernel + decoded-block cache +
 /// parallel tiled execution. Implements [`PackedGemm`], so it plugs
 /// straight into [`microscopiq_fm::PackedTinyFm`].
 #[derive(Debug)]
@@ -170,10 +170,8 @@ pub struct RuntimeEngine {
     // Arc'd so telemetry collectors can observe cache statistics after
     // the engine moves onto a worker thread.
     cache: Option<Arc<DecodedCache>>,
-    /// The fast tier's kernel for the groups it runs: `simd-f32` when
-    /// [`SimdKernel::try_new`] found it at construction, `lane-f32`
-    /// otherwise.
-    f32_kernel: &'static dyn MicroKernel,
+    /// The kernel every call runs, picked from the tier at construction.
+    kernel: &'static dyn MicroKernel,
     // Arc'd for the telemetry collectors, like the cache.
     metrics: Arc<KernelMetrics>,
     // `None` until the first call crosses `parallel_threshold`. Holding
@@ -198,15 +196,19 @@ impl RuntimeEngine {
             }
             _ => None,
         };
-        let f32_kernel: &'static dyn MicroKernel = match SimdKernel::try_new() {
-            Some(simd) => simd,
-            None => &LaneKernel,
+        let kernel: &'static dyn MicroKernel = match cfg.tier {
+            Tier::Exact { .. } if cache.is_some() => &BucketedCacheKernel,
+            Tier::Exact { .. } => &ScalarKernel,
+            Tier::Fast => match SimdKernel::try_new() {
+                Some(simd) => simd,
+                None => &LaneKernel,
+            },
         };
         Self {
             cfg,
             threads,
             cache,
-            f32_kernel,
+            kernel,
             metrics: Arc::default(),
             pool: Mutex::new(None),
             pool_jobs: Arc::default(),
@@ -222,10 +224,8 @@ impl RuntimeEngine {
     /// The fast serving tier, [`Tier::Fast`]: every call — including the
     /// m = 1 GEMV shape that dominates per-step decode — runs the
     /// `simd-f32` kernel when AVX2+FMA is detected and the lane-blocked
-    /// `lane-f32` kernel otherwise, with the scalar oracle for groups
-    /// over [`MAX_GROUP`] slots and `OutputChannel` layers. Results are
-    /// within the picked kernel's pinned relative tolerance of the
-    /// bit-exact default — the
+    /// `lane-f32` kernel otherwise. Results are within the picked
+    /// kernel's pinned relative tolerance of the bit-exact default — the
     /// f32-tolerant serving conformance tier (`tests/fast_serving.rs`)
     /// bounds per-token logit deltas and pins argmax-token parity, which
     /// is what qualifies this engine for [`crate::Server::spawn`]. Unlike
@@ -267,17 +267,11 @@ impl RuntimeEngine {
         None
     }
 
-    /// The kernel every GEMM and GEMV call on `layer` runs: the pick
-    /// table of [`crate::kernels::dispatch`], a function of the tier and
-    /// the layer's group axis and size alone.
-    pub fn kernel_for(&self, layer: &PackedLayer) -> &'static dyn MicroKernel {
-        match self.cfg.tier {
-            _ if layer.axis() == GroupAxis::OutputChannel => &ScalarKernel,
-            Tier::Exact { .. } if self.cache.is_some() => &BucketedCacheKernel,
-            Tier::Exact { .. } => &ScalarKernel,
-            Tier::Fast if layer.macro_block() > MAX_GROUP => &ScalarKernel,
-            Tier::Fast => self.f32_kernel,
-        }
+    /// The kernel every GEMM and GEMV call runs: the pick table of
+    /// [`crate::kernels::dispatch`], a function of the tier and of SIMD
+    /// detection alone.
+    pub fn kernel(&self) -> &'static dyn MicroKernel {
+        self.kernel
     }
 
     /// The execution context for a layer: the decoded cache keyed by the
@@ -307,7 +301,7 @@ impl RuntimeEngine {
         );
         let n = acts.cols();
         let ctx = self.ctx(layer);
-        let kernel = self.kernel_for(layer);
+        let kernel = self.kernel;
         let work = layer.d_row() * layer.d_col() * n;
         let serial = self.threads <= 1 || work < self.cfg.parallel_threshold;
         // One record per call (never per tile), keyed by the shape the
@@ -359,7 +353,7 @@ impl RuntimeEngine {
             x.len()
         );
         let ctx = self.ctx(layer);
-        let kernel = self.kernel_for(layer);
+        let kernel = self.kernel;
         self.metrics.record(
             kernel,
             KernelOp::Gemv,
@@ -378,18 +372,11 @@ impl RuntimeEngine {
 
     /// Tile edges for a `d_row`-row output: about 4 tiles per thread,
     /// which keeps the steal queue busy without making tiles too small to
-    /// amortize claim overhead. Tiles align to macro-block boundaries on
-    /// the `OutputChannel` axis (scalar oracle only) so no group
-    /// straddles tiles.
+    /// amortize claim overhead. A tile may cut anywhere: each output row
+    /// is one line of groups.
     fn tile_edges(&self, layer: &PackedLayer) -> Vec<usize> {
         let d_row = layer.d_row();
-        let quantum = match layer.axis() {
-            GroupAxis::DotProduct => 1,
-            GroupAxis::OutputChannel => layer.macro_block(),
-        };
-        let rows = (d_row / (self.threads * 4))
-            .max(1)
-            .next_multiple_of(quantum);
+        let rows = (d_row / (self.threads * 4)).max(1);
         let mut edges: Vec<usize> = (0..d_row).step_by(rows).collect();
         edges.push(d_row);
         edges
@@ -579,7 +566,7 @@ impl EngineTelemetry for RuntimeEngine {
         // Kernel availability on this host: 1/0 per known kernel name, so
         // bench/metric trajectories from hosts with and without SIMD stay
         // comparable at a glance. Only `simd-f32` can be missing.
-        let simd = self.f32_kernel.name() == SIMD_KERNEL;
+        let simd = SimdKernel::try_new().is_some();
         registry.register_collector(
             "microscopiq_kernel_available",
             "Whether each known kernel is available on this host (1/0).",
@@ -683,14 +670,14 @@ impl EngineTelemetry for RuntimeEngine {
 mod tests {
     use super::*;
     use crate::kernels::{LANE_KERNEL, SCALAR_KERNEL};
-    use microscopiq_core::config::{GroupAxis, QuantConfig};
+    use microscopiq_core::config::QuantConfig;
     use microscopiq_core::solver::solve;
     use microscopiq_core::traits::LayerTensors;
     use microscopiq_core::MicroScopiQ;
     use microscopiq_fm::{DecodeJob, DecodeState, PackedTinyFm, TinyFm, TinyFmConfig};
     use microscopiq_linalg::{Matrix, SeededRng};
 
-    fn packed_layer(rows: usize, cols: usize, axis: GroupAxis, seed: u64) -> PackedLayer {
+    fn packed_layer(rows: usize, cols: usize, seed: u64) -> PackedLayer {
         let mut rng = SeededRng::new(seed);
         let mut w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 0.02));
         for _ in 0..(rows * cols / 40) {
@@ -703,7 +690,6 @@ mod tests {
         let cfg = QuantConfig::w2()
             .macro_block(16)
             .row_block(16)
-            .group_axis(axis)
             .build()
             .unwrap();
         solve(&layer, &cfg).unwrap().packed.unwrap()
@@ -717,49 +703,44 @@ mod tests {
     }
 
     #[test]
-    fn parallel_uncached_matches_dense_bitwise_both_axes() {
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            let layer = packed_layer(64, 32, axis, 1);
-            let mut rng = SeededRng::new(2);
-            let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
-            let serial = RuntimeEngine::scalar().gemm(&layer, &acts);
-            let parallel = RuntimeEngine::new(EngineConfig {
-                threads: 4,
-                tier: Tier::Exact { cache_bytes: 0 },
-                parallel_threshold: 0,
-            })
-            .gemm(&layer, &acts);
-            assert_eq!(serial, parallel, "{axis:?}");
-            let dense = layer.dequantize().matmul(&acts);
-            assert_eq!(serial, dense, "{axis:?} vs dense");
-        }
+    fn parallel_uncached_matches_dense_bitwise() {
+        let layer = packed_layer(64, 32, 1);
+        let mut rng = SeededRng::new(2);
+        let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
+        let serial = RuntimeEngine::scalar().gemm(&layer, &acts);
+        let parallel = RuntimeEngine::new(EngineConfig {
+            threads: 4,
+            tier: Tier::Exact { cache_bytes: 0 },
+            parallel_threshold: 0,
+        })
+        .gemm(&layer, &acts);
+        assert_eq!(serial, parallel);
+        assert_eq!(serial, layer.dequantize().matmul(&acts), "vs dense");
     }
 
     #[test]
-    fn cached_engine_matches_dense_within_tolerance_both_axes() {
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            // Batch 9 exercises the 8 + 1 column-chunk split.
-            let layer = packed_layer(64, 32, axis, 11);
-            let mut rng = SeededRng::new(12);
-            let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
-            let dense = layer.dequantize().matmul(&acts);
-            let cached = RuntimeEngine::new(EngineConfig {
-                threads: 2,
-                tier: Tier::Exact {
-                    cache_bytes: 1 << 20,
-                },
-                parallel_threshold: 0,
-            });
-            let first = cached.gemm(&layer, &acts);
-            let second = cached.gemm(&layer, &acts);
-            assert!(max_abs_diff(&first, &dense) < 1e-9, "{axis:?}");
-            assert_eq!(first, second, "warm pass must repeat cold pass exactly");
-        }
+    fn cached_engine_matches_dense_within_tolerance() {
+        // Batch 9 exercises the 8 + 1 column-chunk split.
+        let layer = packed_layer(64, 32, 11);
+        let mut rng = SeededRng::new(12);
+        let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
+        let dense = layer.dequantize().matmul(&acts);
+        let cached = RuntimeEngine::new(EngineConfig {
+            threads: 2,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
+            parallel_threshold: 0,
+        });
+        let first = cached.gemm(&layer, &acts);
+        let second = cached.gemm(&layer, &acts);
+        assert!(max_abs_diff(&first, &dense) < 1e-9);
+        assert_eq!(first, second, "warm pass must repeat cold pass exactly");
     }
 
     #[test]
     fn cached_engine_hits_on_second_pass() {
-        let layer = packed_layer(32, 64, GroupAxis::DotProduct, 3);
+        let layer = packed_layer(32, 64, 3);
         let mut rng = SeededRng::new(4);
         let acts = Matrix::from_fn(64, 4, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
@@ -785,7 +766,7 @@ mod tests {
 
     #[test]
     fn two_threads_on_one_engine_both_match_scalar_bitwise() {
-        let layer = packed_layer(64, 32, GroupAxis::DotProduct, 31);
+        let layer = packed_layer(64, 32, 31);
         let mut rng = SeededRng::new(32);
         let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
         let x: Vec<f64> = acts.col(0);
@@ -831,7 +812,7 @@ mod tests {
 
     #[test]
     fn a_kernel_panic_in_a_split_call_leaves_the_engine_usable() {
-        let layer = packed_layer(64, 32, GroupAxis::DotProduct, 33);
+        let layer = packed_layer(64, 32, 33);
         let mut rng = SeededRng::new(34);
         let acts = Matrix::from_fn(32, 4, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
@@ -857,7 +838,7 @@ mod tests {
 
     #[test]
     fn tiny_problems_skip_thread_spawn() {
-        let layer = packed_layer(16, 16, GroupAxis::DotProduct, 5);
+        let layer = packed_layer(16, 16, 5);
         let mut rng = SeededRng::new(6);
         let acts = Matrix::from_fn(16, 2, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
@@ -875,24 +856,21 @@ mod tests {
     #[test]
     fn odd_tile_sizes_cover_all_rows() {
         // Tile rows follow the thread count: 40 rows split 5, 3 (ragged
-        // last tile), 2 and 1 rows per tile on DotProduct, and round up to
-        // the 16-row macro-block quantum on OutputChannel.
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            for threads in [2, 3, 5, 7] {
-                let layer = packed_layer(40, 32, axis, 7);
-                let mut rng = SeededRng::new(8);
-                let acts = Matrix::from_fn(32, 3, |_, _| rng.normal(0.0, 1.0));
-                let engine = RuntimeEngine::new(EngineConfig {
-                    threads,
-                    tier: Tier::Exact { cache_bytes: 0 },
-                    parallel_threshold: 0,
-                });
-                assert_eq!(
-                    engine.gemm(&layer, &acts),
-                    layer.dequantize().matmul(&acts),
-                    "{axis:?} threads={threads}"
-                );
-            }
+        // last tile), 2 and 1 rows per tile.
+        for threads in [2, 3, 5, 7] {
+            let layer = packed_layer(40, 32, 7);
+            let mut rng = SeededRng::new(8);
+            let acts = Matrix::from_fn(32, 3, |_, _| rng.normal(0.0, 1.0));
+            let engine = RuntimeEngine::new(EngineConfig {
+                threads,
+                tier: Tier::Exact { cache_bytes: 0 },
+                parallel_threshold: 0,
+            });
+            assert_eq!(
+                engine.gemm(&layer, &acts),
+                layer.dequantize().matmul(&acts),
+                "threads={threads}"
+            );
         }
     }
 
@@ -901,50 +879,44 @@ mod tests {
         // m = 1 below the parallel threshold takes the serial GEMV route
         // (bit-exact uncached, 1e-9 through the bucketed cache); above
         // the threshold it still honors the row-tiled parallel config.
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            let layer = packed_layer(64, 32, axis, 13);
-            let mut rng = SeededRng::new(14);
-            let acts = Matrix::from_fn(32, 1, |_, _| rng.normal(0.0, 1.0));
-            let dense = layer.dequantize().matmul(&acts);
-            let gemv_route = RuntimeEngine::new(EngineConfig {
-                threads: 4,
-                tier: Tier::Exact { cache_bytes: 0 },
-                parallel_threshold: usize::MAX,
-            });
-            assert_eq!(gemv_route.gemm(&layer, &acts), dense, "{axis:?} gemv");
-            assert_eq!(
-                gemv_route.gemv(&layer, acts.as_slice()),
-                dense.as_slice().to_vec(),
-                "{axis:?} gemv entry point"
-            );
-            let parallel_route = RuntimeEngine::new(EngineConfig {
-                threads: 4,
-                tier: Tier::Exact { cache_bytes: 0 },
-                parallel_threshold: 0,
-            });
-            assert_eq!(
-                parallel_route.gemm(&layer, &acts),
-                dense,
-                "{axis:?} parallel m=1"
-            );
-            let cached = RuntimeEngine::new(EngineConfig {
-                threads: 4,
-                tier: Tier::Exact {
-                    cache_bytes: 1 << 20,
-                },
-                parallel_threshold: usize::MAX,
-            });
-            assert!(
-                max_abs_diff(&cached.gemm(&layer, &acts), &dense) < 1e-9,
-                "{axis:?} cached"
-            );
-        }
+        let layer = packed_layer(64, 32, 13);
+        let mut rng = SeededRng::new(14);
+        let acts = Matrix::from_fn(32, 1, |_, _| rng.normal(0.0, 1.0));
+        let dense = layer.dequantize().matmul(&acts);
+        let gemv_route = RuntimeEngine::new(EngineConfig {
+            threads: 4,
+            tier: Tier::Exact { cache_bytes: 0 },
+            parallel_threshold: usize::MAX,
+        });
+        assert_eq!(gemv_route.gemm(&layer, &acts), dense, "gemv");
+        assert_eq!(
+            gemv_route.gemv(&layer, acts.as_slice()),
+            dense.as_slice().to_vec(),
+            "gemv entry point"
+        );
+        let parallel_route = RuntimeEngine::new(EngineConfig {
+            threads: 4,
+            tier: Tier::Exact { cache_bytes: 0 },
+            parallel_threshold: 0,
+        });
+        assert_eq!(parallel_route.gemm(&layer, &acts), dense, "parallel m=1");
+        let cached = RuntimeEngine::new(EngineConfig {
+            threads: 4,
+            tier: Tier::Exact {
+                cache_bytes: 1 << 20,
+            },
+            parallel_threshold: usize::MAX,
+        });
+        assert!(
+            max_abs_diff(&cached.gemm(&layer, &acts), &dense) < 1e-9,
+            "cached"
+        );
     }
 
     #[test]
     fn every_column_chunk_width_is_exercised() {
         // n = 15 → chunks 8, 4, 2, 1.
-        let layer = packed_layer(32, 32, GroupAxis::DotProduct, 9);
+        let layer = packed_layer(32, 32, 9);
         let mut rng = SeededRng::new(10);
         let acts = Matrix::from_fn(32, 15, |_, _| rng.normal(0.0, 1.0));
         let dense = layer.dequantize().matmul(&acts);
@@ -966,13 +938,12 @@ mod tests {
         assert_eq!(engine.config(), EngineConfig::scalar());
         assert_eq!(engine.threads(), 1);
         assert!(engine.cache_stats().is_none(), "scalar engine has no cache");
-        let layer = packed_layer(32, 32, GroupAxis::DotProduct, 15);
-        assert_eq!(engine.kernel_for(&layer).name(), SCALAR_KERNEL);
+        assert_eq!(engine.kernel().name(), SCALAR_KERNEL);
     }
 
     #[test]
     fn fast_policy_dispatches_lane_and_stays_within_pin() {
-        let layer = packed_layer(64, 32, GroupAxis::DotProduct, 17);
+        let layer = packed_layer(64, 32, 17);
         let mut rng = SeededRng::new(18);
         let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
         let dense = layer.dequantize().matmul(&acts);
@@ -988,7 +959,7 @@ mod tests {
         } else {
             LANE_KERNEL
         };
-        let picked = fast.kernel_for(&layer);
+        let picked = fast.kernel();
         assert_eq!(picked.name(), expected);
         let got = fast.gemm(&layer, &acts);
         let tol = picked.tolerance();
@@ -999,38 +970,36 @@ mod tests {
 
     #[test]
     fn parallel_gemv_is_bitwise_identical_to_serial_for_every_policy() {
-        for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-            let layer = packed_layer(64, 32, axis, 19);
-            let mut rng = SeededRng::new(20);
-            let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
-            for tier in [Tier::Exact { cache_bytes: 0 }, Tier::Fast] {
-                let serial = RuntimeEngine::new(EngineConfig {
-                    threads: 1,
+        let layer = packed_layer(64, 32, 19);
+        let mut rng = SeededRng::new(20);
+        let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
+        for tier in [Tier::Exact { cache_bytes: 0 }, Tier::Fast] {
+            let serial = RuntimeEngine::new(EngineConfig {
+                threads: 1,
+                tier,
+                parallel_threshold: usize::MAX,
+            })
+            .gemv(&layer, &x);
+            // Same kernel, reduction split across workers at several
+            // thread counts (and so tile sizes): the stitch must reproduce
+            // the serial result bit for bit, every run.
+            for threads in [2usize, 3, 4, 5, 8] {
+                let engine = RuntimeEngine::new(EngineConfig {
+                    threads,
                     tier,
-                    parallel_threshold: usize::MAX,
-                })
-                .gemv(&layer, &x);
-                // Same kernel, reduction split across workers at several
-                // thread counts (and so tile sizes): the stitch must reproduce
-                // the serial result bit for bit, every run.
-                for threads in [2usize, 3, 4, 5, 8] {
-                    let engine = RuntimeEngine::new(EngineConfig {
-                        threads,
-                        tier,
-                        parallel_threshold: 0,
-                    });
-                    let a = engine.gemv(&layer, &x);
-                    let b = engine.gemv(&layer, &x);
-                    assert_eq!(a, serial, "{axis:?} {tier:?} threads={threads}");
-                    assert_eq!(a, b, "{axis:?} {tier:?} repeat run");
-                }
+                    parallel_threshold: 0,
+                });
+                let a = engine.gemv(&layer, &x);
+                let b = engine.gemv(&layer, &x);
+                assert_eq!(a, serial, "{tier:?} threads={threads}");
+                assert_eq!(a, b, "{tier:?} repeat run");
             }
         }
     }
 
     #[test]
     fn parallel_gemv_through_cached_default_matches_serial_bitwise() {
-        let layer = packed_layer(64, 32, GroupAxis::DotProduct, 23);
+        let layer = packed_layer(64, 32, 23);
         let mut rng = SeededRng::new(24);
         let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
         let serial = RuntimeEngine::new(EngineConfig {

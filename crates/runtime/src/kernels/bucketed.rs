@@ -12,16 +12,16 @@
 //!
 //! This kernel requires a cache in its [`KernelCtx`] and a `DotProduct`
 //! layer (asserted on entry); the exact tier picks it exactly when the
-//! engine has a cache configured and the layer is `DotProduct`.
-//! `OutputChannel` layers run on the scalar oracle.
+//! engine has a cache configured.
 //!
 //! [`DecodedCache`]: crate::cache::DecodedCache
 //! [`BucketTile`]: crate::cache::BucketTile
 //! [`FlatTile`]: crate::cache::FlatTile
 
-use super::{for_col_chunks, groups_for_rows, KernelCtx, MicroKernel, Tolerance};
+use super::{
+    assert_dot_product, for_col_chunks, groups_for_rows, KernelCtx, MicroKernel, Tolerance,
+};
 use crate::cache::{BucketTile, DecodedTile, FlatTile};
-use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
 use std::sync::Arc;
@@ -134,24 +134,20 @@ impl BucketedCacheKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
-        assert_eq!(
-            layer.axis(),
-            GroupAxis::DotProduct,
-            "{BUCKETED_KERNEL} runs DotProduct layers only"
-        );
+        assert_dot_product(layer, BUCKETED_KERNEL);
         let (cache, layer_id) = ctx
             .cache
             .expect("bucketed-cache kernel requires a decoded cache in the context");
         let order = groups_for_rows(layer, row_lo, row_hi);
         let tiles: Vec<Arc<DecodedTile>> = order
-            .iter()
-            .map(|&g| cache.get_or_decode(layer_id, layer, g))
+            .clone()
+            .map(|g| cache.get_or_decode(layer_id, layer, g))
             .collect();
         if layer.inlier_bits() == 2 {
             // Bucketed tiles: column-chunked so the per-bucket accumulators
             // live in fixed-size registers.
             for_col_chunks(n, |col0, width| {
-                for (&g, tile) in order.iter().zip(tiles.iter()) {
+                for (g, tile) in order.clone().zip(&tiles) {
                     let DecodedTile::Bucketed(tile) = tile.as_ref() else {
                         unreachable!("2-bit layers decode to bucketed tiles");
                     };
@@ -166,7 +162,7 @@ impl BucketedCacheKernel {
             });
         } else {
             // Flat tiles: one full-width walk per group.
-            for (&g, tile) in order.iter().zip(tiles.iter()) {
+            for (g, tile) in order.zip(&tiles) {
                 let DecodedTile::Flat(tile) = tile.as_ref() else {
                     unreachable!("4-bit layers decode to flat tiles");
                 };
@@ -190,8 +186,9 @@ impl MicroKernel for BucketedCacheKernel {
 
     /// # Panics
     ///
-    /// Panics on an `OutputChannel` layer or if the context carries no
-    /// decoded cache (the engine picks this kernel only with both).
+    /// Panics on a layer that is not `DotProduct` or if the context
+    /// carries no decoded cache (the engine picks this kernel only with
+    /// one).
     fn gemm_rows(
         &self,
         ctx: &KernelCtx<'_>,
@@ -241,7 +238,6 @@ mod tests {
     fn bucketed_matches_oracle_within_pin_and_reuses_tiles() {
         for bits in [2u32, 4] {
             let layer = synth_packed(&SynthSpec {
-                axis: GroupAxis::DotProduct,
                 d_row: 32,
                 d_col: 64,
                 bits,
@@ -273,7 +269,6 @@ mod tests {
     fn gemv_override_is_bitwise_identical_to_one_column_gemm() {
         for bits in [2u32, 4] {
             let layer = synth_packed(&SynthSpec {
-                axis: GroupAxis::DotProduct,
                 d_row: 32,
                 d_col: 64,
                 bits,
@@ -306,24 +301,6 @@ mod tests {
             &acts,
             0,
             layer.d_row(),
-            &mut out,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "runs DotProduct layers only")]
-    fn output_channel_layer_panics() {
-        let layer = synth_packed(&SynthSpec {
-            axis: GroupAxis::OutputChannel,
-            ..SynthSpec::default()
-        });
-        let x = vec![0.0; layer.d_col()];
-        let mut out = vec![0.0; layer.d_row()];
-        let cache = DecodedCache::new(1 << 20);
-        BucketedCacheKernel.gemv(
-            &KernelCtx::cached(&cache, layer.content_fingerprint()),
-            &layer,
-            &x,
             &mut out,
         );
     }

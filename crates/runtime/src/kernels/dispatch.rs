@@ -1,6 +1,6 @@
-//! Kernel selection: the engine's [`Tier`] picks one kernel per layer,
-//! in one `match` ([`RuntimeEngine::kernel_for`]), and [`KernelMetrics`]
-//! counts the calls each kernel ran.
+//! Kernel selection: an engine's [`Tier`] picks its one kernel at
+//! construction ([`RuntimeEngine::kernel`]), and [`KernelMetrics`] counts
+//! the calls each kernel ran.
 //!
 //! # Pick table
 //!
@@ -8,37 +8,32 @@
 //! |---|---|---|
 //! | [`Tier::Exact`] with a cache | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`] |
 //! | [`Tier::Exact`], `cache_bytes: 0` | `RuntimeEngine::scalar()` | [`ScalarKernel`] |
-//! | [`Tier::Fast`] | `RuntimeEngine::fast()` | [`SimdKernel`] when [`SimdKernel::try_new`] found it at construction, [`LaneKernel`] otherwise; [`ScalarKernel`] for groups of more than [`MAX_GROUP`] slots |
+//! | [`Tier::Fast`] | `RuntimeEngine::fast()` | [`SimdKernel`] when [`SimdKernel::try_new`] finds it, [`LaneKernel`] otherwise |
 //!
-//! On every tier an `OutputChannel` layer runs on the scalar oracle: the
-//! other three kernels run `DotProduct` groups only. Nothing else enters
-//! the pick — not the activation columns `m`, the bit width or the
-//! outlier density — so every call of one engine on one layer runs one
-//! kernel.
+//! Nothing about a call enters the pick — not the layer, the activation
+//! columns `m`, the bit width or the outlier density — so every call of
+//! one engine runs one kernel.
 //!
 //! ```
-//! use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
 //! use microscopiq_runtime::kernels::{SimdKernel, BUCKETED_KERNEL, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL};
 //! use microscopiq_runtime::RuntimeEngine;
 //!
-//! let layer = synth_packed(&SynthSpec::default());
-//! assert_eq!(RuntimeEngine::scalar().kernel_for(&layer).name(), SCALAR_KERNEL);
-//! assert_eq!(RuntimeEngine::parallel().kernel_for(&layer).name(), BUCKETED_KERNEL);
+//! assert_eq!(RuntimeEngine::scalar().kernel().name(), SCALAR_KERNEL);
+//! assert_eq!(RuntimeEngine::parallel().kernel().name(), BUCKETED_KERNEL);
 //! // `MICROSCOPIQ_SIMD=off`, or a host without AVX2+FMA, gives lane-f32.
 //! let f32_kernel = if SimdKernel::try_new().is_some() { SIMD_KERNEL } else { LANE_KERNEL };
-//! assert_eq!(RuntimeEngine::fast().kernel_for(&layer).name(), f32_kernel);
+//! assert_eq!(RuntimeEngine::fast().kernel().name(), f32_kernel);
 //! ```
 //!
 //! [`Tier`]: crate::Tier
 //! [`Tier::Exact`]: crate::Tier::Exact
 //! [`Tier::Fast`]: crate::Tier::Fast
-//! [`RuntimeEngine::kernel_for`]: crate::RuntimeEngine::kernel_for
+//! [`RuntimeEngine::kernel`]: crate::RuntimeEngine::kernel
 //! [`BucketedCacheKernel`]: super::BucketedCacheKernel
 //! [`ScalarKernel`]: super::ScalarKernel
 //! [`SimdKernel`]: super::SimdKernel
 //! [`SimdKernel::try_new`]: super::SimdKernel::try_new
 //! [`LaneKernel`]: super::LaneKernel
-//! [`MAX_GROUP`]: super::MAX_GROUP
 
 use super::{MicroKernel, KERNEL_NAMES};
 use crate::telemetry::metrics::{Counter, Sample, SampleValue};
@@ -146,35 +141,20 @@ impl KernelMetrics {
 
 #[cfg(test)]
 mod tests {
-    use super::super::synth::{synth_packed, SynthSpec};
     use super::super::*;
     use super::Sample;
     use crate::{EngineConfig, RuntimeEngine, Tier};
 
     #[test]
     fn default_policy_mirrors_cache_availability() {
-        let layer = synth_packed(&SynthSpec::default());
         let exact = |cache_bytes| {
             RuntimeEngine::new(EngineConfig {
                 tier: Tier::Exact { cache_bytes },
                 ..EngineConfig::default()
             })
         };
-        assert_eq!(exact(0).kernel_for(&layer).name(), SCALAR_KERNEL);
-        assert_eq!(exact(1 << 16).kernel_for(&layer).name(), BUCKETED_KERNEL);
-    }
-
-    #[test]
-    fn fast_tier_sends_groups_over_max_group_to_the_oracle() {
-        let layer = synth_packed(&SynthSpec {
-            d_col: 2 * MAX_GROUP,
-            macro_block: 2 * MAX_GROUP,
-            ..SynthSpec::default()
-        });
-        let fast = RuntimeEngine::fast();
-        assert_eq!(fast.kernel_for(&layer).name(), SCALAR_KERNEL);
-        let x: Vec<f64> = (0..layer.d_col()).map(|i| (i as f64).sin()).collect();
-        assert_eq!(fast.gemv(&layer, &x), fused_gemv_serial(&layer, &x));
+        assert_eq!(exact(0).kernel().name(), SCALAR_KERNEL);
+        assert_eq!(exact(1 << 16).kernel().name(), BUCKETED_KERNEL);
     }
 
     /// `kernel op bits value` (or `kernel value`) per sample.

@@ -1,10 +1,9 @@
 //! The lane-blocked `f32` kernel: the portable fast path the fast tier
-//! picks for GEMM/GEMV on supported shapes when the explicit SIMD kernel
-//! is unavailable (no AVX2+FMA, a host other than `x86_64`, or
-//! `MICROSCOPIQ_SIMD=off`).
+//! picks for GEMM/GEMV when the explicit SIMD kernel is unavailable (no
+//! AVX2+FMA, a host other than `x86_64`, or `MICROSCOPIQ_SIMD=off`).
 //!
 //! Supported layout: `DotProduct` groups of at most [`MAX_GROUP`] slots,
-//! asserted on entry; `OutputChannel` layers run on the scalar oracle.
+//! asserted on entry.
 //!
 //! Strategy (per macro-block group):
 //!
@@ -37,15 +36,13 @@
 
 use super::{
     assert_f32_layout, for_col_chunks, groups_for_rows, KernelCtx, MicroKernel, Tolerance,
+    MAX_GROUP,
 };
 use microscopiq_core::packed::PackedLayer;
 use microscopiq_linalg::Matrix;
 
 /// Name of the lane-blocked `f32` kernel.
 pub const LANE_KERNEL: &str = "lane-f32";
-
-/// Largest group (macro-block) size the stack-resident code plane holds.
-pub const MAX_GROUP: usize = 256;
 
 /// The lane-blocked `f32` kernel. Stateless; ignores the decoded cache.
 #[derive(Debug, Clone, Copy, Default)]
@@ -260,7 +257,6 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::super::{fused_gemm_serial, fused_gemv_serial};
     use super::*;
-    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     fn check_within(tol: Tolerance, got: &[f64], oracle: &[f64], what: &str) {
@@ -313,7 +309,6 @@ mod tests {
     #[test]
     fn lane_gemm_row_tiles_stitch_to_full_result() {
         let layer = synth_packed(&SynthSpec {
-            axis: GroupAxis::DotProduct,
             d_row: 32,
             d_col: 48,
             bits: 2,
@@ -369,43 +364,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "runs DotProduct layers only")]
-    fn output_channel_gemm_panics() {
-        let layer = synth_packed(&SynthSpec {
-            axis: GroupAxis::OutputChannel,
-            ..SynthSpec::default()
-        });
-        let acts = Matrix::zeros(layer.d_col(), 2);
-        let mut out = vec![0.0; layer.d_row() * 2];
-        LaneKernel.gemm_rows(
-            &KernelCtx::uncached(),
-            &layer,
-            &acts,
-            0,
-            layer.d_row(),
-            &mut out,
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "runs DotProduct layers only")]
-    fn output_channel_gemv_panics() {
-        let layer = synth_packed(&SynthSpec {
-            axis: GroupAxis::OutputChannel,
-            ..SynthSpec::default()
-        });
-        let x = vec![0.0; layer.d_col()];
-        let mut out = vec![0.0; layer.d_row()];
-        LaneKernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut out);
-    }
-
-    #[test]
     fn shared_f32_image_equals_local_conversion() {
         // A tiled caller hands the same f32 image through the context
         // that the kernel would build itself — results must be identical
         // bit for bit.
         let layer = synth_packed(&SynthSpec {
-            axis: GroupAxis::DotProduct,
             d_row: 24,
             d_col: 48,
             bits: 2,

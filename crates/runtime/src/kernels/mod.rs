@@ -1,13 +1,11 @@
 //! The kernel layer: every way the runtime turns a [`PackedLayer`] and an
 //! activation matrix into output rows lives behind the [`MicroKernel`]
-//! trait. There are four kernels, and the engine's tier picks one per
-//! call (see [`dispatch`] for the pick table):
+//! trait. There are four kernels, and an engine's tier picks its one
+//! kernel at construction (see [`dispatch`] for the pick table):
 //!
 //! * [`ScalarKernel`] (`scalar-f64`) — the conformance **oracle**: walks
 //!   packed groups in the dense reference's reduction order and
 //!   accumulates in `f64`. Bit-identical to `dequantize().matmul(..)`.
-//!   The only kernel that runs both group axes: every
-//!   [`GroupAxis::OutputChannel`] layer executes here.
 //! * [`BucketedCacheKernel`] (`bucketed-cache`) — executes from the
 //!   engine's decoded-tile cache ([`crate::cache`]): code-bucketed tiles
 //!   at `bb = 2`, flat `f32` tiles at `bb = 4`. Requires a cache in the
@@ -27,17 +25,18 @@
 //!   FMA reduction; outliers fix up in exact `f64` like the lane kernel.
 //!   The fast tier's kernel wherever it is available.
 //!
-//! The three non-oracle kernels run the [`GroupAxis::DotProduct`] layout
-//! only — the paper's grouping, the `QuantConfig` default and the layout
-//! of every model the runtime serves — and assert it on entry. Only the
-//! accelerator experiments pack `OutputChannel` layers; every tier sends
-//! those to the oracle.
+//! The runtime executes one layout, the one every served model has:
+//! [`GroupAxis::DotProduct`] groups of at most [`MAX_GROUP`] slots,
+//! checked once where a model enters serving
+//! (`PackedTinyFm::quantize_from`). Every kernel asserts the axis on
+//! entry, and the two `f32` kernels, whose group planes live on the
+//! stack, the group size too.
 //!
 //! Every kernel pins a [`Tolerance`] against the scalar oracle
 //! (`Bitwise` for the oracle itself); the kernel conformance suite
 //! (`crates/runtime/tests/kernel_conformance.rs`) sweeps shapes × bit
 //! widths × outlier regimes and asserts each kernel of [`available`]
-//! honors its pin on the layouts it runs.
+//! honors its pin.
 //!
 //! [`PackedLayer`]: microscopiq_core::packed::PackedLayer
 //! [`PackedLayer::group`]: microscopiq_core::packed::PackedLayer::group
@@ -51,7 +50,8 @@ pub mod synth;
 
 pub use bucketed::{BucketedCacheKernel, BUCKETED_KERNEL};
 pub use dispatch::{KernelMetrics, KernelOp};
-pub use lane::{LaneKernel, LANE_KERNEL, MAX_GROUP};
+pub use lane::{LaneKernel, LANE_KERNEL};
+pub use microscopiq_fm::MAX_GROUP;
 pub use scalar::{fused_gemm_serial, fused_gemv_serial, ScalarKernel, SCALAR_KERNEL};
 pub use simd::{detected_cpu_features, SimdKernel, SIMD_KERNEL};
 
@@ -169,12 +169,11 @@ impl<'a> KernelCtx<'a> {
 /// acts.cols()` buffer, and the result must match the scalar oracle
 /// within [`MicroKernel::tolerance`].
 ///
-/// Each kernel runs a set of layouts: the oracle runs both group axes;
-/// `bucketed-cache`, `lane-f32` and `simd-f32` run `DotProduct` groups
-/// only, the two `f32` kernels groups of at most [`MAX_GROUP`] slots. A
-/// kernel asserts its layout on entry, so a direct call outside it panics
-/// rather than computing garbage. Outlier density is no precondition:
-/// every kernel meets its tolerance at any density.
+/// Every kernel runs `DotProduct` layers only, the two `f32` kernels
+/// groups of at most [`MAX_GROUP`] slots. A kernel asserts its layout on
+/// entry, so a direct call outside it panics rather than computing
+/// garbage. Outlier density is no precondition: every kernel meets its
+/// tolerance at any density.
 pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     /// The kernel's position in [`KERNEL_NAMES`].
     fn index(&self) -> usize;
@@ -198,21 +197,11 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     /// Accumulates output rows `[row_lo, row_hi)` of `W · acts` into
     /// `out` (zeroed, row-major `(row_hi − row_lo) × acts.cols()`).
     ///
-    /// Precondition: on an [`GroupAxis::OutputChannel`] layer (which only
-    /// the scalar oracle accepts), `row_lo` and `row_hi` must align to
-    /// macro-block boundaries (`row_hi` may be `d_row`) — groups span
-    /// whole macro-blocks of output rows there, and the oracle indexes
-    /// `span.offset - row_lo` on that assumption.
-    /// [`RuntimeEngine`](crate::RuntimeEngine) quantizes its tile edges
-    /// accordingly; direct callers must too. `DotProduct` tiles may cut
-    /// anywhere.
-    ///
     /// # Panics
     ///
     /// Panics on a layout the kernel does not run (see the trait docs).
     /// May panic on dimension mismatches (`acts.rows() != layer.d_col()`,
-    /// `out` too short) — the engine validates before dispatching — and
-    /// on unaligned `OutputChannel` row ranges (usize underflow).
+    /// `out` too short) — the engine validates before dispatching.
     fn gemm_rows(
         &self,
         ctx: &KernelCtx<'_>,
@@ -228,9 +217,7 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     /// the m = 1 decode shape, without staging `x` as a one-column
     /// [`Matrix`].
     ///
-    /// The same `OutputChannel` alignment precondition as
-    /// [`MicroKernel::gemm_rows`] applies. Additionally — the
-    /// **parallel-GEMV determinism contract** — a restricted row range
+    /// The **parallel-GEMV determinism contract**: a restricted row range
     /// must accumulate each output element in exactly the order the full
     /// range would, so that tiles computed on separate threads and
     /// stitched at fixed split points reproduce the serial result bit for
@@ -253,15 +240,21 @@ pub trait MicroKernel: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// Asserts the layout precondition of the `f32` kernels: `DotProduct`
-/// groups of at most [`MAX_GROUP`] slots.
+/// Asserts every kernel's layout precondition: a `DotProduct` layer.
 #[inline]
-pub(crate) fn assert_f32_layout(layer: &PackedLayer, kernel: &str) {
+pub(crate) fn assert_dot_product(layer: &PackedLayer, kernel: &str) {
     assert_eq!(
         layer.axis(),
         GroupAxis::DotProduct,
         "{kernel} runs DotProduct layers only"
     );
+}
+
+/// Asserts the layout precondition of the `f32` kernels: `DotProduct`
+/// groups of at most [`MAX_GROUP`] slots.
+#[inline]
+pub(crate) fn assert_f32_layout(layer: &PackedLayer, kernel: &str) {
+    assert_dot_product(layer, kernel);
     assert!(
         layer.macro_block() <= MAX_GROUP,
         "{kernel} group plane holds at most {MAX_GROUP} slots"
@@ -269,41 +262,19 @@ pub(crate) fn assert_f32_layout(layer: &PackedLayer, kernel: &str) {
 }
 
 /// Group indices contributing to output rows `[row_lo, row_hi)`, in an
-/// order that keeps per-output-element accumulation ascending in `k`.
-///
-/// * `DotProduct`: rows are lines; every group of lines `row_lo..row_hi`
-///   contributes. The walk is k-block-major (macro-block position outer,
-///   line inner) so one activation block stays cache-hot across all
-///   output rows — the same blocking the dense matmul uses. Per output
-///   row the macro-block position still ascends, so per-element
-///   accumulation order is unchanged.
-/// * `OutputChannel`: rows are `offset` positions; the groups at
-///   macro-block positions covering the row range contribute, walked with
-///   the line (= reduction index) outermost.
-pub fn groups_for_rows(layer: &PackedLayer, row_lo: usize, row_hi: usize) -> Vec<usize> {
+/// order that keeps per-output-element accumulation ascending in `k`:
+/// every group of lines `row_lo..row_hi`, walked k-block-major
+/// (macro-block position outer, line inner) so one activation block stays
+/// cache-hot across all output rows — the same blocking the dense matmul
+/// uses. Per output row the macro-block position still ascends, so
+/// per-element accumulation order is unchanged.
+pub fn groups_for_rows(
+    layer: &PackedLayer,
+    row_lo: usize,
+    row_hi: usize,
+) -> impl Iterator<Item = usize> + Clone {
     let per_line = layer.groups_per_line();
-    match layer.axis() {
-        GroupAxis::DotProduct => {
-            let mut order = Vec::with_capacity((row_hi - row_lo) * per_line);
-            for mab in 0..per_line {
-                for line in row_lo..row_hi {
-                    order.push(line * per_line + mab);
-                }
-            }
-            order
-        }
-        GroupAxis::OutputChannel => {
-            let mab_lo = row_lo / layer.macro_block();
-            let mab_hi = row_hi.div_ceil(layer.macro_block());
-            let mut order = Vec::with_capacity((mab_hi - mab_lo) * layer.lines());
-            for line in 0..layer.lines() {
-                for mab in mab_lo..mab_hi {
-                    order.push(line * per_line + mab);
-                }
-            }
-            order
-        }
-    }
+    (0..per_line).flat_map(move |mab| (row_lo..row_hi).map(move |line| line * per_line + mab))
 }
 
 /// Walks every group contributing to output rows `[row_lo, row_hi)` in
@@ -349,30 +320,23 @@ mod tests {
 
     #[test]
     fn group_order_covers_every_group_once() {
-        for (axis, rows, cols) in [
-            (GroupAxis::DotProduct, 24, 48),
-            (GroupAxis::OutputChannel, 32, 16),
-        ] {
-            let layer = synth_packed(&SynthSpec {
-                axis,
-                d_row: rows,
-                d_col: cols,
-                bits: 2,
-                outlier_rate: 0.1,
-                seed: 7,
-                ..SynthSpec::default()
-            });
-            let mut order = groups_for_rows(&layer, 0, layer.d_row());
-            order.sort_unstable();
-            let expect: Vec<usize> = (0..layer.num_groups()).collect();
-            assert_eq!(order, expect, "{axis:?}");
-        }
+        let layer = synth_packed(&SynthSpec {
+            d_row: 24,
+            d_col: 48,
+            bits: 2,
+            outlier_rate: 0.1,
+            seed: 7,
+            ..SynthSpec::default()
+        });
+        let mut order: Vec<usize> = groups_for_rows(&layer, 0, layer.d_row()).collect();
+        order.sort_unstable();
+        let expect: Vec<usize> = (0..layer.num_groups()).collect();
+        assert_eq!(order, expect);
     }
 
     #[test]
     fn decoded_group_walk_matches_direct_decode() {
         let layer = synth_packed(&SynthSpec {
-            axis: GroupAxis::DotProduct,
             d_row: 8,
             d_col: 40,
             bits: 4,

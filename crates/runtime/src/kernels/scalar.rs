@@ -15,8 +15,7 @@
 //! exactly nothing, so this kernel and the dense reference agree to the
 //! last ulp — which is why its pinned tolerance is [`Tolerance::Bitwise`].
 
-use super::{for_each_decoded_group, KernelCtx, MicroKernel, Tolerance};
-use microscopiq_core::config::GroupAxis;
+use super::{assert_dot_product, for_each_decoded_group, KernelCtx, MicroKernel, Tolerance};
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
 
@@ -30,12 +29,9 @@ pub const SCALAR_KERNEL: &str = "scalar-f64";
 /// * `out` — output buffer rows `[row_base, row_base + out_rows)` of the
 ///   full `d_row × n` result, stored row-major in `out`.
 ///
-/// For [`GroupAxis::DotProduct`] the span lives on output row
-/// `span.line`; for [`GroupAxis::OutputChannel`] it covers output rows
-/// `span.offset..span.offset + span.len` at reduction index `span.line`.
-/// Spans outside `[row_base, row_base + out_rows)` are the caller's bug.
-pub(crate) fn accumulate_span(
-    axis: GroupAxis,
+/// The span lives on output row `span.line`; a span outside `[row_base,
+/// row_base + out_rows)` is the caller's bug.
+fn accumulate_span(
     span: &GroupSpan,
     w: &[f64],
     acts: &Matrix,
@@ -43,32 +39,15 @@ pub(crate) fn accumulate_span(
     row_base: usize,
     n: usize,
 ) {
-    match axis {
-        GroupAxis::DotProduct => {
-            let r = span.line - row_base;
-            let orow = &mut out[r * n..(r + 1) * n];
-            for (i, &wv) in w.iter().enumerate() {
-                if wv == 0.0 {
-                    continue;
-                }
-                let arow = acts.row(span.offset + i);
-                for (o, a) in orow.iter_mut().zip(arow.iter()) {
-                    *o += wv * a;
-                }
-            }
+    let r = span.line - row_base;
+    let orow = &mut out[r * n..(r + 1) * n];
+    for (i, &wv) in w.iter().enumerate() {
+        if wv == 0.0 {
+            continue;
         }
-        GroupAxis::OutputChannel => {
-            let arow = acts.row(span.line);
-            for (i, &wv) in w.iter().enumerate() {
-                if wv == 0.0 {
-                    continue;
-                }
-                let r = span.offset + i - row_base;
-                let orow = &mut out[r * n..(r + 1) * n];
-                for (o, a) in orow.iter_mut().zip(arow.iter()) {
-                    *o += wv * a;
-                }
-            }
+        let arow = acts.row(span.offset + i);
+        for (o, a) in orow.iter_mut().zip(arow.iter()) {
+            *o += wv * a;
         }
     }
 }
@@ -96,10 +75,10 @@ impl MicroKernel for ScalarKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
+        assert_dot_product(layer, SCALAR_KERNEL);
         let n = acts.cols();
-        let axis = layer.axis();
         for_each_decoded_group(layer, row_lo, row_hi, |span, w| {
-            accumulate_span(axis, &span, w, acts, out, row_lo, n);
+            accumulate_span(&span, w, acts, out, row_lo, n);
         });
     }
 
@@ -112,22 +91,12 @@ impl MicroKernel for ScalarKernel {
         row_hi: usize,
         out: &mut [f64],
     ) {
-        let axis = layer.axis();
-        for_each_decoded_group(layer, row_lo, row_hi, |span, w| match axis {
-            GroupAxis::DotProduct => {
-                let acc = &mut out[span.line - row_lo];
-                for (i, &wv) in w.iter().enumerate() {
-                    if wv != 0.0 {
-                        *acc += wv * x[span.offset + i];
-                    }
-                }
-            }
-            GroupAxis::OutputChannel => {
-                let a = x[span.line];
-                for (i, &wv) in w.iter().enumerate() {
-                    if wv != 0.0 {
-                        out[span.offset + i - row_lo] += wv * a;
-                    }
+        assert_dot_product(layer, SCALAR_KERNEL);
+        for_each_decoded_group(layer, row_lo, row_hi, |span, w| {
+            let acc = &mut out[span.line - row_lo];
+            for (i, &wv) in w.iter().enumerate() {
+                if wv != 0.0 {
+                    *acc += wv * x[span.offset + i];
                 }
             }
         });
@@ -193,18 +162,12 @@ pub fn fused_gemv_serial(layer: &PackedLayer, x: &[f64]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use microscopiq_core::config::{GroupAxis, QuantConfig};
+    use microscopiq_core::config::QuantConfig;
     use microscopiq_core::solver::solve;
     use microscopiq_core::traits::LayerTensors;
     use microscopiq_linalg::{Matrix, SeededRng};
 
-    fn packed_layer(
-        rows: usize,
-        cols: usize,
-        axis: GroupAxis,
-        bits: u32,
-        seed: u64,
-    ) -> PackedLayer {
+    fn packed_layer(rows: usize, cols: usize, bits: u32, seed: u64) -> PackedLayer {
         let mut rng = SeededRng::new(seed);
         let mut w = Matrix::from_fn(rows, cols, |_, _| rng.normal(0.0, 0.02));
         for _ in 0..(rows * cols / 40) {
@@ -217,7 +180,6 @@ mod tests {
         let cfg = QuantConfig::builder(bits)
             .macro_block(16)
             .row_block(16)
-            .group_axis(axis)
             .build()
             .unwrap();
         solve(&layer, &cfg).unwrap().packed.unwrap()
@@ -225,7 +187,7 @@ mod tests {
 
     #[test]
     fn fused_matches_dense_bitwise_dot_product() {
-        let layer = packed_layer(24, 48, GroupAxis::DotProduct, 2, 1);
+        let layer = packed_layer(24, 48, 2, 1);
         let mut rng = SeededRng::new(2);
         let acts = Matrix::from_fn(48, 7, |_, _| rng.normal(0.0, 1.0));
         let fused = fused_gemm_serial(&layer, &acts);
@@ -234,45 +196,30 @@ mod tests {
     }
 
     #[test]
-    fn fused_matches_dense_bitwise_output_channel() {
-        let layer = packed_layer(32, 16, GroupAxis::OutputChannel, 4, 3);
-        let mut rng = SeededRng::new(4);
-        let acts = Matrix::from_fn(16, 5, |_, _| rng.normal(0.0, 1.0));
-        let fused = fused_gemm_serial(&layer, &acts);
-        let dense = layer.dequantize().matmul(&acts);
-        assert_eq!(fused, dense, "fused path must be bit-identical");
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn dimension_mismatch_panics() {
-        let layer = packed_layer(16, 32, GroupAxis::DotProduct, 2, 9);
+        let layer = packed_layer(16, 32, 2, 9);
         let acts = Matrix::zeros(16, 4);
         let _ = fused_gemm_serial(&layer, &acts);
     }
 
     #[test]
-    fn gemv_matches_gemm_bitwise_both_axes() {
-        for (axis, rows, cols) in [
-            (GroupAxis::DotProduct, 24, 48),
-            (GroupAxis::OutputChannel, 32, 16),
-        ] {
-            for bits in [2, 4] {
-                let layer = packed_layer(rows, cols, axis, bits, 21);
-                let mut rng = SeededRng::new(22);
-                let x: Vec<f64> = (0..cols).map(|_| rng.normal(0.0, 1.0)).collect();
-                let acts = Matrix::from_vec(cols, 1, x.clone());
-                let gemv = fused_gemv_serial(&layer, &x);
-                let gemm = fused_gemm_serial(&layer, &acts);
-                assert_eq!(gemv, gemm.as_slice().to_vec(), "{axis:?} bits={bits}");
-            }
+    fn gemv_matches_gemm_bitwise() {
+        for bits in [2, 4] {
+            let layer = packed_layer(24, 48, bits, 21);
+            let mut rng = SeededRng::new(22);
+            let x: Vec<f64> = (0..48).map(|_| rng.normal(0.0, 1.0)).collect();
+            let acts = Matrix::from_vec(48, 1, x.clone());
+            let gemv = fused_gemv_serial(&layer, &x);
+            let gemm = fused_gemm_serial(&layer, &acts);
+            assert_eq!(gemv, gemm.as_slice().to_vec(), "bits={bits}");
         }
     }
 
     #[test]
     #[should_panic(expected = "gemv dimension mismatch")]
     fn gemv_dimension_mismatch_panics() {
-        let layer = packed_layer(16, 32, GroupAxis::DotProduct, 2, 9);
+        let layer = packed_layer(16, 32, 2, 9);
         let _ = fused_gemv_serial(&layer, &[0.0; 16]);
     }
 }

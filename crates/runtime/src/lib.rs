@@ -7,7 +7,7 @@
 //!
 //! * [`kernels`] — the kernel layer: every fused dequant-GEMM
 //!   implementation lives behind the [`MicroKernel`] trait, and the
-//!   engine's [`Tier`] picks one per layer — the exact tier's
+//!   engine's [`Tier`] picks one at construction — the exact tier's
 //!   `bucketed-cache` kernel (or, without a cache, the scalar oracle), or
 //!   the fast tier's `f32` kernel. The scalar `f64` oracle walks packed
 //!   macro/micro-blocks, applies `Isf`/`MXScale`, reassembles outlier

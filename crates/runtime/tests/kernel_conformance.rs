@@ -5,22 +5,19 @@
 //! for bit. A kernel whose pin loosens is an API change; this suite is
 //! what holds the pin.
 //!
-//! The sweeps cover both group axes. `OutputChannel` layers run on the
-//! oracle alone — the only kernel that accepts them — so there they
-//! check the oracle against dense and its tiles against the full range.
-//!
 //! Also carries the GEMV edge-case battery: m = 1 with odd reduction
 //! lengths (partial tail macro- and micro-blocks), tiles that straddle
 //! group boundaries, and outlier-heavy rows — through both the old
-//! (scalar) and new (lane-blocked) kernels — and the pick table: each
-//! engine tier runs one kernel whatever the call's shape.
+//! (scalar) and new (lane-blocked) kernels — the pick table (each engine
+//! tier runs one kernel whatever the call's shape), and every kernel's
+//! refusal of a layout outside the served one.
 
 use microscopiq_core::config::GroupAxis;
 use microscopiq_linalg::{Matrix, SeededRng};
 use microscopiq_runtime::kernels::synth::{synth_packed, SynthSpec};
 use microscopiq_runtime::kernels::{
     available, fused_gemm_serial, fused_gemv_serial, KernelCtx, MicroKernel, SimdKernel, Tolerance,
-    BUCKETED_KERNEL, LANE_KERNEL, SCALAR_KERNEL, SIMD_KERNEL,
+    BUCKETED_KERNEL, LANE_KERNEL, MAX_GROUP, SCALAR_KERNEL, SIMD_KERNEL,
 };
 use microscopiq_runtime::telemetry::SampleValue;
 use microscopiq_runtime::{
@@ -41,15 +38,6 @@ fn assert_within(tol: Tolerance, got: &[f64], oracle: &[f64], what: &str) {
             tol.allowed(b)
         );
     }
-}
-
-/// The kernels a sweep runs on a layer of `axis`: every available
-/// kernel on `DotProduct`, only the oracle on `OutputChannel`.
-fn kernels_for(axis: GroupAxis) -> Vec<&'static dyn MicroKernel> {
-    available()
-        .into_iter()
-        .filter(|k| axis == GroupAxis::DotProduct || k.name() == SCALAR_KERNEL)
-        .collect()
 }
 
 /// Runs one kernel over the full row range (GEMM) or through its GEMV
@@ -77,45 +65,42 @@ fn run_kernel(
 #[test]
 fn every_registered_kernel_meets_its_pin_across_the_sweep() {
     let mut cases = 0usize;
-    for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-        for bits in [2u32, 4] {
-            for rate in OUTLIER_REGIMES {
-                // (d_row, d_col, macro): aligned, odd-k tail macro-block,
-                // and tail micro-block shapes.
-                for (d_row, d_col, macro_block) in [(24, 48, 16), (32, 52, 16), (16, 44, 8)] {
-                    let layer = synth_packed(&SynthSpec {
-                        axis,
-                        d_row,
-                        d_col,
-                        bits,
-                        micro: 8,
-                        macro_block,
-                        outlier_rate: rate,
-                        seed: 1000 + cases as u64,
-                    });
-                    let mut rng = SeededRng::new(2000 + cases as u64);
-                    for m in [1usize, 3, 7, 9, 15, 16] {
-                        let acts = Matrix::from_fn(d_col, m, |_, _| rng.normal(0.0, 1.0));
-                        let oracle = fused_gemm_serial(&layer, &acts);
-                        // The oracle's own pin: bitwise against dense.
-                        assert_eq!(
-                            oracle,
-                            layer.dequantize().matmul(&acts),
-                            "oracle must stay bit-identical to dense \
-                             ({axis:?} bits={bits} rate={rate} m={m})"
+    for bits in [2u32, 4] {
+        for rate in OUTLIER_REGIMES {
+            // (d_row, d_col, macro): aligned, odd-k tail macro-block, and
+            // tail micro-block shapes.
+            for (d_row, d_col, macro_block) in [(24, 48, 16), (32, 52, 16), (16, 44, 8)] {
+                let layer = synth_packed(&SynthSpec {
+                    d_row,
+                    d_col,
+                    bits,
+                    micro: 8,
+                    macro_block,
+                    outlier_rate: rate,
+                    seed: 1000 + cases as u64,
+                    ..SynthSpec::default()
+                });
+                let mut rng = SeededRng::new(2000 + cases as u64);
+                for m in [1usize, 3, 7, 9, 15, 16] {
+                    let acts = Matrix::from_fn(d_col, m, |_, _| rng.normal(0.0, 1.0));
+                    let oracle = fused_gemm_serial(&layer, &acts);
+                    // The oracle's own pin: bitwise against dense.
+                    assert_eq!(
+                        oracle,
+                        layer.dequantize().matmul(&acts),
+                        "oracle must stay bit-identical to dense \
+                         (bits={bits} rate={rate} m={m})"
+                    );
+                    let cache = DecodedCache::new(8 << 20);
+                    for kernel in available() {
+                        let what = format!(
+                            "{} bits={bits} rate={rate} {d_row}x{d_col}/{macro_block} m={m}",
+                            kernel.name()
                         );
-                        let cache = DecodedCache::new(8 << 20);
-                        for kernel in kernels_for(axis) {
-                            let what = format!(
-                                "{} {axis:?} bits={bits} rate={rate} \
-                                 {d_row}x{d_col}/{macro_block} m={m}",
-                                kernel.name()
-                            );
-                            let got = run_kernel(kernel, &layer, &acts, &cache, m == 1);
-                            assert_within(kernel.tolerance(), &got, oracle.as_slice(), &what);
-                        }
-                        cases += 1;
+                        let got = run_kernel(kernel, &layer, &acts, &cache, m == 1);
+                        assert_within(kernel.tolerance(), &got, oracle.as_slice(), &what);
                     }
+                    cases += 1;
                 }
             }
         }
@@ -128,42 +113,39 @@ fn gemv_odd_k_with_tail_blocks_through_old_and_new_kernels() {
     // m = 1 with k = 52 over macro 16 / micro 8: the last group holds 4
     // slots (one partial micro-block) — the historical off-by-one trap
     // for group-walking kernels.
-    for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-        for bits in [2u32, 4] {
-            for k in [52usize, 41, 17] {
-                let layer = synth_packed(&SynthSpec {
-                    axis,
-                    d_row: 24,
-                    d_col: k,
-                    bits,
-                    micro: 8,
-                    macro_block: 16,
-                    outlier_rate: 0.2,
-                    seed: 7 + k as u64,
-                });
-                let mut rng = SeededRng::new(99 + k as u64);
-                let x: Vec<f64> = (0..k).map(|_| rng.normal(0.0, 1.0)).collect();
-                let oracle = fused_gemv_serial(&layer, &x);
-                // Old kernel (scalar): bitwise against its GEMM shape.
-                let acts = Matrix::from_vec(k, 1, x.clone());
-                assert_eq!(
-                    oracle,
-                    fused_gemm_serial(&layer, &acts).as_slice().to_vec(),
-                    "scalar gemv/gemm parity {axis:?} bits={bits} k={k}"
+    for bits in [2u32, 4] {
+        for k in [52usize, 41, 17] {
+            let layer = synth_packed(&SynthSpec {
+                d_row: 24,
+                d_col: k,
+                bits,
+                micro: 8,
+                macro_block: 16,
+                outlier_rate: 0.2,
+                seed: 7 + k as u64,
+                ..SynthSpec::default()
+            });
+            let mut rng = SeededRng::new(99 + k as u64);
+            let x: Vec<f64> = (0..k).map(|_| rng.normal(0.0, 1.0)).collect();
+            let oracle = fused_gemv_serial(&layer, &x);
+            // Old kernel (scalar): bitwise against its GEMM shape.
+            let acts = Matrix::from_vec(k, 1, x.clone());
+            assert_eq!(
+                oracle,
+                fused_gemm_serial(&layer, &acts).as_slice().to_vec(),
+                "scalar gemv/gemm parity bits={bits} k={k}"
+            );
+            // Every kernel (lane, simd, cached, …): within its pin.
+            let cache = DecodedCache::new(1 << 20);
+            for kernel in available() {
+                let name = kernel.name();
+                let got = run_kernel(kernel, &layer, &acts, &cache, true);
+                assert_within(
+                    kernel.tolerance(),
+                    &got,
+                    &oracle,
+                    &format!("{name} bits={bits} k={k}"),
                 );
-                // Every kernel that runs the layout (lane, simd,
-                // cached, … on DotProduct): within its pin.
-                let cache = DecodedCache::new(1 << 20);
-                for kernel in kernels_for(axis) {
-                    let name = kernel.name();
-                    let got = run_kernel(kernel, &layer, &acts, &cache, true);
-                    assert_within(
-                        kernel.tolerance(),
-                        &got,
-                        &oracle,
-                        &format!("{name} {axis:?} k={k}"),
-                    );
-                }
             }
         }
     }
@@ -171,13 +153,10 @@ fn gemv_odd_k_with_tail_blocks_through_old_and_new_kernels() {
 
 #[test]
 fn group_boundary_straddling_tiles_agree_with_full_row_range() {
-    // Row tiles that cut through the middle of a line's groups
-    // (DotProduct) or straddle a macro-block (engine-level, where
-    // OutputChannel quantizes tile edges): tiled execution must equal the
-    // one-shot full-range call for every kernel, because each output
-    // element's accumulation never crosses a tile.
+    // Row tiles that cut through the middle of a line's groups: tiled
+    // execution must equal the one-shot full-range call for every kernel,
+    // because each output element's accumulation never crosses a tile.
     let layer = synth_packed(&SynthSpec {
-        axis: GroupAxis::DotProduct,
         d_row: 29, // odd row count → ragged last tile
         d_col: 48,
         bits: 2,
@@ -185,6 +164,7 @@ fn group_boundary_straddling_tiles_agree_with_full_row_range() {
         macro_block: 16,
         outlier_rate: 0.15,
         seed: 55,
+        ..SynthSpec::default()
     });
     let mut rng = SeededRng::new(56);
     let acts = Matrix::from_fn(48, 5, |_, _| rng.normal(0.0, 1.0));
@@ -201,73 +181,43 @@ fn group_boundary_straddling_tiles_agree_with_full_row_range() {
         }
         assert_eq!(full, stitched, "{} tiling changed results", kernel.name());
     }
-    // Engine level: three threads on a 40-row OutputChannel layer ask
-    // for 3-row tiles, which round up to the 16-row macro-block quantum;
-    // results must match the untiled engine bitwise (the scalar oracle)
-    // for m = 1 and m > 1.
-    let oc = synth_packed(&SynthSpec {
-        axis: GroupAxis::OutputChannel,
-        d_row: 40,
-        d_col: 32,
-        bits: 2,
-        micro: 8,
-        macro_block: 16,
-        outlier_rate: 0.3,
-        seed: 57,
-    });
-    let mut rng = SeededRng::new(58);
-    for m in [1usize, 7] {
-        let acts = Matrix::from_fn(32, m, |_, _| rng.normal(0.0, 1.0));
-        let tiled = RuntimeEngine::new(EngineConfig {
-            threads: 3,
-            tier: Tier::Exact { cache_bytes: 0 },
-            parallel_threshold: 0,
-        });
-        assert_eq!(
-            tiled.gemm(&oc, &acts),
-            RuntimeEngine::scalar().gemm(&oc, &acts),
-            "straddling tiles m={m}"
-        );
-    }
 }
 
 #[test]
 fn outlier_heavy_rows_through_old_and_new_kernels() {
     // Nearly every micro-block carries an outlier pair: the scalar path
     // must stay bitwise, and every other kernel must hold its pin on
-    // DotProduct layers (outlier density is no correctness gate).
-    for axis in [GroupAxis::DotProduct, GroupAxis::OutputChannel] {
-        for bits in [2u32, 4] {
-            let layer = synth_packed(&SynthSpec {
-                axis,
-                d_row: 32,
-                d_col: 48,
-                bits,
-                micro: 8,
-                macro_block: 16,
-                outlier_rate: 0.95,
-                seed: 77,
-            });
-            assert!(
-                layer.outlier_micro_block_fraction() > 0.5,
-                "regime must actually be outlier-heavy"
-            );
-            let mut rng = SeededRng::new(78);
-            let cache = DecodedCache::new(1 << 20);
-            for m in [1usize, 8] {
-                let acts = Matrix::from_fn(48, m, |_, _| rng.normal(0.0, 1.0));
-                let oracle = fused_gemm_serial(&layer, &acts);
-                assert_eq!(oracle, layer.dequantize().matmul(&acts), "oracle bitwise");
-                for kernel in kernels_for(axis) {
-                    let name = kernel.name();
-                    let got = run_kernel(kernel, &layer, &acts, &cache, m == 1);
-                    assert_within(
-                        kernel.tolerance(),
-                        &got,
-                        oracle.as_slice(),
-                        &format!("{name} heavy {axis:?} bits={bits} m={m}"),
-                    );
-                }
+    // (outlier density is no correctness gate).
+    for bits in [2u32, 4] {
+        let layer = synth_packed(&SynthSpec {
+            d_row: 32,
+            d_col: 48,
+            bits,
+            micro: 8,
+            macro_block: 16,
+            outlier_rate: 0.95,
+            seed: 77,
+            ..SynthSpec::default()
+        });
+        assert!(
+            layer.outlier_micro_block_fraction() > 0.5,
+            "regime must actually be outlier-heavy"
+        );
+        let mut rng = SeededRng::new(78);
+        let cache = DecodedCache::new(1 << 20);
+        for m in [1usize, 8] {
+            let acts = Matrix::from_fn(48, m, |_, _| rng.normal(0.0, 1.0));
+            let oracle = fused_gemm_serial(&layer, &acts);
+            assert_eq!(oracle, layer.dequantize().matmul(&acts), "oracle bitwise");
+            for kernel in available() {
+                let name = kernel.name();
+                let got = run_kernel(kernel, &layer, &acts, &cache, m == 1);
+                assert_within(
+                    kernel.tolerance(),
+                    &got,
+                    oracle.as_slice(),
+                    &format!("{name} heavy bits={bits} m={m}"),
+                );
             }
         }
     }
@@ -278,48 +228,37 @@ fn gemv_row_tiles_stitch_bitwise_for_every_kernel() {
     // The parallel-GEMV determinism contract: restricted-row-range GEMV
     // calls must accumulate each output element in the same order as the
     // full-range call, so disjoint tiles stitched in row order equal the
-    // one-shot gemv bit for bit — for every available kernel on
-    // DotProduct, and for the oracle on OutputChannel. DotProduct
-    // tolerates ragged tile edges; OutputChannel tiles align to the
-    // macro-block quantum like the engine's splitter.
-    let tilings: [(&[(usize, usize)], GroupAxis); 2] = [
-        (
-            &[(0, 5), (5, 16), (16, 23), (23, 48)],
-            GroupAxis::DotProduct,
-        ),
-        (&[(0, 16), (16, 32), (32, 48)], GroupAxis::OutputChannel),
-    ];
-    for (tiles, axis) in tilings {
-        let layer = synth_packed(&SynthSpec {
-            axis,
-            d_row: 48,
-            d_col: 64,
-            bits: 2,
-            micro: 8,
-            macro_block: 16,
-            outlier_rate: 0.15,
-            seed: 91,
-        });
-        let mut rng = SeededRng::new(92);
-        let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
-        let cache = DecodedCache::new(1 << 20);
-        for kernel in kernels_for(axis) {
-            let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
-            let mut full = vec![0.0_f64; 48];
-            kernel.gemv(&ctx, &layer, &x, &mut full);
-            let mut stitched = vec![0.0_f64; 48];
-            for &(lo, hi) in tiles {
-                let mut tile = vec![0.0_f64; hi - lo];
-                kernel.gemv_rows(&ctx, &layer, &x, lo, hi, &mut tile);
-                stitched[lo..hi].copy_from_slice(&tile);
-            }
-            assert_eq!(
-                full,
-                stitched,
-                "{} gemv tiling changed results on {axis:?}",
-                kernel.name()
-            );
+    // one-shot gemv bit for bit — for every available kernel, at ragged
+    // tile edges.
+    let layer = synth_packed(&SynthSpec {
+        d_row: 48,
+        d_col: 64,
+        bits: 2,
+        micro: 8,
+        macro_block: 16,
+        outlier_rate: 0.15,
+        seed: 91,
+        ..SynthSpec::default()
+    });
+    let mut rng = SeededRng::new(92);
+    let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
+    let cache = DecodedCache::new(1 << 20);
+    for kernel in available() {
+        let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+        let mut full = vec![0.0_f64; 48];
+        kernel.gemv(&ctx, &layer, &x, &mut full);
+        let mut stitched = vec![0.0_f64; 48];
+        for (lo, hi) in [(0, 5), (5, 16), (16, 23), (23, 48)] {
+            let mut tile = vec![0.0_f64; hi - lo];
+            kernel.gemv_rows(&ctx, &layer, &x, lo, hi, &mut tile);
+            stitched[lo..hi].copy_from_slice(&tile);
         }
+        assert_eq!(
+            full,
+            stitched,
+            "{} gemv tiling changed results",
+            kernel.name()
+        );
     }
 }
 
@@ -344,8 +283,8 @@ fn kernel_calls(registry: &MetricsRegistry) -> Vec<(String, u64)> {
 
 #[test]
 fn each_tier_runs_one_kernel_whatever_the_shape() {
-    // The pick reads the tier, the group axis and the group size only:
-    // not the bit width, the outlier density or the activation columns.
+    // The pick reads the tier only: not the bit width, the outlier
+    // density or the activation columns.
     let f32_kernel = SimdKernel::try_new().map_or(LANE_KERNEL, |_| SIMD_KERNEL);
     let engines = [
         ("scalar", RuntimeEngine::scalar(), SCALAR_KERNEL),
@@ -353,6 +292,7 @@ fn each_tier_runs_one_kernel_whatever_the_shape() {
         ("fast", RuntimeEngine::fast(), f32_kernel),
     ];
     for (label, engine, want) in &engines {
+        assert_eq!(engine.kernel().name(), *want, "{label}");
         let metrics = MetricsRegistry::new();
         engine.register_telemetry(&metrics);
         let mut calls = 0u64;
@@ -367,8 +307,6 @@ fn each_tier_runs_one_kernel_whatever_the_shape() {
                     seed: 120 + u64::from(bits),
                     ..SynthSpec::default()
                 });
-                let what = format!("{label} bits={bits} rate={rate}");
-                assert_eq!(engine.kernel_for(&layer).name(), *want, "{what}");
                 let mut rng = SeededRng::new(121);
                 for m in [1usize, 2, 8, 17] {
                     let acts = Matrix::from_fn(48, m, |_, _| rng.normal(0.0, 1.0));
@@ -394,7 +332,6 @@ fn fast_tier_picks_by_simd_detection_and_is_thread_count_stable() {
     // thread counts and run to run.
     let want = SimdKernel::try_new().map_or(LANE_KERNEL, |_| SIMD_KERNEL);
     let layer = synth_packed(&SynthSpec {
-        axis: GroupAxis::DotProduct,
         d_row: 48,
         d_col: 64,
         bits: 2,
@@ -402,6 +339,7 @@ fn fast_tier_picks_by_simd_detection_and_is_thread_count_stable() {
         macro_block: 16,
         outlier_rate: 0.03,
         seed: 93,
+        ..SynthSpec::default()
     });
     let mut rng = SeededRng::new(94);
     let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
@@ -414,8 +352,8 @@ fn fast_tier_picks_by_simd_detection_and_is_thread_count_stable() {
         })
     };
     let (a, b) = (engine(1), engine(3));
-    assert_eq!(RuntimeEngine::fast().kernel_for(&layer).name(), want);
-    assert_eq!(b.kernel_for(&layer).name(), want);
+    assert_eq!(RuntimeEngine::fast().kernel().name(), want);
+    assert_eq!(b.kernel().name(), want);
     assert_eq!(a.gemv(&layer, &x), b.gemv(&layer, &x));
     assert_eq!(a.gemm(&layer, &acts), b.gemm(&layer, &acts));
     assert_eq!(b.gemv(&layer, &x), b.gemv(&layer, &x), "run-to-run");
@@ -427,7 +365,6 @@ fn default_dispatch_serving_stays_bitwise_stable() {
     // exact-tier engine without a cache equals the scalar oracle bit
     // for bit, and the m = 1 GEMV entry equals the m = 1 GEMM column.
     let layer = synth_packed(&SynthSpec {
-        axis: GroupAxis::DotProduct,
         d_row: 64,
         d_col: 64,
         bits: 2,
@@ -435,6 +372,7 @@ fn default_dispatch_serving_stays_bitwise_stable() {
         macro_block: 64,
         outlier_rate: 0.05,
         seed: 31,
+        ..SynthSpec::default()
     });
     let mut rng = SeededRng::new(32);
     let acts = Matrix::from_fn(64, 8, |_, _| rng.normal(0.0, 1.0));
@@ -455,41 +393,45 @@ fn default_dispatch_serving_stays_bitwise_stable() {
 }
 
 #[test]
-fn output_channel_layers_run_on_the_oracle_in_every_engine() {
-    // The other kernels run DotProduct only: whatever the engine, an
-    // OutputChannel layer runs on the oracle and equals it bitwise.
-    let engines = [
-        ("parallel", RuntimeEngine::parallel()),
-        ("fast", RuntimeEngine::fast()),
-    ];
-    for (label, engine) in &engines {
-        for bits in [2u32, 4] {
-            let layer = synth_packed(&SynthSpec {
-                axis: GroupAxis::OutputChannel,
-                d_row: 48,
-                d_col: 64,
-                bits,
-                micro: 8,
-                macro_block: 16,
-                outlier_rate: 0.03,
-                seed: 101 + u64::from(bits),
-            });
-            let mut rng = SeededRng::new(102 + u64::from(bits));
-            for m in [1usize, 8] {
-                let what = format!("{label} bits={bits} m={m}");
-                assert_eq!(engine.kernel_for(&layer).name(), SCALAR_KERNEL, "{what}");
-                let acts = Matrix::from_fn(64, m, |_, _| rng.normal(0.0, 1.0));
-                assert_eq!(
-                    engine.gemm(&layer, &acts),
-                    fused_gemm_serial(&layer, &acts),
-                    "{what} gemm"
-                );
-                let x = acts.col(0);
-                assert_eq!(
-                    engine.gemv(&layer, &x),
-                    fused_gemv_serial(&layer, &x),
-                    "{what} gemv"
-                );
+fn every_kernel_refuses_a_layout_outside_the_served_one() {
+    // Each kernel asserts its layout on entry — the `unsafe` AVX2 loads
+    // rely on it: every kernel refuses an OutputChannel layer, and the two
+    // f32 kernels, whose group planes hold MAX_GROUP slots, a larger
+    // group.
+    let output_channel = synth_packed(&SynthSpec {
+        axis: GroupAxis::OutputChannel,
+        ..SynthSpec::default()
+    });
+    let oversize = synth_packed(&SynthSpec {
+        d_col: 2 * MAX_GROUP,
+        macro_block: 2 * MAX_GROUP,
+        ..SynthSpec::default()
+    });
+    let cache = DecodedCache::new(1 << 20);
+    for kernel in available() {
+        let mut cases = vec![(&output_channel, "runs DotProduct layers only")];
+        if [LANE_KERNEL, SIMD_KERNEL].contains(&kernel.name()) {
+            cases.push((&oversize, "group plane holds at most"));
+        }
+        for (layer, refusal) in cases {
+            let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+            let acts = Matrix::zeros(layer.d_col(), 2);
+            let gemm = || {
+                let mut out = vec![0.0; layer.d_row() * 2];
+                kernel.gemm_rows(&ctx, layer, &acts, 0, layer.d_row(), &mut out);
+            };
+            let gemv = || {
+                let mut out = vec![0.0; layer.d_row()];
+                kernel.gemv(&ctx, layer, &acts.col(0), &mut out);
+            };
+            for (entry, call) in [("gemm_rows", &gemm as &dyn Fn()), ("gemv", &gemv)] {
+                let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                    .expect_err("the call must panic");
+                let msg = err
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .unwrap_or_default();
+                assert!(msg.contains(refusal), "{} {entry}: {msg}", kernel.name());
             }
         }
     }

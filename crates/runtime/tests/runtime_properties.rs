@@ -1,9 +1,9 @@
 //! Property tests: the fused runtime must match the dequantize-then-matmul
-//! dense reference over random layer geometries, bit budgets, grouping
-//! axes, and outlier densities — bitwise for the uncached paths, within
+//! dense reference over random layer geometries, bit budgets and outlier
+//! densities — bitwise for the uncached paths, within
 //! the 1e-9 contract for the bucketed cached path.
 
-use microscopiq_core::config::{GroupAxis, QuantConfig};
+use microscopiq_core::config::QuantConfig;
 use microscopiq_core::solver::solve;
 use microscopiq_core::traits::LayerTensors;
 use microscopiq_linalg::{Matrix, SeededRng};
@@ -13,7 +13,6 @@ use proptest::prelude::*;
 fn build_packed(
     rows: usize,
     cols: usize,
-    axis: GroupAxis,
     bits: u32,
     outlier_rate: f64,
     seed: u64,
@@ -31,7 +30,6 @@ fn build_packed(
     let cfg = QuantConfig::builder(bits)
         .macro_block(16)
         .row_block(16)
-        .group_axis(axis)
         .build()
         .unwrap();
     solve(&layer, &cfg).unwrap().packed.unwrap()
@@ -41,7 +39,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Runtime-vs-dense GEMM parity: max abs diff < 1e-9 (in fact 0) for
-    /// every engine flavour, across axes, bit budgets, and outlier rates.
+    /// every engine flavour, across bit budgets and outlier rates.
     #[test]
     fn fused_engines_match_dense_reference(
         seed in 0u64..1000,
@@ -49,12 +47,11 @@ proptest! {
         cols_blocks in 1usize..4,
         batch in 1usize..12,
         bits in prop_oneof![Just(2u32), Just(4u32)],
-        axis in prop_oneof![Just(GroupAxis::DotProduct), Just(GroupAxis::OutputChannel)],
         rate in prop_oneof![Just(0.0), 0.005f64..0.08],
     ) {
         let rows = rows_blocks * 16;
         let cols = cols_blocks * 16;
-        let packed = build_packed(rows, cols, axis, bits, rate, seed);
+        let packed = build_packed(rows, cols, bits, rate, seed);
         let mut rng = SeededRng::new(seed ^ 0xABCD);
         let acts = Matrix::from_fn(cols, batch, |_, _| rng.normal(0.0, 1.0));
         let dense = packed.dequantize().matmul(&acts);
@@ -91,15 +88,14 @@ proptest! {
         prop_assert!(cached_diff < 1e-9, "cached diff {}", cached_diff);
         prop_assert_eq!(&cached.gemm(&packed, &acts), &cold);
 
-        // The fast tier (simd-f32 or lane-f32 on supported shapes, scalar
-        // elsewhere) must hold whichever kernel it picks to that kernel's
-        // pinned tolerance.
+        // The fast tier (simd-f32, or lane-f32 without SIMD) must hold
+        // whichever kernel it picks to that kernel's pinned tolerance.
         let fast = RuntimeEngine::new(EngineConfig {
             threads: 1,
             tier: Tier::Fast,
             parallel_threshold: usize::MAX,
         });
-        let picked = fast.kernel_for(&packed);
+        let picked = fast.kernel();
         let tol = picked.tolerance();
         let lane = fast.gemm(&packed, &acts);
         for (a, b) in lane.as_slice().iter().zip(dense.as_slice().iter()) {
@@ -117,7 +113,7 @@ proptest! {
     /// results (evictions must never corrupt tiles).
     #[test]
     fn thrashing_cache_stays_exact(seed in 0u64..500) {
-        let packed = build_packed(32, 48, GroupAxis::DotProduct, 2, 0.03, seed);
+        let packed = build_packed(32, 48, 2, 0.03, seed);
         let mut rng = SeededRng::new(seed);
         let acts = Matrix::from_fn(48, 5, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
