@@ -232,6 +232,7 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::*;
     use crate::cache::DecodedCache;
+    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     #[test]
@@ -301,6 +302,24 @@ mod tests {
             &acts,
             0,
             layer.d_row(),
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs DotProduct layers only")]
+    fn output_channel_layer_panics() {
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let x = vec![0.0; layer.d_col()];
+        let mut out = vec![0.0; layer.d_row()];
+        let cache = DecodedCache::new(1 << 20);
+        BucketedCacheKernel.gemv(
+            &KernelCtx::cached(&cache, layer.content_fingerprint()),
+            &layer,
+            &x,
             &mut out,
         );
     }

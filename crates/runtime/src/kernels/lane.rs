@@ -257,6 +257,7 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::super::{fused_gemm_serial, fused_gemv_serial};
     use super::*;
+    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     fn check_within(tol: Tolerance, got: &[f64], oracle: &[f64], what: &str) {
@@ -361,6 +362,37 @@ mod tests {
                 &format!("gemv bits={bits}"),
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "runs DotProduct layers only")]
+    fn output_channel_gemm_panics() {
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let acts = Matrix::zeros(layer.d_col(), 2);
+        let mut out = vec![0.0; layer.d_row() * 2];
+        LaneKernel.gemm_rows(
+            &KernelCtx::uncached(),
+            &layer,
+            &acts,
+            0,
+            layer.d_row(),
+            &mut out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "runs DotProduct layers only")]
+    fn output_channel_gemv_panics() {
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let x = vec![0.0; layer.d_col()];
+        let mut out = vec![0.0; layer.d_row()];
+        LaneKernel.gemv(&KernelCtx::uncached(), &layer, &x, &mut out);
     }
 
     #[test]

@@ -675,6 +675,7 @@ mod tests {
     use super::super::synth::{synth_packed, SynthSpec};
     use super::super::{fused_gemm_serial, fused_gemv_serial};
     use super::*;
+    use microscopiq_core::config::GroupAxis;
     use microscopiq_linalg::SeededRng;
 
     #[test]
@@ -782,5 +783,46 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn output_channel_calls_panic_when_available() {
+        let Some(kernel) = SimdKernel::try_new() else {
+            return; // host without a SIMD path: nothing to call
+        };
+        let layer = synth_packed(&SynthSpec {
+            axis: GroupAxis::OutputChannel,
+            ..SynthSpec::default()
+        });
+        let refused = |call: &dyn Fn()| {
+            let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(call))
+                .expect_err("an OutputChannel call must panic");
+            let msg = err
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(msg.contains("runs DotProduct layers only"), "{msg}");
+        };
+        let acts = Matrix::zeros(layer.d_col(), 2);
+        refused(&|| {
+            let mut out = vec![0.0; layer.d_row() * 2];
+            kernel.gemm_rows(
+                &KernelCtx::uncached(),
+                &layer,
+                &acts,
+                0,
+                layer.d_row(),
+                &mut out,
+            );
+        });
+        refused(&|| {
+            let mut out = vec![0.0; layer.d_row()];
+            kernel.gemv(
+                &KernelCtx::uncached(),
+                &layer,
+                &vec![0.0; layer.d_col()],
+                &mut out,
+            );
+        });
     }
 }
