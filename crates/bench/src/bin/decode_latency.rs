@@ -33,7 +33,13 @@ use std::cell::Cell;
 use std::time::{Duration, Instant};
 
 const BATCH: usize = 8;
-const STEPS: usize = 3;
+/// Timed steps per path and round.
+const STEPS: usize = 8;
+/// Rounds, each one full-recompute run then one incremental run from the
+/// same prompts at every prefix: paths and prefixes alternate, so a slow
+/// stretch of a shared host lands on every row, and each row is the
+/// median of `STEPS × ROUNDS` steps spread over the whole measurement.
+const ROUNDS: usize = 6;
 
 /// Argmax token choice: deterministic, so every path that produces the
 /// same logits walks the same token sequence.
@@ -186,10 +192,11 @@ impl PackedGemm for TimedGemm<'_> {
 
 /// Attention cost on the deep serving shape: ns of pass self time per
 /// attention score, for a 64-token prefill chunk and a single-token
-/// decode step ending at context 64 and 512. Returns the table rows'
-/// metrics.
+/// decode step ending at context 64 and 512. The four passes are timed
+/// in `ROUNDS` interleaved rounds, so each row's median spans the whole
+/// measurement. Returns the table rows' metrics.
 fn attention_ns_per_score(engine: &RuntimeEngine) -> Vec<(String, f64)> {
-    const REPS: usize = 15;
+    const REPS: usize = 12;
     let cfg = TinyFmConfig {
         d_model: 64,
         n_heads: 4,
@@ -203,11 +210,8 @@ fn attention_ns_per_score(engine: &RuntimeEngine) -> Vec<(String, f64)> {
         engine,
         busy: Cell::new(Duration::ZERO),
     };
-    let mut table = Table::new(
-        "Attention self time, deep shape (d=64, 4 heads, 4 layers, exact KV)",
-        &["ctx", "pass", "new tokens", "self µs/pass", "ns/score"],
-    );
-    let mut metrics = Vec::new();
+    // (ctx, pass, new tokens, prompt, state after the first ctx − new).
+    let mut passes = Vec::new();
     for ctx in [64usize, 512] {
         let prompt: Vec<usize> = (0..ctx).map(|_| rng.below(cfg.vocab)).collect();
         for (pass, new) in [("prefill", 64usize), ("decode", 1)] {
@@ -222,37 +226,53 @@ fn attention_ns_per_score(engine: &RuntimeEngine) -> Vec<(String, f64)> {
                     engine,
                 );
             }
-            let self_s: Vec<f64> = (0..=REPS)
-                .map(|_| {
-                    let mut state = base.clone();
-                    timed.busy.set(Duration::ZERO);
-                    let t0 = Instant::now();
-                    let out = model.advance_batch(
-                        &mut [DecodeJob {
-                            state: &mut state,
-                            tokens: &prompt[hist..],
-                        }],
-                        &timed,
-                    );
-                    let wall = t0.elapsed();
-                    std::hint::black_box(out);
-                    wall.saturating_sub(timed.busy.get()).as_secs_f64()
-                })
-                .skip(1) // warm-up
-                .collect();
-            // Token t of the pass scores hist + t + 1 rows per head and layer.
-            let scores = cfg.n_layers * cfg.n_heads * (new * hist + new * (new + 1) / 2);
-            let t_self = median(&self_s);
-            let ns_per_score = t_self * 1e9 / scores as f64;
-            table.row(vec![
-                ctx.to_string(),
-                pass.to_string(),
-                new.to_string(),
-                format!("{:.1}", t_self * 1e6),
-                f2(ns_per_score),
-            ]);
-            metrics.push((format!("attn_ns_per_score_{pass}_ctx{ctx}"), ns_per_score));
+            passes.push((ctx, pass, new, prompt.clone(), base));
         }
+    }
+    let self_time = |prompt: &[usize], hist: usize, base: &DecodeState| {
+        let mut state = base.clone();
+        timed.busy.set(Duration::ZERO);
+        let t0 = Instant::now();
+        let out = model.advance_batch(
+            &mut [DecodeJob {
+                state: &mut state,
+                tokens: &prompt[hist..],
+            }],
+            &timed,
+        );
+        let wall = t0.elapsed();
+        std::hint::black_box(out);
+        wall.saturating_sub(timed.busy.get()).as_secs_f64()
+    };
+    let mut self_s = vec![Vec::new(); passes.len()];
+    for round in 0..ROUNDS {
+        for ((ctx, _, new, prompt, base), samples) in passes.iter().zip(&mut self_s) {
+            let hist = ctx - new;
+            if round == 0 {
+                self_time(prompt, hist, base); // warm-up
+            }
+            samples.extend((0..REPS).map(|_| self_time(prompt, hist, base)));
+        }
+    }
+    let mut table = Table::new(
+        "Attention self time, deep shape (d=64, 4 heads, 4 layers, exact KV)",
+        &["ctx", "pass", "new tokens", "self µs/pass", "ns/score"],
+    );
+    let mut metrics = Vec::new();
+    for ((ctx, pass, new, _, _), samples) in passes.iter().zip(&self_s) {
+        let hist = ctx - new;
+        // Token t of the pass scores hist + t + 1 rows per head and layer.
+        let scores = cfg.n_layers * cfg.n_heads * (new * hist + new * (new + 1) / 2);
+        let t_self = median(samples);
+        let ns_per_score = t_self * 1e9 / scores as f64;
+        table.row(vec![
+            ctx.to_string(),
+            pass.to_string(),
+            new.to_string(),
+            format!("{:.1}", t_self * 1e6),
+            f2(ns_per_score),
+        ]);
+        metrics.push((format!("attn_ns_per_score_{pass}_ctx{ctx}"), ns_per_score));
     }
     table.print();
     metrics
@@ -272,8 +292,10 @@ fn main() {
 
     let mut table = Table::new(
         &format!(
-            "TinyFM decode latency (d={}, {} layers, batch {BATCH}, {STEPS} timed steps)",
-            cfg.d_model, cfg.n_layers
+            "TinyFM decode latency (d={}, {} layers, batch {BATCH}, {} timed steps)",
+            cfg.d_model,
+            cfg.n_layers,
+            STEPS * ROUNDS
         ),
         &["Prefix", "Path", "ms/step", "tokens/s", "speedup vs full"],
     );
@@ -281,40 +303,61 @@ fn main() {
     let speedup_at = |prefix: usize| format!("decode_speedup_p{prefix}_b{BATCH}");
 
     let prefixes = [64usize, 256];
-    let mut acceptance = Vec::new();
-    for &prefix in &prefixes {
-        let prompts: Vec<Vec<usize>> = (0..BATCH)
-            .map(|_| (0..prefix).map(|_| rng.below(cfg.vocab)).collect())
-            .collect();
-
-        // Warm the decoded-tile cache so every path measures steady state.
+    let prompts: Vec<Vec<Vec<usize>>> = prefixes
+        .iter()
+        .map(|&prefix| {
+            (0..BATCH)
+                .map(|_| (0..prefix).map(|_| rng.below(cfg.vocab)).collect())
+                .collect()
+        })
+        .collect();
+    // Warm the decoded-tile cache so every path measures steady state.
+    for prompts in &prompts {
         let warm: Vec<&[usize]> = prompts.iter().map(|p| &p[..4]).collect();
         model.forward_batch(&warm, &engine);
+    }
 
-        let full = run_full_recompute(&model, &engine, &prompts);
-        let (prefill_s, inc) = run_incremental(&model, &engine, &prompts);
+    // Per prefix: (full-recompute step times, incremental step times,
+    // prefill times). Each round visits every prefix, so every row
+    // samples the whole measurement window.
+    let mut times = vec![(Vec::new(), Vec::new(), Vec::new()); prefixes.len()];
+    for _ in 0..ROUNDS {
+        for ((&prefix, prompts), (full_times, inc_times, prefill_times)) in
+            prefixes.iter().zip(&prompts).zip(&mut times)
+        {
+            let full = run_full_recompute(&model, &engine, prompts);
+            let (prefill_s, inc) = run_incremental(&model, &engine, prompts);
 
-        // Parity gate: exact-KV incremental must be bit-identical to full
-        // recompute — same tokens, same logits, every step, every request.
-        for step in 0..STEPS {
-            assert_eq!(
-                full.tokens[step], inc.tokens[step],
-                "token stream diverged at prefix {prefix} step {step}"
-            );
-            for (b, (fl, il)) in full.logits[step]
-                .iter()
-                .zip(inc.logits[step].iter())
-                .enumerate()
-            {
+            // Parity gate: exact-KV incremental must be bit-identical to
+            // full recompute — same tokens, same logits, every step, every
+            // request.
+            for step in 0..STEPS {
                 assert_eq!(
-                    fl, il,
-                    "logits diverged at prefix {prefix} step {step} request {b}"
+                    full.tokens[step], inc.tokens[step],
+                    "token stream diverged at prefix {prefix} step {step}"
                 );
+                for (b, (fl, il)) in full.logits[step]
+                    .iter()
+                    .zip(inc.logits[step].iter())
+                    .enumerate()
+                {
+                    assert_eq!(
+                        fl, il,
+                        "logits diverged at prefix {prefix} step {step} request {b}"
+                    );
+                }
             }
+            full_times.extend(full.times);
+            inc_times.extend(inc.times);
+            prefill_times.push(prefill_s);
         }
+    }
 
-        let t_full = median(&full.times);
-        let t_inc = median(&inc.times);
+    let mut acceptance = Vec::new();
+    for (&prefix, (full_times, inc_times, prefill_times)) in prefixes.iter().zip(&times) {
+        let t_full = median(full_times);
+        let t_inc = median(inc_times);
+        let prefill_s = median(prefill_times);
         let speedup = t_full / t_inc;
         let mut row = |path: &str, t: f64| {
             table.row(vec![

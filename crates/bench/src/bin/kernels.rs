@@ -219,8 +219,8 @@ fn main() {
 
     let available = kernels::available();
     let find = |name: &str| available.iter().copied().find(|k| k.name() == name);
-    let cache = DecodedCache::new(256 << 20);
-    let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+    let tiles = DecodedCache::new().layer_tiles(&layer);
+    let ctx = KernelCtx::decoded(&tiles);
 
     // Conformance gate before timing anything: every kernel at its pin.
     let oracle = {
@@ -265,9 +265,9 @@ fn main() {
     }
 
     // Parallel-GEMV determinism gate: the threaded splitter must equal
-    // the serial path bitwise, twice in a row, on both uncached tiers —
-    // the contract the runtime's reproducibility rests on.
-    for tier in [Tier::Exact { cache_bytes: 0 }, Tier::Fast] {
+    // the serial path bitwise, twice in a row, on every tier — the
+    // contract the runtime's reproducibility rests on.
+    for tier in [Tier::Scalar, Tier::Exact, Tier::Fast] {
         let serial = RuntimeEngine::new(EngineConfig {
             threads: 1,
             tier,
@@ -284,7 +284,7 @@ fn main() {
         assert_eq!(got1, want, "parallel GEMV diverged from serial ({tier:?})");
         assert_eq!(got1, got2, "parallel GEMV not run-to-run stable ({tier:?})");
     }
-    println!("parallel GEMV determinism: PASS (exact and fast tiers, bitwise vs serial)\n");
+    println!("parallel GEMV determinism: PASS (scalar, exact and fast tiers, bitwise vs serial)\n");
 
     // Host capability report — the SIMD gate below only arms when the
     // kernel is available (CI runs a leg with MICROSCOPIQ_SIMD=off where

@@ -1,6 +1,6 @@
-//! Cache-friendly decoded-block storage: per-macro-block tiles decoded
-//! lazily on first touch and kept under an LRU residency cap, so repeated
-//! forward passes amortize unpacking instead of re-decoding every block.
+//! Decoded-layer storage: every macro-block tile of a layer decoded on
+//! the layer's first touch and kept for the cache's life, so repeated
+//! forward passes skip unpacking instead of re-decoding every block.
 //!
 //! A resident tile is an **execution-ready decoded form** chosen per bit
 //! budget ([`DecodedTile`]). 2-bit layers use [`BucketTile`]: slot
@@ -18,50 +18,16 @@
 //!
 //! Layers are identified by [`PackedLayer::content_fingerprint`] (a
 //! memoized content hash), not by address: two identical layers share
-//! entries, and entries can never go stale because a key change follows
-//! any content change. Shards keyed by group index keep lock contention
-//! low under the parallel executor.
+//! one entry, and an entry can never go stale because a key change
+//! follows any content change. There is no residency cap: a served model
+//! is a fixed set of layers scanned cyclically, so the working set is the
+//! whole model and any cap below it would miss on every lookup. The
+//! engine looks a layer up once per call ([`DecodedCache::layer_tiles`])
+//! and hands the kernel the slice, so the per-group work is an index.
 
 use microscopiq_core::packed::PackedLayer;
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-const SHARDS: usize = 16;
-
-/// Multiply-rotate hasher for the (layer, group) keys — the default
-/// SipHash costs more than the lookup it guards on the per-group hot
-/// path; keys here are already high-entropy fingerprints.
-#[derive(Default)]
-pub struct FastKeyHasher(u64);
-
-impl Hasher for FastKeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        self.0 = (self.0 ^ v)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .rotate_left(23);
-    }
-
-    fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
-    fn finish(&self) -> u64 {
-        let mut h = self.0;
-        h ^= h >> 31;
-        h = h.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^ (h >> 29)
-    }
-}
-
-type FastMap<K, V> = HashMap<K, V, BuildHasherDefault<FastKeyHasher>>;
 
 /// A decoded macro-block tile in execution-ready form.
 ///
@@ -288,125 +254,79 @@ impl BucketTile {
     }
 }
 
-#[derive(Debug)]
-struct Entry {
-    tile: Arc<DecodedTile>,
-    stamp: u64,
-}
-
-#[derive(Debug, Default)]
-struct Shard {
-    entries: FastMap<(u64, u32), Entry>,
-    bytes: usize,
-}
-
-impl Shard {
-    /// Evicts least-recently-used entries until `bytes <= cap`.
-    fn enforce_cap(&mut self, cap: usize) -> usize {
-        let mut evicted = 0;
-        while self.bytes > cap && !self.entries.is_empty() {
-            let oldest = self
-                .entries
-                .iter()
-                .min_by_key(|(_, e)| e.stamp)
-                .map(|(&k, _)| k)
-                .expect("non-empty");
-            if let Some(e) = self.entries.remove(&oldest) {
-                self.bytes -= e.tile.bytes();
-                evicted += 1;
-            }
-        }
-        evicted
-    }
-}
-
 /// Cache statistics snapshot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheStats {
-    /// Tile lookups served from residency.
+    /// Layer lookups served from residency.
     pub hits: u64,
-    /// Tile lookups that decoded fresh.
+    /// Layer lookups that decoded the layer fresh.
     pub misses: u64,
-    /// Tiles evicted under the residency cap.
+    /// Always 0: a decoded layer stays resident for the cache's life.
+    /// Kept for the `benchmark/` package's `cache.evictions` row until
+    /// ROADMAP 1(g).
     pub evictions: u64,
     /// Bytes currently resident.
     pub resident_bytes: usize,
 }
 
-/// Sharded, LRU-capped store of lazily decoded macro-block tiles.
-#[derive(Debug)]
+/// Every group of one layer decoded, in group order: `tiles[g]` is group
+/// `g`.
+pub type LayerTiles = Arc<[DecodedTile]>;
+
+#[derive(Debug, Default)]
+struct Resident {
+    layers: HashMap<u64, LayerTiles>,
+    stats: CacheStats,
+}
+
+/// The decoded tiles of every layer the engine has run, keyed by the
+/// layer's content fingerprint. A layer is decoded whole on first touch
+/// and stays resident; an exact-tier call looks its layer up once.
+#[derive(Debug, Default)]
 pub struct DecodedCache {
-    shards: Vec<Mutex<Shard>>,
-    cap_per_shard: usize,
-    clock: AtomicU64,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
+    resident: Mutex<Resident>,
 }
 
 impl DecodedCache {
-    /// Creates a cache with the given total residency cap in bytes.
-    pub fn new(max_bytes: usize) -> Self {
-        Self {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            cap_per_shard: (max_bytes / SHARDS).max(1),
-            clock: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-        }
+    /// An empty cache.
+    pub fn new() -> Self {
+        Self::default()
     }
 
-    /// Returns the decoded tile for group `g` of the layer, decoding and
-    /// inserting it on first touch.
-    pub fn get_or_decode(&self, layer_id: u64, layer: &PackedLayer, g: usize) -> Arc<DecodedTile> {
-        let key = (layer_id, g as u32);
-        let shard = &self.shards[g % SHARDS];
-        let stamp = self.clock.fetch_add(1, Ordering::Relaxed);
+    /// Every decoded tile of `layer`, decoding the layer on first touch.
+    pub fn layer_tiles(&self, layer: &PackedLayer) -> LayerTiles {
+        let id = layer.content_fingerprint();
         {
-            let mut guard = shard.lock().expect("cache shard poisoned");
-            if let Some(e) = guard.entries.get_mut(&key) {
-                e.stamp = stamp;
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return e.tile.clone();
+            let mut resident = self.lock();
+            if let Some(tiles) = resident.layers.get(&id).cloned() {
+                resident.stats.hits += 1;
+                return tiles;
             }
         }
-        // Decode outside the lock: concurrent misses on one tile waste a
-        // little work but never block each other.
-        let tile = Arc::new(DecodedTile::build(layer, g));
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = shard.lock().expect("cache shard poisoned");
-        guard.bytes += tile.bytes();
-        if let Some(prev) = guard.entries.insert(
-            key,
-            Entry {
-                tile: tile.clone(),
-                stamp,
-            },
-        ) {
-            // A racing thread inserted first; ours replaced it.
-            guard.bytes -= prev.tile.bytes();
-        }
-        let evicted = guard.enforce_cap(self.cap_per_shard);
-        drop(guard);
-        if evicted > 0 {
-            self.evictions.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-        tile
+        // Decode outside the lock: two racing first touches each decode,
+        // and the first to insert is the one copy kept.
+        let tiles: LayerTiles = (0..layer.num_groups())
+            .map(|g| DecodedTile::build(layer, g))
+            .collect();
+        let mut resident = self.lock();
+        let Resident { layers, stats } = &mut *resident;
+        stats.misses += 1;
+        layers
+            .entry(id)
+            .or_insert_with(|| {
+                stats.resident_bytes += tiles.iter().map(DecodedTile::bytes).sum::<usize>();
+                tiles
+            })
+            .clone()
     }
 
     /// Current statistics.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            resident_bytes: self
-                .shards
-                .iter()
-                .map(|s| s.lock().expect("cache shard poisoned").bytes)
-                .sum(),
-        }
+        self.lock().stats
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Resident> {
+        self.resident.lock().expect("decoded cache poisoned")
     }
 }
 
@@ -482,42 +402,22 @@ mod tests {
     #[test]
     fn tiles_hit_on_reuse() {
         let layer = packed_layer(3, 2);
-        let cache = DecodedCache::new(1 << 20);
-        let id = layer.content_fingerprint();
-        for g in 0..layer.num_groups() {
-            let _ = cache.get_or_decode(id, &layer, g);
-        }
+        let cache = DecodedCache::new();
+        let cold = cache.layer_tiles(&layer);
+        assert_eq!(cold.len(), layer.num_groups());
         let s1 = cache.stats();
-        assert_eq!(s1.misses, layer.num_groups() as u64);
+        assert_eq!(s1.misses, 1);
         assert_eq!(s1.hits, 0);
-        for g in 0..layer.num_groups() {
-            let _ = cache.get_or_decode(id, &layer, g);
-        }
+        let warm = cache.layer_tiles(&layer);
         let s2 = cache.stats();
-        assert_eq!(s2.hits, layer.num_groups() as u64);
-        assert_eq!(s2.misses, s1.misses, "second pass must be all hits");
-        assert!(s2.resident_bytes > 0);
-    }
-
-    #[test]
-    fn residency_cap_evicts_lru() {
-        let layer = packed_layer(4, 2);
-        // Cap far below the full decoded size forces eviction.
-        let cap = SHARDS * 96;
-        let cache = DecodedCache::new(cap);
-        let id = layer.content_fingerprint();
-        for _ in 0..3 {
-            for g in 0..layer.num_groups() {
-                let _ = cache.get_or_decode(id, &layer, g);
-            }
-        }
-        let s = cache.stats();
-        assert!(s.evictions > 0, "tiny cap must evict");
-        assert!(
-            s.resident_bytes <= cap,
-            "residency {} exceeds cap",
-            s.resident_bytes
+        assert_eq!(s2.hits, 1);
+        assert_eq!(s2.misses, s1.misses, "second lookup must hit");
+        assert!(Arc::ptr_eq(&cold, &warm), "a hit returns the resident copy");
+        assert_eq!(
+            s2.resident_bytes,
+            cold.iter().map(DecodedTile::bytes).sum::<usize>()
         );
+        assert!(s2.resident_bytes > 0);
     }
 
     #[test]

@@ -34,10 +34,15 @@
 //! call's result is bitwise the same whichever thread computed which
 //! tile, whether it split at all, and run to run.
 //!
-//! Numerics are the picked kernel's pinned tolerance: the exact tier
-//! without a cache runs the scalar oracle (bit-identical to
-//! `dequantize().matmul(..)` for any thread count or tile size) and with
-//! one the bucketed kernel (within the runtime's 1e-9 contract, ~1e-12
+//! **Decoded tiles.** An exact-tier engine owns a [`DecodedCache`] and
+//! looks the called layer up in it once per call, before any row split:
+//! every tile of the call, on whichever thread, indexes the same slice of
+//! decoded groups, so no tile takes a lock or touches a counter.
+//!
+//! Numerics are the picked kernel's pinned tolerance: the scalar tier
+//! runs the scalar oracle (bit-identical to `dequantize().matmul(..)` for
+//! any thread count or tile size), the exact tier the bucketed kernel
+//! over decoded tiles (within the runtime's 1e-9 contract, ~1e-12
 //! observed); the fast tier runs the `simd-f32` kernel (AVX2+FMA
 //! detected) or else the lane-blocked `lane-f32` kernel, each at its own
 //! pinned relative tolerance. Every kernel runs the layout every served
@@ -45,7 +50,7 @@
 //! `PackedTinyFm::quantize_from` checks once where a model enters
 //! serving.
 
-use crate::cache::{CacheStats, DecodedCache};
+use crate::cache::{CacheStats, DecodedCache, LayerTiles};
 use crate::kernels::{
     BucketedCacheKernel, KernelCtx, KernelMetrics, KernelOp, LaneKernel, MicroKernel, ScalarKernel,
     SimdKernel, KERNEL_NAMES, SIMD_KERNEL,
@@ -64,13 +69,11 @@ use std::sync::{Arc, Mutex, MutexGuard, TryLockError};
 /// pick table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Tier {
-    /// The scalar oracle, bit-exact, when `cache_bytes` is 0. Otherwise a
-    /// decoded-tile cache with that residency cap in bytes, and the
-    /// `bucketed-cache` kernel over it (within `Abs(1e-9)`).
-    Exact {
-        /// Decoded-tile cache residency cap in bytes; 0 means no cache.
-        cache_bytes: usize,
-    },
+    /// The scalar oracle, bit-exact, straight from the packed layer.
+    Scalar,
+    /// The `bucketed-cache` kernel (within `Abs(1e-9)`) over a decoded
+    /// cache that holds every layer the engine has run.
+    Exact,
     /// The `f32` kernels, without a cache: `simd-f32` where the host has
     /// it, `lane-f32` elsewhere.
     Fast,
@@ -82,7 +85,7 @@ pub struct EngineConfig {
     /// Threads a split call runs on — the caller plus `threads − 1` pool
     /// workers; 0 means all available cores.
     pub threads: usize,
-    /// The kernels the engine runs, and its decoded-cache cap.
+    /// The kernels the engine runs.
     pub tier: Tier,
     /// Calls of fewer multiply-accumulates than this run on the calling
     /// thread; larger ones are one job on the engine's pool. The same
@@ -90,19 +93,20 @@ pub struct EngineConfig {
     /// The default, 2^19, is read off the serial-vs-split table the
     /// `kernels` bench bin prints, which alternates one serial and one
     /// split call per sample. On a 2-vCPU host a split costs a fixed
-    /// ≈ 2–5 µs — waking the parked worker, and sleeping until it is off
-    /// its last tile: a 64×64·m=1 GEMV goes 15 → 19 µs on the exact tier
-    /// and 3 → 5 µs on the f32 tier. What a split buys depends on whether
-    /// the host's second vCPU is free, which changes from run to run:
-    /// four back-to-back runs put the exact tier's break-even at 2^16,
-    /// 2^23.6 and, twice, never (serial and split within ≈ 5% on every
-    /// shape), and the f32 tier's between 2^18.8 and 2^23.6. In the last run
-    /// (the tracked `results/BENCH_kernels.json`) the exact tier's split
-    /// won every 256- and 512-wide call (256×256·m=96: 2929 → 1531 µs)
-    /// and the f32 tier's every call of those shapes from m = 4. The f32
-    /// tier is 4–7× faster per MAC against the same fixed cost, and a
-    /// serial 256×256 f32 call costs ≈ 70–80 µs at every m from 4 to 8,
-    /// so one MAC count cannot sit at both tiers' optimum; 2^19 keeps a
+    /// ≈ 1–7 µs — waking the parked worker, and sleeping until it is off
+    /// its last tile: a 64×64·m=1 GEMV goes 11.8 → 18.0 µs on the exact
+    /// tier and 4.1 → 7.9 µs on the f32 tier. What a split buys depends
+    /// on whether the host's second vCPU is free, which changes from run
+    /// to run: seven back-to-back runs put the exact tier's break-even at
+    /// 2^15, 2^15.8, 2^17, 2^19.6 and, three times, never (serial and
+    /// split within ≈ 3% on every shape), and the f32 tier's between 2^17
+    /// and 2^18.8 or, the same three times, never. In the last run (the
+    /// tracked `results/BENCH_kernels.json`) the exact tier's split won
+    /// every 256- and 512-wide call (256×256·m=96: 2429 → 1273 µs) and
+    /// the f32 tier's every one but 256×256·m=1. The f32 tier is 3–5×
+    /// faster per MAC against the same fixed cost, and a serial 256×256
+    /// f32 call costs ≈ 55–90 µs at every m from 4 to 8, so one MAC count
+    /// cannot sit at both tiers' optimum; 2^19 keeps a
     /// 256-wide model's m ≥ 8 steps splitting on both and every m ≤ 16
     /// call of the 32- and 64-wide models serial.
     pub parallel_threshold: usize,
@@ -112,9 +116,7 @@ impl Default for EngineConfig {
     fn default() -> Self {
         Self {
             threads: 0,
-            tier: Tier::Exact {
-                cache_bytes: 64 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: 1 << 19,
         }
     }
@@ -126,15 +128,15 @@ impl EngineConfig {
     /// `RuntimeEngine::new(EngineConfig::scalar())`).
     ///
     /// Knobs the scalar engine honors: none beyond what this constructor
-    /// pins. The exact tier without a decoded cache runs every call on
-    /// the bit-exact oracle kernel;
+    /// pins. [`Tier::Scalar`] runs every call on the bit-exact oracle
+    /// kernel;
     /// `threads: 1` disables tiling entirely, and `parallel_threshold` is
     /// moot once `threads == 1` (kept at `usize::MAX` for
     /// belt-and-braces).
     pub fn scalar() -> Self {
         Self {
             threads: 1,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: usize::MAX,
         }
     }
@@ -190,15 +192,10 @@ impl RuntimeEngine {
         } else {
             cfg.threads
         };
-        let cache = match cfg.tier {
-            Tier::Exact { cache_bytes } if cache_bytes > 0 => {
-                Some(Arc::new(DecodedCache::new(cache_bytes)))
-            }
-            _ => None,
-        };
+        let cache = (cfg.tier == Tier::Exact).then(Arc::default);
         let kernel: &'static dyn MicroKernel = match cfg.tier {
-            Tier::Exact { .. } if cache.is_some() => &BucketedCacheKernel,
-            Tier::Exact { .. } => &ScalarKernel,
+            Tier::Scalar => &ScalarKernel,
+            Tier::Exact => &BucketedCacheKernel,
             Tier::Fast => match SimdKernel::try_new() {
                 Some(simd) => simd,
                 None => &LaneKernel,
@@ -215,8 +212,7 @@ impl RuntimeEngine {
         }
     }
 
-    /// The default engine: all cores, the exact tier with a 64 MiB
-    /// decoded-tile cache.
+    /// The default engine: all cores, the exact tier.
     pub fn parallel() -> Self {
         Self::new(EngineConfig::default())
     }
@@ -240,8 +236,8 @@ impl RuntimeEngine {
         })
     }
 
-    /// The scalar fallback engine (single thread, the exact tier without
-    /// a cache, so it runs the scalar oracle, bit-exact) —
+    /// The scalar fallback engine (single thread, the scalar tier, so it
+    /// runs the scalar oracle, bit-exact) —
     /// `Self::new(EngineConfig::scalar())`.
     pub fn scalar() -> Self {
         Self::new(EngineConfig::scalar())
@@ -257,7 +253,7 @@ impl RuntimeEngine {
         self.threads
     }
 
-    /// Decoded-cache statistics, when caching is enabled.
+    /// Decoded-cache statistics, on the exact tier.
     pub fn cache_stats(&self) -> Option<CacheStats> {
         self.cache.as_ref().map(|c| c.stats())
     }
@@ -274,13 +270,10 @@ impl RuntimeEngine {
         self.kernel
     }
 
-    /// The execution context for a layer: the decoded cache keyed by the
-    /// layer's (memoized) content fingerprint, when caching is enabled.
-    fn ctx(&self, layer: &PackedLayer) -> KernelCtx<'_> {
-        match &self.cache {
-            Some(cache) => KernelCtx::cached(cache.as_ref(), layer.content_fingerprint()),
-            None => KernelCtx::uncached(),
-        }
+    /// The layer's decoded tiles on the exact tier: the call's one cache
+    /// lookup, made before any row split.
+    fn tiles(&self, layer: &PackedLayer) -> Option<LayerTiles> {
+        self.cache.as_ref().map(|cache| cache.layer_tiles(layer))
     }
 
     /// Computes `W · acts` from the packed layer through the picked
@@ -300,7 +293,11 @@ impl RuntimeEngine {
             acts.cols()
         );
         let n = acts.cols();
-        let ctx = self.ctx(layer);
+        let tiles = self.tiles(layer);
+        let ctx = KernelCtx {
+            tiles: tiles.as_deref(),
+            acts32: None,
+        };
         let kernel = self.kernel;
         let work = layer.d_row() * layer.d_col() * n;
         let serial = self.threads <= 1 || work < self.cfg.parallel_threshold;
@@ -352,7 +349,11 @@ impl RuntimeEngine {
             layer.d_col(),
             x.len()
         );
-        let ctx = self.ctx(layer);
+        let tiles = self.tiles(layer);
+        let ctx = KernelCtx {
+            tiles: tiles.as_deref(),
+            acts32: None,
+        };
         let kernel = self.kernel;
         self.metrics.record(
             kernel,
@@ -633,21 +634,17 @@ impl EngineTelemetry for RuntimeEngine {
             let c = cache.clone();
             registry.register_collector(
                 "microscopiq_cache_events_total",
-                "Decoded-block cache lookups by outcome (hit/miss/eviction).",
+                "Decoded-cache layer lookups by outcome (hit/miss).",
                 MetricKind::Counter,
                 collector_fn(move || {
                     let stats = c.stats();
-                    [
-                        ("hit", stats.hits),
-                        ("miss", stats.misses),
-                        ("eviction", stats.evictions),
-                    ]
-                    .into_iter()
-                    .map(|(event, n)| Sample {
-                        labels: vec![("event", event.to_string())],
-                        value: SampleValue::Counter(n),
-                    })
-                    .collect()
+                    [("hit", stats.hits), ("miss", stats.misses)]
+                        .into_iter()
+                        .map(|(event, n)| Sample {
+                            labels: vec![("event", event.to_string())],
+                            value: SampleValue::Counter(n),
+                        })
+                        .collect()
                 }),
             );
             let c = cache.clone();
@@ -710,7 +707,7 @@ mod tests {
         let serial = RuntimeEngine::scalar().gemm(&layer, &acts);
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: 0,
         })
         .gemm(&layer, &acts);
@@ -727,9 +724,7 @@ mod tests {
         let dense = layer.dequantize().matmul(&acts);
         let cached = RuntimeEngine::new(EngineConfig {
             threads: 2,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: 0,
         });
         let first = cached.gemm(&layer, &acts);
@@ -745,9 +740,7 @@ mod tests {
         let acts = Matrix::from_fn(64, 4, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: usize::MAX,
         });
         let a = engine.gemm(&layer, &acts);
@@ -755,13 +748,10 @@ mod tests {
         let b = engine.gemm(&layer, &acts);
         let stats2 = engine.cache_stats().unwrap();
         assert_eq!(a, b);
-        assert_eq!(stats1.hits, 0);
-        assert_eq!(
-            stats2.hits,
-            layer.num_groups() as u64,
-            "second pass must hit every tile"
-        );
+        assert_eq!((stats1.misses, stats1.hits), (1, 0));
+        assert_eq!(stats2.hits, 1, "second pass must hit the layer");
         assert_eq!(stats2.misses, stats1.misses);
+        assert_eq!(stats2.resident_bytes, stats1.resident_bytes);
     }
 
     #[test]
@@ -774,7 +764,7 @@ mod tests {
         let want_v = RuntimeEngine::scalar().gemv(&layer, &x);
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 3,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: 0,
         });
         let jobs = |e: &RuntimeEngine| {
@@ -817,7 +807,7 @@ mod tests {
         let acts = Matrix::from_fn(32, 4, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 2,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: 0,
         });
         let want = engine.gemm(&layer, &acts);
@@ -843,7 +833,7 @@ mod tests {
         let acts = Matrix::from_fn(16, 2, |_, _| rng.normal(0.0, 1.0));
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 8,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: usize::MAX,
         });
         assert_eq!(engine.gemm(&layer, &acts), layer.dequantize().matmul(&acts));
@@ -863,7 +853,7 @@ mod tests {
             let acts = Matrix::from_fn(32, 3, |_, _| rng.normal(0.0, 1.0));
             let engine = RuntimeEngine::new(EngineConfig {
                 threads,
-                tier: Tier::Exact { cache_bytes: 0 },
+                tier: Tier::Scalar,
                 parallel_threshold: 0,
             });
             assert_eq!(
@@ -885,7 +875,7 @@ mod tests {
         let dense = layer.dequantize().matmul(&acts);
         let gemv_route = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: usize::MAX,
         });
         assert_eq!(gemv_route.gemm(&layer, &acts), dense, "gemv");
@@ -896,15 +886,13 @@ mod tests {
         );
         let parallel_route = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: 0,
         });
         assert_eq!(parallel_route.gemm(&layer, &acts), dense, "parallel m=1");
         let cached = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: usize::MAX,
         });
         assert!(
@@ -922,9 +910,7 @@ mod tests {
         let dense = layer.dequantize().matmul(&acts);
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: usize::MAX,
         });
         assert!(max_abs_diff(&engine.gemm(&layer, &acts), &dense) < 1e-9);
@@ -973,7 +959,7 @@ mod tests {
         let layer = packed_layer(64, 32, 19);
         let mut rng = SeededRng::new(20);
         let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
-        for tier in [Tier::Exact { cache_bytes: 0 }, Tier::Fast] {
+        for tier in [Tier::Scalar, Tier::Exact, Tier::Fast] {
             let serial = RuntimeEngine::new(EngineConfig {
                 threads: 1,
                 tier,
@@ -1004,16 +990,12 @@ mod tests {
         let x: Vec<f64> = (0..32).map(|_| rng.normal(0.0, 1.0)).collect();
         let serial = RuntimeEngine::new(EngineConfig {
             threads: 1,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: usize::MAX,
         });
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             parallel_threshold: 0,
         });
         // Cold and warm cache passes must agree with the serial engine.
@@ -1023,12 +1005,56 @@ mod tests {
     }
 
     #[test]
+    fn racing_first_calls_decode_one_resident_copy() {
+        let layer = packed_layer(64, 32, 25);
+        let mut rng = SeededRng::new(26);
+        let acts = Matrix::from_fn(32, 9, |_, _| rng.normal(0.0, 1.0));
+        let bits = |m: &Matrix| -> Vec<u64> { m.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let want = bits(
+            &RuntimeEngine::new(EngineConfig {
+                threads: 1,
+                tier: Tier::Exact,
+                parallel_threshold: usize::MAX,
+            })
+            .gemm(&layer, &acts),
+        );
+        let one_copy = {
+            let cache = DecodedCache::new();
+            cache.layer_tiles(&layer);
+            cache.stats().resident_bytes
+        };
+        // A fresh engine per round, so both calls are a first touch.
+        for round in 0..20 {
+            let engine = RuntimeEngine::new(EngineConfig {
+                threads: 4,
+                tier: Tier::Exact,
+                parallel_threshold: 0,
+            });
+            let start = std::sync::Barrier::new(2);
+            std::thread::scope(|scope| {
+                let calls: Vec<_> = (0..2)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            start.wait();
+                            engine.gemm(&layer, &acts)
+                        })
+                    })
+                    .collect();
+                for call in calls {
+                    assert_eq!(bits(&call.join().unwrap()), want, "round {round}");
+                }
+            });
+            let stats = engine.cache_stats().unwrap();
+            assert_eq!(stats.resident_bytes, one_copy, "round {round}");
+            assert_eq!(stats.hits + stats.misses, 2, "one lookup per call");
+        }
+    }
+
+    #[test]
     fn engine_telemetry_exposes_availability_features_and_threads() {
         let engine = RuntimeEngine::new(EngineConfig {
             threads: 3,
-            tier: Tier::Exact {
-                cache_bytes: 1 << 20,
-            },
+            tier: Tier::Exact,
             ..EngineConfig::default()
         });
         let registry = MetricsRegistry::new();
@@ -1109,7 +1135,7 @@ mod tests {
         let engine = |parallel_threshold| {
             RuntimeEngine::new(EngineConfig {
                 threads: 3,
-                tier: Tier::Exact { cache_bytes: 0 },
+                tier: Tier::Scalar,
                 parallel_threshold,
             })
         };

@@ -1,5 +1,6 @@
-//! The bucketed decoded-cache kernel: executes from the engine's
-//! [`DecodedCache`] tiles so warm passes skip unpacking entirely.
+//! The bucketed decoded-cache kernel: executes from the layer's decoded
+//! tiles ([`DecodedCache::layer_tiles`]), so warm passes skip unpacking
+//! entirely.
 //!
 //! 2-bit layers run from [`BucketTile`]s — inliers contribute per bucket
 //! as `code·2^Isf × Σ activation-rows` (branch-free adds with one
@@ -10,11 +11,12 @@
 //! reference, so results agree to ~1e-12 — pinned at the runtime's 1e-9
 //! contract, not bitwise.
 //!
-//! This kernel requires a cache in its [`KernelCtx`] and a `DotProduct`
-//! layer (asserted on entry); the exact tier picks it exactly when the
-//! engine has a cache configured.
+//! This kernel requires the layer's tiles in its [`KernelCtx`] and a
+//! `DotProduct` layer (asserted on entry). The engine of the exact tier
+//! looks the layer up once per call and hands every row tile the same
+//! slice, so a group costs an index — no lock, atomic or allocation.
 //!
-//! [`DecodedCache`]: crate::cache::DecodedCache
+//! [`DecodedCache::layer_tiles`]: crate::cache::DecodedCache::layer_tiles
 //! [`BucketTile`]: crate::cache::BucketTile
 //! [`FlatTile`]: crate::cache::FlatTile
 
@@ -24,7 +26,6 @@ use super::{
 use crate::cache::{BucketTile, DecodedTile, FlatTile};
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
-use std::sync::Arc;
 
 /// Name of the bucketed decoded-cache kernel.
 pub const BUCKETED_KERNEL: &str = "bucketed-cache";
@@ -113,13 +114,13 @@ fn accumulate_flat(
     }
 }
 
-/// The decoded-cache execution kernel. Stateless — the cache arrives per
-/// call through the [`KernelCtx`].
+/// The decoded-cache execution kernel. Stateless — the layer's tiles
+/// arrive per call through the [`KernelCtx`].
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BucketedCacheKernel;
 
 impl BucketedCacheKernel {
-    /// The shared body behind both trait entry points: runs cached tiles
+    /// The shared body behind both trait entry points: runs decoded tiles
     /// over a flat row-major activation image (`d_col × n`), so the GEMV
     /// path can hand its column slice straight through without staging a
     /// one-column [`Matrix`] copy.
@@ -135,20 +136,17 @@ impl BucketedCacheKernel {
         out: &mut [f64],
     ) {
         assert_dot_product(layer, BUCKETED_KERNEL);
-        let (cache, layer_id) = ctx
-            .cache
-            .expect("bucketed-cache kernel requires a decoded cache in the context");
+        let tiles = ctx
+            .tiles
+            .expect("bucketed-cache kernel requires a decoded cache's tiles in the context");
+        assert_eq!(tiles.len(), layer.num_groups(), "tiles of another layer");
         let order = groups_for_rows(layer, row_lo, row_hi);
-        let tiles: Vec<Arc<DecodedTile>> = order
-            .clone()
-            .map(|g| cache.get_or_decode(layer_id, layer, g))
-            .collect();
         if layer.inlier_bits() == 2 {
             // Bucketed tiles: column-chunked so the per-bucket accumulators
             // live in fixed-size registers.
             for_col_chunks(n, |col0, width| {
-                for (g, tile) in order.clone().zip(&tiles) {
-                    let DecodedTile::Bucketed(tile) = tile.as_ref() else {
+                for g in order.clone() {
+                    let DecodedTile::Bucketed(tile) = &tiles[g] else {
                         unreachable!("2-bit layers decode to bucketed tiles");
                     };
                     let span = layer.group_span(g);
@@ -162,8 +160,8 @@ impl BucketedCacheKernel {
             });
         } else {
             // Flat tiles: one full-width walk per group.
-            for (g, tile) in order.zip(&tiles) {
-                let DecodedTile::Flat(tile) = tile.as_ref() else {
+            for g in order {
+                let DecodedTile::Flat(tile) = &tiles[g] else {
                     unreachable!("4-bit layers decode to flat tiles");
                 };
                 let span = layer.group_span(g);
@@ -187,8 +185,8 @@ impl MicroKernel for BucketedCacheKernel {
     /// # Panics
     ///
     /// Panics on a layer that is not `DotProduct` or if the context
-    /// carries no decoded cache (the engine picks this kernel only with
-    /// one).
+    /// carries no tiles for it (the exact tier's engine always passes
+    /// them).
     fn gemm_rows(
         &self,
         ctx: &KernelCtx<'_>,
@@ -249,11 +247,19 @@ mod tests {
             let mut rng = SeededRng::new(3);
             let acts = Matrix::from_fn(64, 9, |_, _| rng.normal(0.0, 1.0));
             let oracle = fused_gemm_serial(&layer, &acts);
-            let cache = DecodedCache::new(1 << 20);
-            let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+            let cache = DecodedCache::new();
+            // One lookup per pass, as the engine does per call.
             let run = || {
+                let tiles = cache.layer_tiles(&layer);
                 let mut out = Matrix::zeros(32, 9);
-                BucketedCacheKernel.gemm_rows(&ctx, &layer, &acts, 0, 32, out.as_mut_slice());
+                BucketedCacheKernel.gemm_rows(
+                    &KernelCtx::decoded(&tiles),
+                    &layer,
+                    &acts,
+                    0,
+                    32,
+                    out.as_mut_slice(),
+                );
                 out
             };
             let cold = run();
@@ -262,7 +268,8 @@ mod tests {
                 assert!(tol.accepts(a, b), "bits={bits}: {a} vs {b}");
             }
             assert_eq!(cold, run(), "warm pass must repeat cold pass exactly");
-            assert_eq!(cache.stats().hits, layer.num_groups() as u64);
+            let stats = cache.stats();
+            assert_eq!((stats.misses, stats.hits), (1, 1), "warm pass reuses tiles");
         }
     }
 
@@ -279,8 +286,8 @@ mod tests {
             });
             let mut rng = SeededRng::new(30);
             let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
-            let cache = DecodedCache::new(1 << 20);
-            let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+            let tiles = DecodedCache::new().layer_tiles(&layer);
+            let ctx = KernelCtx::decoded(&tiles);
             let mut via_gemv = vec![0.0_f64; 32];
             BucketedCacheKernel.gemv(&ctx, &layer, &x, &mut via_gemv);
             let acts = Matrix::from_vec(64, 1, x.clone());
@@ -315,12 +322,7 @@ mod tests {
         });
         let x = vec![0.0; layer.d_col()];
         let mut out = vec![0.0; layer.d_row()];
-        let cache = DecodedCache::new(1 << 20);
-        BucketedCacheKernel.gemv(
-            &KernelCtx::cached(&cache, layer.content_fingerprint()),
-            &layer,
-            &x,
-            &mut out,
-        );
+        let tiles = DecodedCache::new().layer_tiles(&layer);
+        BucketedCacheKernel.gemv(&KernelCtx::decoded(&tiles), &layer, &x, &mut out);
     }
 }

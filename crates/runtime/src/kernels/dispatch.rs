@@ -6,8 +6,8 @@
 //!
 //! | tier | engine | kernel |
 //! |---|---|---|
-//! | [`Tier::Exact`] with a cache | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`] |
-//! | [`Tier::Exact`], `cache_bytes: 0` | `RuntimeEngine::scalar()` | [`ScalarKernel`] |
+//! | [`Tier::Scalar`] | `RuntimeEngine::scalar()` | [`ScalarKernel`] |
+//! | [`Tier::Exact`] | `RuntimeEngine::parallel()` | [`BucketedCacheKernel`], over the engine's decoded cache |
 //! | [`Tier::Fast`] | `RuntimeEngine::fast()` | [`SimdKernel`] when [`SimdKernel::try_new`] finds it, [`LaneKernel`] otherwise |
 //!
 //! Nothing about a call enters the pick — not the layer, the activation
@@ -26,6 +26,7 @@
 //! ```
 //!
 //! [`Tier`]: crate::Tier
+//! [`Tier::Scalar`]: crate::Tier::Scalar
 //! [`Tier::Exact`]: crate::Tier::Exact
 //! [`Tier::Fast`]: crate::Tier::Fast
 //! [`RuntimeEngine::kernel`]: crate::RuntimeEngine::kernel
@@ -147,14 +148,16 @@ mod tests {
 
     #[test]
     fn default_policy_mirrors_cache_availability() {
-        let exact = |cache_bytes| {
+        let engine = |tier| {
             RuntimeEngine::new(EngineConfig {
-                tier: Tier::Exact { cache_bytes },
+                tier,
                 ..EngineConfig::default()
             })
         };
-        assert_eq!(exact(0).kernel().name(), SCALAR_KERNEL);
-        assert_eq!(exact(1 << 16).kernel().name(), BUCKETED_KERNEL);
+        assert_eq!(engine(Tier::Scalar).kernel().name(), SCALAR_KERNEL);
+        assert!(engine(Tier::Scalar).cache_stats().is_none());
+        assert_eq!(engine(Tier::Exact).kernel().name(), BUCKETED_KERNEL);
+        assert!(engine(Tier::Exact).cache_stats().is_some());
     }
 
     /// `kernel op bits value` (or `kernel value`) per sample.

@@ -7,9 +7,9 @@
 //!   packed groups in the dense reference's reduction order and
 //!   accumulates in `f64`. Bit-identical to `dequantize().matmul(..)`.
 //! * [`BucketedCacheKernel`] (`bucketed-cache`) — executes from the
-//!   engine's decoded-tile cache ([`crate::cache`]): code-bucketed tiles
-//!   at `bb = 2`, flat `f32` tiles at `bb = 4`. Requires a cache in the
-//!   [`KernelCtx`]. The exact tier's kernel when it has a cache.
+//!   layer's decoded tiles ([`crate::cache`]): code-bucketed tiles at
+//!   `bb = 2`, flat `f32` tiles at `bb = 4`. Requires the tiles in the
+//!   [`KernelCtx`]. The exact tier's kernel.
 //! * [`LaneKernel`] (`lane-f32`) — the portable lane-blocked kernel, and
 //!   the fast tier's kernel on hosts without AVX2+FMA: decodes each
 //!   group's unscaled codes into a stack-resident `f32` plane
@@ -55,7 +55,7 @@ pub use microscopiq_fm::MAX_GROUP;
 pub use scalar::{fused_gemm_serial, fused_gemv_serial, ScalarKernel, SCALAR_KERNEL};
 pub use simd::{detected_cpu_features, SimdKernel, SIMD_KERNEL};
 
-use crate::cache::DecodedCache;
+use crate::cache::DecodedTile;
 use microscopiq_core::config::GroupAxis;
 use microscopiq_core::packed::{GroupSpan, PackedLayer};
 use microscopiq_linalg::Matrix;
@@ -115,15 +115,17 @@ impl Tolerance {
     }
 }
 
-/// Per-call execution context handed to kernels: the engine's decoded-tile
-/// cache (with the layer's content fingerprint as cache key), when one is
-/// configured, and optionally a shared `f32` image of the activations so
-/// tiled callers convert once per GEMM instead of once per tile.
+/// Per-call execution context handed to kernels: the layer's decoded
+/// tiles, when the engine runs from a decoded cache, and optionally a
+/// shared `f32` image of the activations so tiled callers convert once
+/// per GEMM instead of once per tile.
 #[derive(Debug, Clone, Copy)]
 pub struct KernelCtx<'a> {
-    /// `(cache, layer fingerprint)` when the engine runs with a decoded
-    /// cache; `None` for cache-less execution.
-    pub cache: Option<(&'a DecodedCache, u64)>,
+    /// Every group of the called layer decoded, in group order
+    /// (`tiles[g]` is group `g`), when the engine runs with a decoded
+    /// cache; `None` for execution from the packed layer alone. The
+    /// engine looks the layer up once per call, before any row split.
+    pub tiles: Option<&'a [DecodedTile]>,
     /// Precomputed `f32` copy of the full activation matrix (row-major,
     /// same shape as `acts`), for kernels that report
     /// [`MicroKernel::wants_f32_acts`]. Kernels fall back to converting
@@ -132,19 +134,19 @@ pub struct KernelCtx<'a> {
 }
 
 impl<'a> KernelCtx<'a> {
-    /// A cache-less context.
+    /// A context without decoded tiles.
     pub fn uncached() -> Self {
         Self {
-            cache: None,
+            tiles: None,
             acts32: None,
         }
     }
 
-    /// A context backed by a decoded-tile cache keyed by the layer's
-    /// content fingerprint.
-    pub fn cached(cache: &'a DecodedCache, layer_id: u64) -> Self {
+    /// A context carrying the called layer's decoded tiles
+    /// ([`crate::cache::DecodedCache::layer_tiles`]).
+    pub fn decoded(tiles: &'a [DecodedTile]) -> Self {
         Self {
-            cache: Some((cache, layer_id)),
+            tiles: Some(tiles),
             acts32: None,
         }
     }

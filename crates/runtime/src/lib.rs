@@ -18,9 +18,10 @@
 //!   relative tolerance: the explicit AVX2+FMA [`SimdKernel`] serves the
 //!   fast tier where runtime feature detection finds it, the portable
 //!   lane-blocked [`LaneKernel`] everywhere else.
-//! * [`cache`] — lazily decoded per-macro-block tiles in execution-ready
-//!   bucketed form under an LRU residency cap, so repeated forward passes
-//!   amortize unpacking and run multiply-free inlier accumulation.
+//! * [`cache`] — every macro-block of a layer decoded into an
+//!   execution-ready tile on the layer's first call and kept, so repeated
+//!   forward passes skip unpacking and run multiply-free inlier
+//!   accumulation; a call looks its layer up once.
 //! * [`executor`] — [`RuntimeEngine`]: work-stealing parallel execution
 //!   over row-block tiles on a persistent, lazily created pool of parked
 //!   std threads, with a scalar fallback; plugs into

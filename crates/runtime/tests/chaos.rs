@@ -534,21 +534,35 @@ fn healed_fleet_sustains_pre_kill_throughput() {
     )
     .expect("spawn supervised fleet");
     let handle = fleet.handle();
-    // One closed-loop wave of 64 failover streams; returns generated
-    // tokens/s. `kill` panics worker 0 shortly after launch.
+    // One closed-loop wave: 64 clients each run `STREAMS` failover
+    // streams back to back, so a wave lasts long enough (≈ 0.5 s or more
+    // in release) that host noise is a small part of it. Returns
+    // generated tokens/s. `kill` panics worker 0 shortly after launch.
+    const CLIENTS: usize = 64;
+    const STREAMS: usize = 40;
     let wave = |kill: bool| -> f64 {
         let t0 = Instant::now();
         let tokens: usize = std::thread::scope(|s| {
-            let tasks: Vec<_> = (0..64)
-                .map(|i| {
+            let tasks: Vec<_> = (0..CLIENTS)
+                .map(|c| {
                     let handle = handle.clone();
                     s.spawn(move || {
-                        let req = chaos_request(i, 0x4ec0, 16, QosClass::Interactive);
-                        let (_, stream) = handle.submit_with(req, failover_opts()).expect("submit");
-                        stream
-                            .collect()
-                            .expect("every failover stream must complete")
-                            .new_tokens
+                        (0..STREAMS)
+                            .map(|k| {
+                                let req = chaos_request(
+                                    c * STREAMS + k,
+                                    0x4ec0,
+                                    16,
+                                    QosClass::Interactive,
+                                );
+                                let (_, stream) =
+                                    handle.submit_with(req, failover_opts()).expect("submit");
+                                stream
+                                    .collect()
+                                    .expect("every failover stream must complete")
+                                    .new_tokens
+                            })
+                            .sum::<usize>()
                     })
                 })
                 .collect();
@@ -558,7 +572,9 @@ fn healed_fleet_sustains_pre_kill_throughput() {
             }
             tasks.into_iter().map(|t| t.join().expect("no panic")).sum()
         });
-        tokens as f64 / t0.elapsed().as_secs_f64()
+        let secs = t0.elapsed().as_secs_f64();
+        println!("wave (kill {kill}): {tokens} tokens in {secs:.3} s");
+        tokens as f64 / secs
     };
 
     let pre = wave(false).max(wave(false));
@@ -615,7 +631,7 @@ fn respawn_rounds_do_not_leak_pool_threads() {
         |_| {
             RuntimeEngine::new(EngineConfig {
                 threads: 2,
-                tier: Tier::Exact { cache_bytes: 0 },
+                tier: Tier::Scalar,
                 parallel_threshold: 0,
             })
         },

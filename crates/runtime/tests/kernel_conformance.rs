@@ -41,8 +41,8 @@ fn assert_within(tol: Tolerance, got: &[f64], oracle: &[f64], what: &str) {
 }
 
 /// Runs one kernel over the full row range (GEMM) or through its GEMV
-/// entry (m = 1), with a decoded cache in the context so cache-requiring
-/// kernels participate.
+/// entry (m = 1), with the layer's decoded tiles in the context so the
+/// tile-requiring kernel participates.
 fn run_kernel(
     kernel: &dyn MicroKernel,
     layer: &microscopiq_core::packed::PackedLayer,
@@ -50,7 +50,8 @@ fn run_kernel(
     cache: &DecodedCache,
     use_gemv: bool,
 ) -> Vec<f64> {
-    let ctx = KernelCtx::cached(cache, layer.content_fingerprint());
+    let tiles = cache.layer_tiles(layer);
+    let ctx = KernelCtx::decoded(&tiles);
     if use_gemv {
         let mut out = vec![0.0_f64; layer.d_row()];
         kernel.gemv(&ctx, layer, acts.as_slice(), &mut out);
@@ -91,7 +92,7 @@ fn every_registered_kernel_meets_its_pin_across_the_sweep() {
                         "oracle must stay bit-identical to dense \
                          (bits={bits} rate={rate} m={m})"
                     );
-                    let cache = DecodedCache::new(8 << 20);
+                    let cache = DecodedCache::new();
                     for kernel in available() {
                         let what = format!(
                             "{} bits={bits} rate={rate} {d_row}x{d_col}/{macro_block} m={m}",
@@ -136,7 +137,7 @@ fn gemv_odd_k_with_tail_blocks_through_old_and_new_kernels() {
                 "scalar gemv/gemm parity bits={bits} k={k}"
             );
             // Every kernel (lane, simd, cached, …): within its pin.
-            let cache = DecodedCache::new(1 << 20);
+            let cache = DecodedCache::new();
             for kernel in available() {
                 let name = kernel.name();
                 let got = run_kernel(kernel, &layer, &acts, &cache, true);
@@ -168,9 +169,9 @@ fn group_boundary_straddling_tiles_agree_with_full_row_range() {
     });
     let mut rng = SeededRng::new(56);
     let acts = Matrix::from_fn(48, 5, |_, _| rng.normal(0.0, 1.0));
-    let cache = DecodedCache::new(1 << 20);
+    let tiles = DecodedCache::new().layer_tiles(&layer);
     for kernel in available() {
-        let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+        let ctx = KernelCtx::decoded(&tiles);
         let mut full = vec![0.0_f64; 29 * 5];
         kernel.gemm_rows(&ctx, &layer, &acts, 0, 29, &mut full);
         let mut stitched = vec![0.0_f64; 29 * 5];
@@ -204,7 +205,7 @@ fn outlier_heavy_rows_through_old_and_new_kernels() {
             "regime must actually be outlier-heavy"
         );
         let mut rng = SeededRng::new(78);
-        let cache = DecodedCache::new(1 << 20);
+        let cache = DecodedCache::new();
         for m in [1usize, 8] {
             let acts = Matrix::from_fn(48, m, |_, _| rng.normal(0.0, 1.0));
             let oracle = fused_gemm_serial(&layer, &acts);
@@ -242,9 +243,9 @@ fn gemv_row_tiles_stitch_bitwise_for_every_kernel() {
     });
     let mut rng = SeededRng::new(92);
     let x: Vec<f64> = (0..64).map(|_| rng.normal(0.0, 1.0)).collect();
-    let cache = DecodedCache::new(1 << 20);
+    let tiles = DecodedCache::new().layer_tiles(&layer);
     for kernel in available() {
-        let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+        let ctx = KernelCtx::decoded(&tiles);
         let mut full = vec![0.0_f64; 48];
         kernel.gemv(&ctx, &layer, &x, &mut full);
         let mut stitched = vec![0.0_f64; 48];
@@ -362,8 +363,7 @@ fn fast_tier_picks_by_simd_detection_and_is_thread_count_stable() {
 #[test]
 fn default_dispatch_serving_stays_bitwise_stable() {
     // The end-to-end guarantee the refactor must not move: an
-    // exact-tier engine without a cache equals the scalar oracle bit
-    // for bit, and the m = 1 GEMV entry equals the m = 1 GEMM column.
+    // engine on the scalar tier equals the scalar oracle bit for bit, and the m = 1 GEMV entry equals the m = 1 GEMM column.
     let layer = synth_packed(&SynthSpec {
         d_row: 64,
         d_col: 64,
@@ -378,7 +378,7 @@ fn default_dispatch_serving_stays_bitwise_stable() {
     let acts = Matrix::from_fn(64, 8, |_, _| rng.normal(0.0, 1.0));
     let default_uncached = RuntimeEngine::new(EngineConfig {
         threads: 1,
-        tier: Tier::Exact { cache_bytes: 0 },
+        tier: Tier::Scalar,
         ..EngineConfig::default()
     });
     assert_eq!(
@@ -407,14 +407,15 @@ fn every_kernel_refuses_a_layout_outside_the_served_one() {
         macro_block: 2 * MAX_GROUP,
         ..SynthSpec::default()
     });
-    let cache = DecodedCache::new(1 << 20);
+    let cache = DecodedCache::new();
     for kernel in available() {
         let mut cases = vec![(&output_channel, "runs DotProduct layers only")];
         if [LANE_KERNEL, SIMD_KERNEL].contains(&kernel.name()) {
             cases.push((&oversize, "group plane holds at most"));
         }
         for (layer, refusal) in cases {
-            let ctx = KernelCtx::cached(&cache, layer.content_fingerprint());
+            let tiles = cache.layer_tiles(layer);
+            let ctx = KernelCtx::decoded(&tiles);
             let acts = Matrix::zeros(layer.d_col(), 2);
             let gemm = || {
                 let mut out = vec![0.0; layer.d_row() * 2];

@@ -66,7 +66,7 @@ proptest! {
 
         let parallel = RuntimeEngine::new(EngineConfig {
             threads: 4,
-            tier: Tier::Exact { cache_bytes: 0 },
+            tier: Tier::Scalar,
             parallel_threshold: 0,
         })
         .gemm(&packed, &acts);
@@ -77,7 +77,7 @@ proptest! {
         // warm second pass must repeat the cold pass exactly.
         let cached = RuntimeEngine::new(EngineConfig {
             threads: 2,
-            tier: Tier::Exact { cache_bytes: 1 << 20 },
+            tier: Tier::Exact,
             parallel_threshold: 0,
         });
         let cold = cached.gemm(&packed, &acts);
@@ -107,30 +107,5 @@ proptest! {
                 tol.allowed(*b)
             );
         }
-    }
-
-    /// A cache too small to hold the working set still computes exact
-    /// results (evictions must never corrupt tiles).
-    #[test]
-    fn thrashing_cache_stays_exact(seed in 0u64..500) {
-        let packed = build_packed(32, 48, 2, 0.03, seed);
-        let mut rng = SeededRng::new(seed);
-        let acts = Matrix::from_fn(48, 5, |_, _| rng.normal(0.0, 1.0));
-        let engine = RuntimeEngine::new(EngineConfig {
-            threads: 2,
-            tier: Tier::Exact { cache_bytes: 1024 }, // far below the decoded working set
-            parallel_threshold: 0,
-        });
-        let dense = packed.dequantize().matmul(&acts);
-        for _pass in 0..2 {
-            let got = engine.gemm(&packed, &acts);
-            let mut diff = 0.0_f64;
-            for (a, b) in got.as_slice().iter().zip(dense.as_slice().iter()) {
-                diff = diff.max((a - b).abs());
-            }
-            prop_assert!(diff < 1e-9, "thrashing diff {}", diff);
-        }
-        let stats = engine.cache_stats().expect("cache enabled");
-        prop_assert!(stats.evictions > 0, "cap must force eviction");
     }
 }
